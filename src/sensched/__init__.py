@@ -17,6 +17,7 @@ from .errors import (
     ParseError,
     SearchSpaceError,
     SenschedError,
+    VerificationError,
 )
 from .game import (
     BlllParams,

@@ -9,6 +9,7 @@ is bit-reproducible, including across --workers settings. Exit codes:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import sys
 from fractions import Fraction
@@ -18,7 +19,7 @@ import click
 
 from . import domination, game, greedy, instance, oracle, randnet, verify
 from .coverage import restrict_x, to_adjacency_text
-from .errors import InputError, SearchSpaceError
+from .errors import InputError, SearchSpaceError, VerificationError
 from .seeds import derive_seed
 from .schedule import (
     ProblemInstance,
@@ -57,6 +58,9 @@ def handle_errors(fn):
         except SearchSpaceError as exc:
             click.echo(f"refused: {exc}", err=True)
             sys.exit(3)
+        except VerificationError as exc:
+            click.echo(f"verification failed: {exc}", err=True)
+            sys.exit(2)
         except InputError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
@@ -110,6 +114,7 @@ def schedule_cmd(
     _, inst = instance.build_problem(spec)
     letter = SCORE_LETTER[inst.objective]
 
+    report = None
     if solver == "oracle":
         result = oracle.exact_optimal_schedule(inst)
         labeling = result.optimal[0]
@@ -148,7 +153,7 @@ def schedule_cmd(
                 ["iteration", "phi", "score"],
                 [[i, phi, _fmt(phi / denom)] for i, phi in b_result.trace],
             )
-    _emit(format_labeling(inst, labeling), out)
+    _emit(format_labeling(inst, labeling, report), out)
 
 
 @main.command("place-and-schedule")
@@ -180,18 +185,10 @@ def place_and_schedule_cmd(
     spec = instance.load_instance(instance_file)
     g = instance.build_graph(spec)
     if sites.strip().lower() == "all":
-        site_spec = instance.InstanceSpec(
-            nodes=spec.nodes, edges=spec.edges, sensors=("all",),
-            targets=spec.targets, range_limit=spec.range_limit,
-            k=spec.k, sigma=spec.sigma, objective=spec.objective,
-        )
+        site_names: tuple[str, ...] = ("all",)
     else:
-        names = tuple(tok.strip() for tok in sites.split(",") if tok.strip())
-        site_spec = instance.InstanceSpec(
-            nodes=spec.nodes, edges=spec.edges, sensors=names,
-            targets=spec.targets, range_limit=spec.range_limit,
-            k=spec.k, sigma=spec.sigma, objective=spec.objective,
-        )
+        site_names = tuple(tok.strip() for tok in sites.split(",") if tok.strip())
+    site_spec = dataclasses.replace(spec, sensors=site_names)
     cov = instance.build_coverage(site_spec, g)
     if spec.k is None or spec.sigma is None:
         raise InputError("instance file needs both `k` and `sigma`")

@@ -179,6 +179,18 @@ def build_isolation(
     )
 
 
+def y_bitsets(cov: CoverageGraph) -> list[int]:
+    """Per device, its Y neighbourhood as an int bitset (bit y set iff x ~ y)."""
+    n_bytes = (cov.n_y + 7) // 8
+    masks = []
+    for ys in cov.adj:
+        buf = bytearray(n_bytes)
+        for y in ys:
+            buf[y >> 3] |= 1 << (y & 7)
+        masks.append(int.from_bytes(buf, "little"))
+    return masks
+
+
 def restrict_x(cov: CoverageGraph, x_indices: Iterable[int]) -> CoverageGraph:
     """Sub-coverage keeping only the given device indices (Y unchanged)."""
     keep = sorted(set(x_indices))

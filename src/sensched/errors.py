@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: InputError (and subclasses) -> 1,
-verification failures -> 2, SearchSpaceError / exhausted budgets -> 3.
+VerificationError -> 2, SearchSpaceError / exhausted budgets -> 3.
 """
 
 
@@ -34,6 +34,10 @@ class BatteryViolation(InputError):
 
 class ModeError(InputError):
     """Operation called on an instance with the wrong objective mode."""
+
+
+class VerificationError(SenschedError):
+    """A run-time consistency check between two computations of one quantity failed."""
 
 
 class SearchSpaceError(SenschedError):

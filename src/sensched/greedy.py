@@ -4,12 +4,26 @@ Each iteration adds the label that most increases the number of newly
 covered (slot, Y-element) pairs, until every device holds exactly sigma
 labels. Zero-gain picks still happen near the end; they are assigned in
 lexicographic order so results stay deterministic.
+
+The greedy is lazy (Minoux's accelerated greedy). Each slot keeps the Y
+elements it already covers as an int bitset, and a pick's gain is the
+number of the device's Y elements not yet in that bitset. Slots only
+fill up, so a gain computed earlier is an upper bound on the gain now
+(the objective is monotone submodular over (device, slot) picks). A
+max-heap of those bounds therefore only has to recompute the entries
+that reach its top: a top entry whose gain is still current beats every
+other pair. The picks are exactly those of re-scanning every pair on
+every iteration, including both tie-break rules: the lowest
+(device index, slot) by default, and a seeded uniform draw over all
+pairs of maximal gain, listed in (device index, slot) order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
+from .coverage import y_bitsets
 from .schedule import Labeling, ProblemInstance
 from .seeds import derive_rng
 
@@ -41,41 +55,54 @@ def greedy_schedule(inst: ProblemInstance, seed: int | None = None) -> GreedyRes
     k, sigma = inst.k, inst.sigma
     rng = derive_rng(seed, "greedy-tiebreak") if seed is not None else None
 
-    # counts[y][lab] = number of active providers of slot `lab` for y
-    counts = [[0] * k for _ in range(cov.n_y)]
+    masks = y_bitsets(cov)
+    covered = [0] * k  # per slot: bitset of the Y elements covered so far
+    version = [0] * k  # bumped whenever covered[lab] grows
     labels: list[set[int]] = [set() for _ in range(cov.n_x)]
+    # (-gain bound, x, lab, version[lab] when the bound was computed);
+    # every (x, lab) still open sits in the heap exactly once.
+    heap = [(-len(cov.adj[xi]), xi, lab, 0) for xi in range(cov.n_x) for lab in range(k)]
+    heapify(heap)
+
+    def refresh(neg: int, xi: int, lab: int, ver: int) -> int:
+        if ver == version[lab]:
+            return -neg
+        return (masks[xi] & ~covered[lab]).bit_count()
+
     objective = 0
     trace: list[GreedyPick] = []
-
     total_picks = cov.n_x * sigma
     for iteration in range(1, total_picks + 1):
-        best_gain = -1
-        best: tuple[int, int] | None = None
-        ties: list[tuple[int, int]] = []
-        for xi in range(cov.n_x):
+        while True:
+            neg, xi, lab, ver = heappop(heap)
             if len(labels[xi]) >= sigma:
                 continue
-            nbrs = cov.adj[xi]
-            for lab in range(k):
-                if lab in labels[xi]:
+            gain = refresh(neg, xi, lab, ver)
+            if gain == -neg:
+                break
+            heappush(heap, (-gain, xi, lab, version[lab]))
+        if rng is not None:
+            # Every other pair of maximal gain has a bound equal to it, so
+            # it is still in the heap and pops next, in (x, lab) order.
+            ties = [(xi, lab)]
+            while heap and -heap[0][0] >= gain:
+                neg, tx, tlab, ver = heappop(heap)
+                if len(labels[tx]) >= sigma:
                     continue
-                gain = sum(1 for y in nbrs if counts[y][lab] == 0)
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (xi, lab)
-                    if rng is not None:
-                        ties = [(xi, lab)]
-                elif rng is not None and gain == best_gain:
-                    ties.append((xi, lab))
-        assert best is not None
-        if rng is not None and len(ties) > 1:
-            best = ties[rng.randrange(len(ties))]
-        xi, lab = best
+                other = refresh(neg, tx, tlab, ver)
+                if other == gain:
+                    ties.append((tx, tlab))
+                else:
+                    heappush(heap, (-other, tx, tlab, version[tlab]))
+            if len(ties) > 1:
+                xi, lab = ties.pop(rng.randrange(len(ties)))
+                for tx, tlab in ties:
+                    heappush(heap, (-gain, tx, tlab, version[tlab]))
         labels[xi].add(lab)
-        for y in cov.adj[xi]:
-            counts[y][lab] += 1
-        objective += best_gain
-        trace.append(GreedyPick(iteration, xi, lab, best_gain, objective))
+        covered[lab] |= masks[xi]
+        version[lab] += 1
+        objective += gain
+        trace.append(GreedyPick(iteration, xi, lab, gain, objective))
 
     return GreedyResult(
         labeling=Labeling(tuple(frozenset(s) for s in labels)),

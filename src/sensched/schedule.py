@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .coverage import CoverageGraph, Objective
-from .errors import BatteryViolation, InputError, ModeError, ParseError
+from .errors import BatteryViolation, InputError, ModeError, ParseError, VerificationError
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def score(inst: ProblemInstance, labeling: Labeling) -> ScheduleReport:
 
     Computes the label-set form (sum over y of covered slot counts) and
     the per-slot form (sum over slots of covered Y counts); the two are
-    always equal and both are kept as an internal consistency check.
+    always equal, and a mismatch raises VerificationError.
     """
     validate_labeling(inst, labeling)
     cov = inst.coverage
@@ -141,7 +141,10 @@ def score(inst: ProblemInstance, labeling: Labeling) -> ScheduleReport:
         for xi in active:
             seen |= cov.adj[xi]
         per_slot.append(len(seen))
-    assert sum(per_slot) == potential, "slot-form and label-form totals diverged"
+    if sum(per_slot) != potential:
+        raise VerificationError(
+            f"slot-form total {sum(per_slot)} and label-form total {potential} diverged"
+        )
     return ScheduleReport(
         k=inst.k,
         n_y=cov.n_y,
@@ -155,18 +158,13 @@ def score(inst: ProblemInstance, labeling: Labeling) -> ScheduleReport:
 def expected_detection(inst: ProblemInstance, labeling: Labeling) -> Fraction:
     """Mean over targets of the fraction of slots in which each is covered.
 
-    Detection mode only; numerically identical to score().score.
+    Detection mode only. Each target's fraction is its count of covered
+    slots over k, so the mean is the label-form total over k*|Y|, which
+    is score().score.
     """
     if inst.objective != "detection":
         raise ModeError("expected_detection is defined for detection instances only")
-    validate_labeling(inst, labeling)
-    cov = inst.coverage
-    total = Fraction(0)
-    for y in range(cov.n_y):
-        total += Fraction(len(covered_slots(labeling, cov, y)), inst.k)
-    q = total / cov.n_y
-    assert q == score(inst, labeling).score
-    return q
+    return score(inst, labeling).score
 
 
 def format_score(value: Fraction) -> str:

@@ -1,14 +1,19 @@
 """Independent brute-force reference implementations for tests.
 
 Everything here is written straight from definitions with no shared
-code paths into the package (aside from plain data access), so that
-package results can be checked against a second route.
+code paths into the package (aside from plain data access, the result
+dataclasses and the seeded RNG derivation), so that package results can
+be checked against a second route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+
+from sensched.greedy import GreedyPick, GreedyResult
+from sensched.schedule import Labeling
+from sensched.seeds import derive_rng
 
 INF = float("inf")
 
@@ -87,6 +92,59 @@ def brute_best_labeling(cov, k, sigma) -> tuple[Fraction, list]:
         elif phi == best:
             winners.append(assignment)
     return Fraction(best, k * cov.n_y), winners
+
+
+def brute_greedy(inst, seed=None) -> GreedyResult:
+    """Eager greedy: rescan every open (device, slot) pair on every pick.
+
+    Ties break on the lowest (device index, slot), or with a seed on a
+    uniform draw over all maximal-gain pairs in (device, slot) order.
+    """
+    cov = inst.coverage
+    k, sigma = inst.k, inst.sigma
+    rng = derive_rng(seed, "greedy-tiebreak") if seed is not None else None
+
+    # counts[y][lab] = number of active providers of slot `lab` for y
+    counts = [[0] * k for _ in range(cov.n_y)]
+    labels: list[set[int]] = [set() for _ in range(cov.n_x)]
+    objective = 0
+    trace: list[GreedyPick] = []
+
+    total_picks = cov.n_x * sigma
+    for iteration in range(1, total_picks + 1):
+        best_gain = -1
+        best: tuple[int, int] | None = None
+        ties: list[tuple[int, int]] = []
+        for xi in range(cov.n_x):
+            if len(labels[xi]) >= sigma:
+                continue
+            nbrs = cov.adj[xi]
+            for lab in range(k):
+                if lab in labels[xi]:
+                    continue
+                gain = sum(1 for y in nbrs if counts[y][lab] == 0)
+                if gain > best_gain:
+                    best_gain = gain
+                    best = (xi, lab)
+                    if rng is not None:
+                        ties = [(xi, lab)]
+                elif rng is not None and gain == best_gain:
+                    ties.append((xi, lab))
+        assert best is not None
+        if rng is not None and len(ties) > 1:
+            best = ties[rng.randrange(len(ties))]
+        xi, lab = best
+        labels[xi].add(lab)
+        for y in cov.adj[xi]:
+            counts[y][lab] += 1
+        objective += best_gain
+        trace.append(GreedyPick(iteration, xi, lab, best_gain, objective))
+
+    return GreedyResult(
+        labeling=Labeling(tuple(frozenset(s) for s in labels)),
+        trace=tuple(trace),
+        objective=objective,
+    )
 
 
 def brute_max_cut(g) -> int:

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from sensched import schedule
 from sensched.cli import main
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -45,6 +46,13 @@ def test_schedule_oracle_output(runner):
     result = runner.invoke(main, ["schedule", PATH4, "--solver", "oracle"])
     assert result.exit_code == 0
     assert "D = 2/3 (0.666667)" in result.output
+
+
+def test_verification_failure_exits_2(runner, monkeypatch):
+    monkeypatch.setattr(schedule, "slot_sets", lambda labeling, k: (frozenset(),) * k)
+    result = runner.invoke(main, ["schedule", PATH4, "--solver", "greedy"])
+    assert result.exit_code == 2
+    assert "verification failed: slot-form total 0" in result.output
 
 
 def test_schedule_all_solvers_agree_on_fixture(runner):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from sensched.coverage import build_detection
@@ -7,6 +8,8 @@ from sensched.oracle import exact_optimal_schedule
 from sensched.schedule import ProblemInstance, score
 from sensched.seeds import derive_rng
 from sensched.verify import random_instance
+
+from ._brute import brute_greedy
 
 
 def test_path_fixture_reaches_optimum(path4_instance):
@@ -58,8 +61,6 @@ def test_never_beats_oracle():
     checked = 0
     while checked < 10:
         inst = random_instance(rng, max_nodes=6, max_k=4)
-        import math
-
         if math.comb(inst.k, inst.sigma) ** inst.coverage.n_x > 50_000:
             continue
         checked += 1
@@ -84,3 +85,39 @@ def test_seeded_tie_break_reproducible():
     # only validity is required
     c = greedy_schedule(inst, seed=6)
     assert all(len(labels) == inst.sigma for labels in c.labeling.by_x)
+
+
+def test_lazy_matches_brute_greedy():
+    rng = derive_rng(25, "greedy-lazy-vs-eager")
+    objectives = set()
+    long_tails = 0
+    for _ in range(110):  # 330 instances, each with three tie-break settings
+        base = random_instance(rng, max_nodes=9, max_k=6)
+        cov = base.coverage
+        objectives.add(cov.objective)
+        # as drawn, one slot (k = 1), and every slot (sigma = k): once all
+        # coverable Y are covered in every slot, the remaining picks gain 0
+        for inst in (base, ProblemInstance(cov, 1, 1), ProblemInstance(cov, base.k, base.k)):
+            for seed in (None, 3, 17):
+                got = greedy_schedule(inst, seed=seed)
+                assert got == brute_greedy(inst, seed=seed)
+            last_gain = max((p.iteration for p in got.trace if p.gain), default=0)
+            long_tails += len(got.trace) - last_gain >= 5
+    assert objectives == {"detection", "isolation"}
+    assert long_tails >= 80
+
+
+def test_within_half_of_oracle():
+    # greedy over a partition matroid is a 1/2-approximation for monotone
+    # submodular objectives (Fisher, Nemhauser and Wolsey 1978)
+    rng = derive_rng(26, "greedy-half-oracle")
+    checked = 0
+    while checked < 40:
+        inst = random_instance(rng, max_nodes=6, max_k=4)
+        if math.comb(inst.k, inst.sigma) ** inst.coverage.n_x > 50_000:
+            continue
+        checked += 1
+        best = exact_optimal_schedule(inst, max_optima=1).best_potential
+        for seed in (None, 3):
+            got = greedy_schedule(inst, seed=seed).objective
+            assert 2 * got >= best >= got

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +29,9 @@ from sensched.schedule import (
 from sensched.seeds import derive_rng
 from sensched.verify import random_instance, random_labeling
 
-from ._brute import brute_score, brute_slot_potential
+from ._brute import brute_potential, brute_score, brute_slot_potential
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_instance_validation(path4_instance):
@@ -136,6 +142,44 @@ def test_expected_detection_mode_error(path4):
     inst = ProblemInstance(cov, k=2, sigma=1)
     with pytest.raises(ModeError):
         expected_detection(inst, Labeling.empty(2))
+
+
+def test_expected_detection_matches_per_target_mean():
+    rng = derive_rng(13, "expected-detection")
+    for _ in range(30):
+        inst = random_instance(rng, allow_isolation=False)
+        lab = random_labeling(rng, inst)
+        cov = inst.coverage
+        assert expected_detection(inst, lab) == Fraction(
+            brute_potential(cov, lab.by_x), inst.k * cov.n_y
+        )
+
+
+def test_slot_form_mismatch_raises_under_optimize():
+    code = """
+import sys
+from sensched import schedule
+from sensched.coverage import build_detection
+from sensched.errors import VerificationError
+from sensched.graph import NetworkGraph, all_edge_targets
+
+assert False, "asserts must be stripped in this interpreter"
+g = NetworkGraph(["1", "2", "3"], [("1", "2"), ("2", "3")])
+inst = schedule.ProblemInstance(build_detection(g, [1], all_edge_targets(g), 1), 2, 1)
+schedule.slot_sets = lambda labeling, k: (frozenset(),) * k
+try:
+    schedule.score(inst, schedule.Labeling((frozenset({0}),)))
+except VerificationError as exc:
+    print("raised:", exc)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: slot-form total 0")
 
 
 def test_dual_form_matches_brute_force():
