@@ -4,12 +4,18 @@ Detection mode: one Y vertex per target, adjacent to every device within
 range. Isolation mode: one Y vertex per unordered target pair, adjacent
 to a device iff the device covers exactly one of the two targets (a
 device seeing both, or neither, cannot tell them apart).
+
+Every count of covered (slot, Y-element) pairs reads `CoverageGraph.masks`:
+each device's Y neighbourhood as an int bitset, built once per coverage
+graph. A slot's covered set is the OR of its active devices' masks, and
+its size is `int.bit_count()`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Literal, Sequence
 
 from .errors import InputError
@@ -58,6 +64,18 @@ class CoverageGraph:
     @property
     def n_y(self) -> int:
         return len(self.y_items)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Per device, its Y neighbourhood as an int bitset (bit y set iff x ~ y)."""
+        n_bytes = (self.n_y + 7) // 8
+        out = []
+        for ys in self.adj:
+            buf = bytearray(n_bytes)
+            for y in ys:
+                buf[y >> 3] |= 1 << (y & 7)
+            out.append(int.from_bytes(buf, "little"))
+        return tuple(out)
 
     def __repr__(self) -> str:
         return (
@@ -177,18 +195,6 @@ def build_isolation(
         adj=adj,
         rev=_reverse(adj, n_pairs),
     )
-
-
-def y_bitsets(cov: CoverageGraph) -> list[int]:
-    """Per device, its Y neighbourhood as an int bitset (bit y set iff x ~ y)."""
-    n_bytes = (cov.n_y + 7) // 8
-    masks = []
-    for ys in cov.adj:
-        buf = bytearray(n_bytes)
-        for y in ys:
-            buf[y >> 3] |= 1 << (y & 7)
-        masks.append(int.from_bytes(buf, "little"))
-    return masks
 
 
 def restrict_x(cov: CoverageGraph, x_indices: Iterable[int]) -> CoverageGraph:

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterable, Literal
 
 from .coverage import build_detection
-from .errors import InputError, SearchSpaceError
+from .errors import InputError, SearchSpaceError, VerificationError
 from .game import BlllParams, blll_schedule
 from .graph import NetworkGraph, all_node_targets
 from .schedule import Labeling, ProblemInstance
@@ -201,6 +201,19 @@ def verify_config(g: NetworkGraph, cfg: KSigmaConfig) -> ConfigCheck:
     return ConfigCheck(ok=not violations, violations=tuple(violations))
 
 
+def _checked(g: NetworkGraph, cfg: KSigmaConfig, method: str) -> KSigmaConfig:
+    """cfg itself, or VerificationError if verify_config finds a miss."""
+    check = verify_config(g, cfg)
+    if not check.ok:
+        node, label = check.violations[0]
+        raise VerificationError(
+            f"verify_config rejected the {method} configuration: label {label} "
+            f"misses the closed neighborhood of node {g.node_name(node)} "
+            f"({len(check.violations)} misses)"
+        )
+    return cfg
+
+
 def _config_from_partition(dp: DomaticPartition, k: int, sigma: int) -> KSigmaConfig:
     """Block construction: set i supplies labels (i-1)*sigma+1 .. i*sigma.
 
@@ -238,9 +251,7 @@ def config_from_domatic(
         raise InputError("sigma must be >= 1")
     validate_partition(g, dp)
     cfg = _config_from_partition(dp, sigma * len(dp.sets), sigma)
-    check = verify_config(g, cfg)
-    assert check.ok, "block construction over a valid partition cannot fail"
-    return cfg
+    return _checked(g, cfg, "disjoint")
 
 
 SearchStatus = Literal["found", "nonexistent", "exhausted"]
@@ -357,12 +368,9 @@ def search_config(
 
     dp = greedy_domatic_partition(g)
     if k <= sigma * len(dp.sets):
-        cfg = _config_from_partition(dp, k, sigma)
-        check = verify_config(g, cfg)
-        assert check.ok
         return ConfigSearchResult(
             status="found",
-            config=cfg,
+            config=_checked(g, _config_from_partition(dp, k, sigma), "constructive"),
             method="constructive",
             detail=f"from a {len(dp.sets)}-set greedy domatic partition",
         )
@@ -372,10 +380,9 @@ def search_config(
             g, k, sigma, exhaustive_expansion_cap
         )
         if found:
-            check = verify_config(g, cfg)
-            assert check.ok
             return ConfigSearchResult(
-                status="found", config=cfg, method="exhaustive", detail="by enumeration"
+                status="found", config=_checked(g, cfg, "exhaustive"),
+                method="exhaustive", detail="by enumeration",
             )
         if completed:
             return ConfigSearchResult(
@@ -404,11 +411,9 @@ def search_config(
         chain += 1
         if result.best_potential >= target:
             cfg = KSigmaConfig(k=k, sigma=sigma, labels=result.best_labeling.by_x)
-            check = verify_config(g, cfg)
-            assert check.ok
             return ConfigSearchResult(
                 status="found",
-                config=cfg,
+                config=_checked(g, cfg, "stochastic"),
                 method="stochastic",
                 detail=f"chain {chain} after {used} iterations",
             )

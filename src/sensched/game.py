@@ -23,7 +23,7 @@ from random import Random
 from typing import Callable
 
 from .coverage import CoverageGraph, restrict_x
-from .errors import InputError
+from .errors import InputError, VerificationError
 from .schedule import Labeling, ProblemInstance
 from .seeds import derive_rng
 
@@ -63,10 +63,15 @@ class BlllParams:
 class GameState:
     """Mutable game position with incrementally maintained counters.
 
-    counts[y][lab] is the number of active providers of slot lab for Y
-    element y; phi is the number of nonzero entries, kept in lockstep
-    with every move. In placement mode each player additionally owns a
-    distinct site (an index into the candidate coverage's X side).
+    Per slot, the number of active providers of each Y element is kept
+    as bit planes over the Y bitsets of `cov.masks`: bit y of
+    planes[lab][i] is bit i of y's provider count in slot lab. Adding a
+    device is a ripple carry of its mask through the planes, removing
+    one is a borrow, and covered[lab] (the OR of the planes) holds the
+    Y elements with at least one provider. phi, the number of covered
+    (slot, y) pairs, is kept in lockstep with every move. In placement
+    mode each player additionally owns a distinct site (an index into
+    the candidate coverage's X side).
     """
 
     def __init__(
@@ -95,7 +100,13 @@ class GameState:
             self._check_action(a)
         self.actions = list(actions)
         self.sites = list(sites) if sites is not None else None
-        self.counts = [[0] * k for _ in range(cov.n_y)]
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        # a count never exceeds the players, nor the devices that cover y
+        top = min(self.n_players, max(map(len, self.cov.rev))).bit_length()
+        self.planes = [[0] * top for _ in range(self.k)]
+        self.covered = [0] * self.k
         self.phi = 0
         for player, action in enumerate(self.actions):
             self._add(self.site(player), action)
@@ -115,33 +126,47 @@ class GameState:
         return player if self.sites is None else self.sites[player]
 
     def _add(self, x: int, labels: frozenset[int]) -> None:
-        counts = self.counts
-        for y in self.cov.adj[x]:
-            row = counts[y]
-            for lab in labels:
-                row[lab] += 1
-                if row[lab] == 1:
-                    self.phi += 1
+        mask = self.cov.masks[x]
+        for lab in labels:
+            planes = self.planes[lab]
+            carry = mask
+            for i, plane in enumerate(planes):
+                if not carry:
+                    break
+                planes[i] = plane ^ carry
+                carry &= plane
+            self.phi += (mask & ~self.covered[lab]).bit_count()
+            self.covered[lab] |= mask
 
     def _remove(self, x: int, labels: frozenset[int]) -> None:
-        counts = self.counts
-        for y in self.cov.adj[x]:
-            row = counts[y]
-            for lab in labels:
-                row[lab] -= 1
-                if row[lab] == 0:
-                    self.phi -= 1
+        mask = self.cov.masks[x]
+        for lab in labels:
+            planes = self.planes[lab]
+            borrow = mask
+            covered = 0
+            for i, plane in enumerate(planes):
+                planes[i] = left = plane ^ borrow
+                borrow &= ~plane
+                covered |= left
+            if borrow:
+                raise VerificationError(
+                    f"removed a provider that slot {lab + 1} does not count"
+                )
+            self.phi -= (self.covered[lab] & ~covered).bit_count()
+            self.covered[lab] = covered
+
+    def gain(self, x: int, labels: frozenset[int]) -> int:
+        """Covered (slot, y) pairs that device x would add in the given slots."""
+        mask = self.cov.masks[x]
+        return sum((mask & ~self.covered[lab]).bit_count() for lab in labels)
 
     def utility(self, player: int) -> int:
         """Covered (slot, y) pairs this player alone provides."""
-        counts = self.counts
-        total = 0
-        for y in self.cov.adj[self.site(player)]:
-            row = counts[y]
-            for lab in self.actions[player]:
-                if row[lab] == 1:
-                    total += 1
-        return total
+        x, action = self.site(player), self.actions[player]
+        self._remove(x, action)
+        alone = self.gain(x, action)
+        self._add(x, action)
+        return alone
 
     def move(
         self, player: int, labels: frozenset[int], site: int | None = None
@@ -163,15 +188,19 @@ class GameState:
         self._add(new_site, labels)
 
     def recount(self) -> int:
-        """Potential recomputed from scratch (audit path)."""
-        fresh = [[0] * self.k for _ in range(self.cov.n_y)]
-        for player, action in enumerate(self.actions):
-            for y in self.cov.adj[self.site(player)]:
-                row = fresh[y]
-                for lab in action:
-                    row[lab] += 1
-        assert fresh == self.counts, "incremental counters diverged from recount"
-        return sum(1 for row in fresh for c in row if c > 0)
+        """Potential recomputed from scratch (audit path).
+
+        Rebuilds the planes from the players' actions and raises
+        VerificationError if the incrementally kept ones diverged.
+        """
+        kept = (self.planes, self.covered, self.phi)
+        self._rebuild()
+        if kept != (self.planes, self.covered, self.phi):
+            raise VerificationError(
+                f"incremental provider counts diverged from recount "
+                f"(potential {kept[2]} kept, {self.phi} recounted)"
+            )
+        return self.phi
 
     def labeling(self) -> Labeling:
         if self.sites is not None:
@@ -210,19 +239,10 @@ def random_placement_state(
 def potential(state: GameState) -> int:
     """Global objective: covered Y elements summed over slots.
 
-    Evaluated fresh from the slot sets and checked against the
-    label-set form maintained in the counters; the two are equal for
-    every state.
+    Recounted from scratch and checked against the incrementally kept
+    value (see GameState.recount); the two are equal for every state.
     """
-    by_slot = 0
-    for lab in range(state.k):
-        seen: set[int] = set()
-        for player, action in enumerate(state.actions):
-            if lab in action:
-                seen |= state.cov.adj[state.site(player)]
-        by_slot += len(seen)
-    assert by_slot == state.phi, "slot-form potential diverged from counters"
-    return by_slot
+    return state.recount()
 
 
 def utility(state: GameState, player: int) -> int:
@@ -249,13 +269,14 @@ def check_potential_identity(
     old_site = state.site(player)
     u_before = state.utility(player)
     phi_before = state.recount()
-    assert phi_before == state.phi
     state.move(player, labels, site=site)
     u_after = state.utility(player)
     phi_after = state.recount()
-    assert phi_after == state.phi
     state.move(player, old_labels, site=old_site)
-    assert state.phi == phi_before
+    if state.phi != phi_before:
+        raise VerificationError(
+            f"reverting a deviation left potential {state.phi}, was {phi_before}"
+        )
     return u_after - u_before, phi_after - phi_before
 
 
@@ -331,14 +352,8 @@ def _run_chain(
         new_site, new_labels = propose(rng, state, player)
 
         state._remove(old_site, old_labels)
-        adj = state.cov.adj
-        counts = state.counts
-        u_cur = sum(
-            1 for y in adj[old_site] for lab in old_labels if counts[y][lab] == 0
-        )
-        u_new = sum(
-            1 for y in adj[new_site] for lab in new_labels if counts[y][lab] == 0
-        )
+        u_cur = state.gain(old_site, old_labels)
+        u_new = state.gain(new_site, new_labels)
         if rng.random() < _accept_probability(u_new, u_cur, log_base):
             if state.sites is not None:
                 state.sites[player] = new_site
@@ -442,18 +457,19 @@ def greedy_max_coverage_placement(cov: CoverageGraph, device_count: int) -> tupl
         )
     if device_count < 1:
         raise InputError("device_count must be >= 1")
+    masks = cov.masks
     chosen: list[int] = []
-    covered: set[int] = set()
+    covered = 0
     remaining = set(range(cov.n_x))
     for _ in range(device_count):
         best_x = -1
         best_gain = -1
         for x in sorted(remaining):
-            gain = len(cov.adj[x] - covered)
+            gain = (masks[x] & ~covered).bit_count()
             if gain > best_gain:
                 best_gain = gain
                 best_x = x
         chosen.append(best_x)
         remaining.discard(best_x)
-        covered |= cov.adj[best_x]
+        covered |= masks[best_x]
     return tuple(sorted(chosen))

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .coverage import y_bitsets
 from .schedule import Labeling, ProblemInstance
 from .seeds import derive_rng
 
@@ -55,7 +54,7 @@ def greedy_schedule(inst: ProblemInstance, seed: int | None = None) -> GreedyRes
     k, sigma = inst.k, inst.sigma
     rng = derive_rng(seed, "greedy-tiebreak") if seed is not None else None
 
-    masks = y_bitsets(cov)
+    masks = cov.masks
     covered = [0] * k  # per slot: bitset of the Y elements covered so far
     version = [0] * k  # bumped whenever covered[lab] grows
     labels: list[set[int]] = [set() for _ in range(cov.n_x)]

@@ -49,25 +49,12 @@ def exact_optimal_schedule(
             f"search space {len(actions)}^{cov.n_x} = {space} exceeds limit {limit}"
         )
 
-    counts = [[0] * inst.k for _ in range(cov.n_y)]
-    phi = 0
+    masks = cov.masks
+    covered = [0] * inst.k  # per slot: bitset of the Y elements covered so far
     current: list[tuple[int, ...]] = [()] * cov.n_x
     best = {"phi": -1, "optima": [], "truncated": False}
 
-    def assign(x: int, action: tuple[int, ...], sign: int) -> int:
-        delta = 0
-        for y in cov.adj[x]:
-            row = counts[y]
-            for lab in action:
-                row[lab] += sign
-                if sign > 0 and row[lab] == 1:
-                    delta += 1
-                elif sign < 0 and row[lab] == 0:
-                    delta -= 1
-        return delta
-
-    def walk(x: int) -> None:
-        nonlocal phi
+    def walk(x: int, phi: int) -> None:
         if x == cov.n_x:
             if phi > best["phi"]:
                 best["phi"] = phi
@@ -79,13 +66,19 @@ def exact_optimal_schedule(
                 else:
                     best["truncated"] = True
             return
+        mask = masks[x]
         for action in actions:
             current[x] = action
-            phi += assign(x, action, +1)
-            walk(x + 1)
-            phi += assign(x, action, -1)
+            saved = [covered[lab] for lab in action]
+            gain = 0
+            for lab in action:
+                gain += (mask & ~covered[lab]).bit_count()
+                covered[lab] |= mask
+            walk(x + 1, phi + gain)
+            for lab, before in zip(action, saved):
+                covered[lab] = before
 
-    walk(0)
+    walk(0, 0)
     optima = tuple(
         Labeling(tuple(frozenset(a) for a in assignment))
         for assignment in best["optima"]

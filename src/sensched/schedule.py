@@ -125,22 +125,29 @@ def covered_slots(labeling: Labeling, cov: CoverageGraph, y: int) -> frozenset[i
 def score(inst: ProblemInstance, labeling: Labeling) -> ScheduleReport:
     """Average coverage score of a labeling, as an exact fraction.
 
-    Computes the label-set form (sum over y of covered slot counts) and
-    the per-slot form (sum over slots of covered Y counts); the two are
-    always equal, and a mismatch raises VerificationError.
+    Computes the per-slot form (sum over slots of covered Y counts, the
+    OR of the active devices' `cov.masks`) and, independently, the
+    label-set form (sum over y of covered slot counts, the OR of its
+    neighbours' k-bit label masks); the two are always equal, and a
+    mismatch raises VerificationError.
     """
     validate_labeling(inst, labeling)
     cov = inst.coverage
-    potential = sum(
-        len(covered_slots(labeling, cov, y)) for y in range(cov.n_y)
-    )
+    label_bits = [sum(1 << lab for lab in labels) for labels in labeling.by_x]
+    potential = 0
+    for neighbours in cov.rev:
+        slots_of_y = 0
+        for xi in neighbours:
+            slots_of_y |= label_bits[xi]
+        potential += slots_of_y.bit_count()
     slots = slot_sets(labeling, inst.k)
+    masks = cov.masks
     per_slot = []
     for active in slots:
-        seen: set[int] = set()
+        covered = 0
         for xi in active:
-            seen |= cov.adj[xi]
-        per_slot.append(len(seen))
+            covered |= masks[xi]
+        per_slot.append(covered.bit_count())
     if sum(per_slot) != potential:
         raise VerificationError(
             f"slot-form total {sum(per_slot)} and label-form total {potential} diverged"

@@ -75,6 +75,19 @@ def brute_slot_potential(cov, label_sets, k) -> int:
     return total
 
 
+def brute_utility(cov, label_sets, x) -> int:
+    """(slot, y) pairs for which device x is the sole active provider."""
+    total = 0
+    for y in cov.adj[x]:
+        for lab in label_sets[x]:
+            providers = [
+                xi for xi in range(cov.n_x) if y in cov.adj[xi] and lab in label_sets[xi]
+            ]
+            if providers == [x]:
+                total += 1
+    return total
+
+
 def brute_score(cov, label_sets, k) -> Fraction:
     return Fraction(brute_potential(cov, label_sets), k * cov.n_y)
 
@@ -145,6 +158,25 @@ def brute_greedy(inst, seed=None) -> GreedyResult:
         trace=tuple(trace),
         objective=objective,
     )
+
+
+def brute_max_coverage_placement(cov, device_count: int) -> tuple[int, ...]:
+    """Greedy maximum-coverage site pick over Y sets (ties to the lowest index)."""
+    chosen: list[int] = []
+    covered: set[int] = set()
+    remaining = set(range(cov.n_x))
+    for _ in range(device_count):
+        best_x = -1
+        best_gain = -1
+        for x in sorted(remaining):
+            gain = len(cov.adj[x] - covered)
+            if gain > best_gain:
+                best_gain = gain
+                best_x = x
+        chosen.append(best_x)
+        remaining.discard(best_x)
+        covered |= cov.adj[best_x]
+    return tuple(sorted(chosen))
 
 
 def brute_max_cut(g) -> int:

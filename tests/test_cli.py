@@ -3,8 +3,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from sensched import schedule
+from sensched import domination, instance
 from sensched.cli import main
+from sensched.domination import ConfigCheck
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 PATH4 = str(INSTANCES / "path4.instance")
@@ -49,7 +50,14 @@ def test_schedule_oracle_output(runner):
 
 
 def test_verification_failure_exits_2(runner, monkeypatch):
-    monkeypatch.setattr(schedule, "slot_sets", lambda labeling, k: (frozenset(),) * k)
+    build = instance.build_coverage
+
+    def build_with_empty_masks(spec, g):
+        cov = build(spec, g)
+        vars(cov)["masks"] = (0,) * cov.n_x  # overrides the cached property
+        return cov
+
+    monkeypatch.setattr(instance, "build_coverage", build_with_empty_masks)
     result = runner.invoke(main, ["schedule", PATH4, "--solver", "greedy"])
     assert result.exit_code == 2
     assert "verification failed: slot-form total 0" in result.output
@@ -188,6 +196,27 @@ def test_lifetime_config_found(runner):
     )
     assert result.exit_code == 0
     assert result.output.startswith("found")
+
+
+@pytest.mark.parametrize(
+    "args, method",
+    [
+        ([PATH4, "--sigma", "2", "--mode", "disjoint"], "disjoint"),
+        ([PATH4, "--sigma", "1", "--mode", "config", "--k", "2"], "constructive"),
+        ([PETERSEN, "--sigma", "2", "--mode", "config", "--k", "5", "--seed", "1"],
+         "stochastic"),
+    ],
+)
+def test_lifetime_failed_config_check_exits_2(runner, monkeypatch, args, method):
+    monkeypatch.setattr(
+        domination, "verify_config", lambda g, cfg: ConfigCheck(False, ((0, 1),))
+    )
+    result = runner.invoke(main, ["lifetime", *args])
+    assert result.exit_code == 2
+    assert (
+        f"verification failed: verify_config rejected the {method} configuration"
+        in result.output
+    )
 
 
 def test_lifetime_config_nonexistent(runner):

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sensched.coverage import build_detection, restrict_x
-from sensched.errors import InputError
+from sensched.errors import InputError, VerificationError
 from sensched.game import (
     BlllParams,
     GameState,
@@ -22,7 +26,9 @@ from sensched.schedule import ProblemInstance, score
 from sensched.seeds import derive_rng
 from sensched.verify import random_instance
 
-from ._brute import brute_potential
+from ._brute import brute_max_coverage_placement, brute_potential, brute_utility
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def fixture_state(path4_instance):
@@ -113,6 +119,79 @@ def test_identity_placement_mode():
             labels = frozenset(rng.sample(range(inst.k), inst.sigma))
             du, dphi = check_potential_identity(state, player, labels, site=site)
             assert du == dphi
+
+
+def _labels_by_site(state):
+    """Label sets aligned with the coverage X order, empty where no player sits."""
+    sets = [frozenset()] * state.cov.n_x
+    for player, action in enumerate(state.actions):
+        sets[state.site(player)] = action
+    return sets
+
+
+@pytest.mark.parametrize("placement", [False, True])
+def test_incremental_counts_match_brute_force(placement):
+    rng = derive_rng(36, "bit-planes", placement)
+    objectives = set()
+    for _ in range(60):
+        inst = random_instance(rng)
+        cov = inst.coverage
+        objectives.add(inst.objective)
+        if placement:
+            devices = rng.randint(1, cov.n_x)
+            state = random_placement_state(cov, inst.k, inst.sigma, devices, rng)
+        else:
+            state = random_state(cov, inst.k, inst.sigma, rng)
+        for _ in range(12):
+            player = rng.randrange(state.n_players)
+            site = None
+            if placement:
+                occupied = set(state.sites) - {state.sites[player]}
+                free = [s for s in range(cov.n_x) if s not in occupied]
+                site = free[rng.randrange(len(free))]
+            state.move(player, frozenset(rng.sample(range(inst.k), inst.sigma)), site=site)
+            label_sets = _labels_by_site(state)
+            assert state.phi == brute_potential(cov, label_sets)
+            for other in range(state.n_players):
+                assert utility(state, other) == brute_utility(
+                    cov, label_sets, state.site(other)
+                )
+        assert state.recount() == state.phi
+    assert objectives == {"detection", "isolation"}
+
+
+def test_removing_an_uncounted_provider_raises(path4_instance):
+    state = fixture_state(path4_instance)
+    state.planes[0] = [0] * len(state.planes[0])
+    with pytest.raises(VerificationError, match="does not count"):
+        state.move(0, frozenset({1}))
+
+
+def test_corrupted_plane_fails_recount_under_optimize():
+    code = """
+from sensched.coverage import build_detection
+from sensched.errors import VerificationError
+from sensched.game import GameState
+from sensched.graph import NetworkGraph, all_edge_targets
+
+assert False, "asserts must be stripped in this interpreter"
+g = NetworkGraph(["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4")])
+cov = build_detection(g, [1, 2], all_edge_targets(g), 1)
+state = GameState(cov, 2, 1, [frozenset({0}), frozenset({0})])
+state.planes[0][1] ^= 1
+try:
+    state.recount()
+except VerificationError as exc:
+    print("raised:", exc)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: incremental provider counts diverged")
 
 
 def test_state_validation(path4_instance):
@@ -243,6 +322,16 @@ def test_greedy_max_coverage_placement(star5):
     assert greedy_max_coverage_placement(cov, 2) == (0, 1)
     with pytest.raises(InputError):
         greedy_max_coverage_placement(cov, 6)
+
+
+def test_placement_masks_match_brute_force():
+    rng = derive_rng(37, "max-coverage-placement")
+    for _ in range(60):
+        cov = random_instance(rng).coverage
+        devices = rng.randint(1, cov.n_x)
+        assert greedy_max_coverage_placement(cov, devices) == (
+            brute_max_coverage_placement(cov, devices)
+        )
 
 
 def test_trace_stride(path4_instance):
