@@ -3,7 +3,8 @@
 One synchronous command per invocation; every command that takes a seed
 is bit-reproducible, including across --workers settings. Exit codes:
 0 success, 1 input error, 2 verification failure, 3 resource refusal
-(oracle space too large or search budget exhausted).
+(oracle space too large, too many isolation pairs, or search budget
+exhausted).
 """
 
 from __future__ import annotations

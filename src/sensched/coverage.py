@@ -3,27 +3,29 @@
 Detection mode: one Y vertex per target, adjacent to every device within
 range. Isolation mode: one Y vertex per unordered target pair, adjacent
 to a device iff the device covers exactly one of the two targets (a
-device seeing both, or neither, cannot tell them apart).
+device seeing both, or neither, cannot tell them apart). The isolation
+graph is derived from the detection graph on the same inputs.
 
-Every count of covered (slot, Y-element) pairs reads `CoverageGraph.masks`:
-each device's Y neighbourhood as an int bitset, built once per coverage
-graph. A slot's covered set is the OR of its active devices' masks, and
-its size is `int.bit_count()`.
+`CoverageGraph.adj` is the only adjacency stored. `masks` (each
+device's Y neighbourhood as an int bitset) and `rev` (the transpose)
+are views built on first use and cached per coverage graph. Every count
+of covered (slot, Y-element) pairs reads `masks`: a slot's covered set
+is the OR of its active devices' masks, and its size is
+`int.bit_count()`.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Literal, Sequence
 
-from .errors import InputError
+from .errors import InputError, SearchSpaceError
 from .graph import NetworkGraph, Target, bfs_distances, target_distance, target_key
 
 Objective = Literal["detection", "isolation"]
 
-PAIR_WARN_THRESHOLD = 5_000_000
+PAIR_LIMIT = 5_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -46,7 +48,8 @@ class CoverageGraph:
 
     X is the sorted set of device node ids; Y is the canonically sorted
     target list (detection) or every target pair (isolation). adj maps
-    each x index to the y indices it covers; rev is the transpose.
+    each x index to the y indices it covers and is the only adjacency
+    stored; masks and rev are cached views of it.
     """
 
     objective: Objective
@@ -55,7 +58,6 @@ class CoverageGraph:
     y_items: tuple[Target | TargetPair, ...]
     y_keys: tuple[str, ...]
     adj: tuple[frozenset[int], ...]
-    rev: tuple[frozenset[int], ...]
 
     @property
     def n_x(self) -> int:
@@ -76,6 +78,15 @@ class CoverageGraph:
                 buf[y >> 3] |= 1 << (y & 7)
             out.append(int.from_bytes(buf, "little"))
         return tuple(out)
+
+    @cached_property
+    def rev(self) -> tuple[frozenset[int], ...]:
+        """Per Y element, the devices covering it (the transpose of adj)."""
+        rev: list[set[int]] = [set() for _ in range(self.n_y)]
+        for xi, ys in enumerate(self.adj):
+            for y in ys:
+                rev[y].add(xi)
+        return tuple(frozenset(s) for s in rev)
 
     def __repr__(self) -> str:
         return (
@@ -111,14 +122,6 @@ def _device_cover_sets(
     return xs, covers
 
 
-def _reverse(adj: Sequence[frozenset[int]], n_y: int) -> tuple[frozenset[int], ...]:
-    rev: list[set[int]] = [set() for _ in range(n_y)]
-    for xi, ys in enumerate(adj):
-        for y in ys:
-            rev[y].add(xi)
-    return tuple(frozenset(s) for s in rev)
-
-
 def build_detection(
     g: NetworkGraph,
     sensors: Iterable[int],
@@ -130,15 +133,13 @@ def build_detection(
     if not y_targets:
         raise InputError("target set must not be empty")
     xs, covers = _device_cover_sets(g, sensors, y_targets, range_limit)
-    adj = tuple(frozenset(c) for c in covers)
     return CoverageGraph(
         objective="detection",
         x_nodes=tuple(xs),
         x_names=tuple(g.node_name(x) for x in xs),
         y_items=tuple(y_targets),
         y_keys=tuple(target_key(t, g) for t in y_targets),
-        adj=adj,
-        rev=_reverse(adj, len(y_targets)),
+        adj=tuple(frozenset(c) for c in covers),
     )
 
 
@@ -147,53 +148,41 @@ def build_isolation(
     sensors: Iterable[int],
     targets: Iterable[Target],
     range_limit: int,
-    pair_warn_threshold: int = PAIR_WARN_THRESHOLD,
 ) -> CoverageGraph:
     """Coverage graph for the isolation objective over all target pairs.
 
-    x ~ (a, b) iff x covers exactly one of a, b. Y is materialized in
-    full: all C(m, 2) pairs, including pairs no device can separate.
+    Derived from the detection graph on the same inputs: x ~ (a, b) iff
+    x covers exactly one of a, b. Y is materialized in full: all C(m, 2)
+    pairs in lexicographic order of the target indices, including pairs
+    no device can separate. More than PAIR_LIMIT pairs is refused with
+    SearchSpaceError before any pair is built.
     """
-    y_targets = _canonical_targets(g, targets)
-    if len(y_targets) < 2:
+    det = build_detection(g, sensors, targets, range_limit)
+    m = det.n_y
+    if m < 2:
         raise InputError("isolation needs at least 2 targets")
-    m = len(y_targets)
     n_pairs = m * (m - 1) // 2
-    if n_pairs > pair_warn_threshold:
-        warnings.warn(
-            f"isolation materializes {n_pairs} target pairs "
-            f"(threshold {pair_warn_threshold}); expect high memory use",
-            RuntimeWarning,
-            stacklevel=2,
+    if n_pairs > PAIR_LIMIT:
+        raise SearchSpaceError(
+            f"isolation needs {n_pairs} target pairs, more than the limit {PAIR_LIMIT}"
         )
-    xs, covers = _device_cover_sets(g, sensors, y_targets, range_limit)
-
-    pairs: list[TargetPair] = []
-    keys: list[str] = []
-    for i in range(m):
-        key_i = target_key(y_targets[i], g)
-        for j in range(i + 1, m):
-            pairs.append(TargetPair(y_targets[i], y_targets[j]))
-            keys.append(f"{key_i}|{target_key(y_targets[j], g)}")
-
-    adj_sets: list[set[int]] = [set() for _ in xs]
-    for xi, cov in enumerate(covers):
-        y_index = 0
-        for i in range(m):
-            ci = i in cov
-            for j in range(i + 1, m):
-                if ci != (j in cov):
-                    adj_sets[xi].add(y_index)
-                y_index += 1
-    adj = tuple(frozenset(s) for s in adj_sets)
-    return CoverageGraph(
+    items, keys = det.y_items, det.y_keys
+    # the y index of pair (i, j), i < j, is first[i] + j
+    first = [i * (2 * m - i - 3) // 2 - 1 for i in range(m)]
+    adj = []
+    for covered in det.adj:
+        uncovered = [b for b in range(m) if b not in covered]
+        adj.append(frozenset(
+            first[b] + a if b < a else first[a] + b for a in covered for b in uncovered
+        ))
+    return replace(
+        det,
         objective="isolation",
-        x_nodes=tuple(xs),
-        x_names=tuple(g.node_name(x) for x in xs),
-        y_items=tuple(pairs),
-        y_keys=tuple(keys),
-        adj=adj,
-        rev=_reverse(adj, n_pairs),
+        y_items=tuple(
+            TargetPair(items[i], items[j]) for i in range(m) for j in range(i + 1, m)
+        ),
+        y_keys=tuple(f"{keys[i]}|{keys[j]}" for i in range(m) for j in range(i + 1, m)),
+        adj=tuple(adj),
     )
 
 
@@ -205,15 +194,11 @@ def restrict_x(cov: CoverageGraph, x_indices: Iterable[int]) -> CoverageGraph:
             raise InputError(f"unknown device index: {xi}")
     if not keep:
         raise InputError("cannot restrict to an empty device set")
-    adj = tuple(cov.adj[xi] for xi in keep)
-    return CoverageGraph(
-        objective=cov.objective,
+    return replace(
+        cov,
         x_nodes=tuple(cov.x_nodes[xi] for xi in keep),
         x_names=tuple(cov.x_names[xi] for xi in keep),
-        y_items=cov.y_items,
-        y_keys=cov.y_keys,
-        adj=adj,
-        rev=_reverse(adj, cov.n_y),
+        adj=tuple(cov.adj[xi] for xi in keep),
     )
 
 

@@ -18,11 +18,13 @@ accepts downhill moves.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from random import Random
 from typing import Callable
 
-from .coverage import CoverageGraph, restrict_x
+from .coverage import CoverageGraph
 from .errors import InputError, VerificationError
 from .schedule import Labeling, ProblemInstance
 from .seeds import derive_rng
@@ -100,12 +102,13 @@ class GameState:
             self._check_action(a)
         self.actions = list(actions)
         self.sites = list(sites) if sites is not None else None
+        # a count never exceeds the players, nor the devices that cover y
+        most = max(Counter(chain.from_iterable(cov.adj)).values(), default=0)
+        self.n_planes = min(self.n_players, most).bit_length()
         self._rebuild()
 
     def _rebuild(self) -> None:
-        # a count never exceeds the players, nor the devices that cover y
-        top = min(self.n_players, max(map(len, self.cov.rev))).bit_length()
-        self.planes = [[0] * top for _ in range(self.k)]
+        self.planes = [[0] * self.n_planes for _ in range(self.k)]
         self.covered = [0] * self.k
         self.phi = 0
         for player, action in enumerate(self.actions):
@@ -327,9 +330,6 @@ class PlacementResult:
     best_potential: int
     trace: tuple[tuple[int, int], ...]
     accepted: int
-
-    def best_coverage(self, cov: CoverageGraph) -> CoverageGraph:
-        return restrict_x(cov, self.best_sites)
 
 
 def _run_chain(

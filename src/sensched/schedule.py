@@ -127,19 +127,19 @@ def score(inst: ProblemInstance, labeling: Labeling) -> ScheduleReport:
 
     Computes the per-slot form (sum over slots of covered Y counts, the
     OR of the active devices' `cov.masks`) and, independently, the
-    label-set form (sum over y of covered slot counts, the OR of its
-    neighbours' k-bit label masks); the two are always equal, and a
-    mismatch raises VerificationError.
+    label-set form (sum over y of covered slot counts: walking `cov.adj`,
+    each device ORs its k-bit label mask into the entry of every y it
+    covers); the two are always equal, and a mismatch raises
+    VerificationError.
     """
     validate_labeling(inst, labeling)
     cov = inst.coverage
-    label_bits = [sum(1 << lab for lab in labels) for labels in labeling.by_x]
-    potential = 0
-    for neighbours in cov.rev:
-        slots_of_y = 0
-        for xi in neighbours:
-            slots_of_y |= label_bits[xi]
-        potential += slots_of_y.bit_count()
+    slots_of_y = [0] * cov.n_y
+    for ys, labels in zip(cov.adj, labeling.by_x):
+        bits = sum(1 << lab for lab in labels)
+        for y in ys:
+            slots_of_y[y] |= bits
+    potential = sum(s.bit_count() for s in slots_of_y)
     slots = slot_sets(labeling, inst.k)
     masks = cov.masks
     per_slot = []

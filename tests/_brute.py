@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
+from sensched.coverage import TargetPair
+from sensched.graph import target_key
 from sensched.greedy import GreedyPick, GreedyResult
 from sensched.schedule import Labeling
 from sensched.seeds import derive_rng
@@ -49,6 +51,31 @@ def brute_target_distance(g, dist_row, target) -> float:
 def brute_covered(g, device: int, range_limit: int, targets) -> set:
     dist = floyd_warshall(g)[device]
     return {t for t in targets if brute_target_distance(g, dist, t) <= range_limit}
+
+
+def brute_isolation(g, sensors, targets, range_limit) -> tuple:
+    """Isolation coverage as (adj, y_keys, y_items, x_names), from the definitions.
+
+    Y is every pair of distinct targets in sorted order; x ~ (a, b) iff x
+    covers exactly one of a and b.
+    """
+    dist = floyd_warshall(g)
+    pairs = list(combinations(sorted(set(targets)), 2))
+    xs = sorted(set(sensors))
+    adj = []
+    for x in xs:
+        seen = {
+            t for t in set(targets) if brute_target_distance(g, dist[x], t) <= range_limit
+        }
+        adj.append(
+            frozenset(i for i, (a, b) in enumerate(pairs) if (a in seen) != (b in seen))
+        )
+    return (
+        tuple(adj),
+        tuple(f"{target_key(a, g)}|{target_key(b, g)}" for a, b in pairs),
+        tuple(TargetPair(a, b) for a, b in pairs),
+        tuple(g.node_name(x) for x in xs),
+    )
 
 
 def brute_potential(cov, label_sets) -> int:

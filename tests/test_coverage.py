@@ -1,7 +1,13 @@
+import dataclasses
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from sensched import coverage, instance
+from sensched.cli import main
 from sensched.coverage import (
     TargetPair,
     build_detection,
@@ -9,10 +15,23 @@ from sensched.coverage import (
     restrict_x,
     to_adjacency_text,
 )
-from sensched.errors import InputError
+from sensched.errors import InputError, SearchSpaceError
+from sensched.game import (
+    BlllParams,
+    blll_place_and_schedule,
+    blll_schedule,
+    greedy_max_coverage_placement,
+)
 from sensched.graph import NetworkGraph, Target, all_edge_targets, all_node_targets
+from sensched.greedy import greedy_schedule
+from sensched.oracle import exact_optimal_schedule
+from sensched.schedule import Labeling, ProblemInstance, score
 from sensched.seeds import derive_rng
 from sensched.verify import random_graph
+
+from ._brute import brute_isolation
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def test_detection_path_fixture(path4):
@@ -141,9 +160,18 @@ def test_pair_canonicalization():
         TargetPair.of(a, a)
 
 
-def test_pair_warning_threshold(path4):
-    with pytest.warns(RuntimeWarning):
-        build_isolation(path4, [0], all_edge_targets(path4), 1, pair_warn_threshold=2)
+def test_too_many_pairs_refused(path4, monkeypatch, tmp_path):
+    monkeypatch.setattr(coverage, "PAIR_LIMIT", 3)
+    assert build_isolation(path4, [0], all_edge_targets(path4), 1).n_y == 3
+    monkeypatch.setattr(coverage, "PAIR_LIMIT", 2)
+    with pytest.raises(SearchSpaceError, match="3 target pairs.*limit 2"):
+        build_isolation(path4, [0], all_edge_targets(path4), 1)
+    text = (INSTANCES / "path4.instance").read_text()
+    inst = tmp_path / "iso.instance"
+    inst.write_text(text.replace("objective: detection", "objective: isolation"))
+    result = CliRunner().invoke(main, ["build-coverage", str(inst)])
+    assert result.exit_code == 3
+    assert "3 target pairs" in result.output and "limit 2" in result.output
 
 
 def test_restrict_x(path4):
@@ -152,7 +180,78 @@ def test_restrict_x(path4):
     assert sub.x_names == ("2", "3")
     assert sub.adj == (cov.adj[1], cov.adj[2])
     assert sub.y_keys == cov.y_keys
+    assert cov.rev and cov.masks  # cached on the parent now
+    sub = restrict_x(cov, [1, 2])
+    assert "rev" not in vars(sub) and "masks" not in vars(sub)
     with pytest.raises(InputError):
         restrict_x(cov, [])
     with pytest.raises(InputError):
         restrict_x(cov, [9])
+
+
+def test_isolation_and_restrict_x_match_brute_force():
+    rng = derive_rng(11, "brute-isolation")
+    compared = mixed = 0
+    while compared < 60:
+        n = rng.randint(2, 7)
+        g = random_graph(rng, n, rng.random())
+        pool = all_node_targets(g) + all_edge_targets(g)
+        targets = rng.choices(pool, k=rng.randint(2, len(pool) + 3))
+        if len(set(targets)) < 2:
+            continue
+        sensors = rng.sample(range(n), rng.randint(1, n))
+        r = rng.randint(0, 3)
+        cov = build_isolation(g, sensors, targets, r)
+        got = (cov.adj, cov.y_keys, cov.y_items, cov.x_names)
+        assert got == brute_isolation(g, sensors, targets, r)
+        compared += 1
+        mixed += len({t.kind for t in targets}) == 2 and len(set(targets)) < len(targets)
+
+        keep = rng.sample(range(cov.n_x), rng.randint(1, cov.n_x))
+        kept_sensors = [cov.x_nodes[xi] for xi in keep]
+        for build in (build_detection, build_isolation):
+            sub = restrict_x(build(g, sensors, targets, r), keep)
+            direct = build(g, kept_sensors, targets, r)
+            assert sub == direct
+            assert sub.rev == direct.rev and sub.masks == direct.masks
+    assert mixed >= 10
+
+
+@pytest.mark.parametrize(
+    "name, objective, digest",
+    [
+        ("water1", "detection", "d44b92489669a9230e6e262367a4872a98c2edd74bf856ecbbb1c0a01fee849c"),
+        ("water1", "isolation", "0b3ff540f2d6de63ebe63d500932ef246d7ab9bfe138af2816082df353ee88fb"),
+        ("water2", "detection", "322f0de618d0b641249f66089cb12bd79e3b0942fbfd7b0f90225a5e3f16c610"),
+        ("water2", "isolation", "91b252239a872f0f0df4662cba9ace31293754f7f4d4e98cc178850be3472500"),
+    ],
+)
+def test_water_adjacency_digests(name, objective, digest):
+    spec = instance.load_instance(INSTANCES / f"{name}_standin.instance")
+    spec = dataclasses.replace(spec, objective=objective)
+    cov = instance.build_coverage(spec, instance.build_graph(spec))
+    assert hashlib.sha256(to_adjacency_text(cov).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("build", [build_detection, build_isolation])
+def test_solvers_never_build_rev(path4, build):
+    def fresh() -> ProblemInstance:
+        cov = build(path4, range(4), all_edge_targets(path4), 1)
+        return ProblemInstance(cov, k=3, sigma=1)
+
+    params = BlllParams(iterations=200, seed=1)
+    calls = [
+        lambda inst: score(inst, Labeling(tuple(frozenset({x % 3}) for x in range(4)))),
+        greedy_schedule,
+        lambda inst: blll_schedule(inst, params),
+        exact_optimal_schedule,
+        lambda inst: blll_place_and_schedule(inst, 2, params),
+        lambda inst: greedy_max_coverage_placement(inst.coverage, 2),
+    ]
+    shared = fresh()
+    for call in calls:
+        inst = fresh()
+        call(inst)
+        call(shared)
+        assert "rev" not in vars(inst.coverage)
+        assert "rev" not in vars(shared.coverage)
