@@ -1,10 +1,13 @@
 """Bipartite coverage graphs linking device locations to what they monitor.
 
 Detection mode: one Y vertex per target, adjacent to every device within
-range. Isolation mode: one Y vertex per unordered target pair, adjacent
-to a device iff the device covers exactly one of the two targets (a
-device seeing both, or neither, cannot tell them apart). The isolation
-graph is derived from the detection graph on the same inputs.
+range. Each device's targets are read off one depth-limited BFS (its
+`ball` of radius equal to the range), so the build never looks beyond a
+device's neighbourhood. Isolation mode: one Y vertex per unordered
+target pair, adjacent to a device iff the device covers exactly one of
+the two targets (a device seeing both, or neither, cannot tell them
+apart). The isolation graph is derived from the detection graph on the
+same inputs.
 
 `CoverageGraph.adj` is the only adjacency stored. `masks` (each
 device's Y neighbourhood as an int bitset) and `rev` (the transpose)
@@ -21,7 +24,7 @@ from functools import cached_property
 from typing import Iterable, Literal, Sequence
 
 from .errors import InputError, SearchSpaceError
-from .graph import NetworkGraph, Target, bfs_distances, target_distance, target_key
+from .graph import NetworkGraph, Target, ball, target_key
 
 Objective = Literal["detection", "isolation"]
 
@@ -105,7 +108,12 @@ def _canonical_targets(g: NetworkGraph, targets: Iterable[Target]) -> list[Targe
 def _device_cover_sets(
     g: NetworkGraph, sensors: Iterable[int], targets: Sequence[Target], range_limit: int
 ) -> tuple[list[int], list[set[int]]]:
-    """Per device, the set of covered target indices (one BFS per device)."""
+    """Per device, the set of covered target indices (one ball per device).
+
+    The targets are indexed once by node: a node target under its own
+    node, an edge target under its lower endpoint together with the
+    other one. A device's cover is read off the nodes of its ball.
+    """
     if not isinstance(range_limit, int) or range_limit < 0:
         raise InputError(f"range must be a non-negative integer, got {range_limit!r}")
     xs = sorted(set(sensors))
@@ -113,12 +121,25 @@ def _device_cover_sets(
         raise InputError("sensor set must not be empty")
     for x in xs:
         g._check_node(x)
+    node_y: dict[int, int] = {}
+    edge_y: dict[int, list[tuple[int, int]]] = {}
+    for y, t in enumerate(targets):
+        if t.kind == "node":
+            node_y[t.id] = y
+        else:
+            a, b = g.edges[t.id]
+            edge_y.setdefault(a, []).append((b, y))
     covers: list[set[int]] = []
     for x in xs:
-        dist = bfs_distances(g, x)
-        covers.append(
-            {j for j, t in enumerate(targets) if target_distance(t, dist, g) <= range_limit}
-        )
+        near = ball(g, x, range_limit)
+        cover = set()
+        for v in near:
+            if v in node_y:
+                cover.add(node_y[v])
+            for w, y in edge_y.get(v, ()):
+                if w in near:
+                    cover.add(y)
+        covers.append(cover)
     return xs, covers
 
 

@@ -5,6 +5,11 @@ insertion order; edges get stable integer ids. Distances are unweighted
 hop counts; the distance from a node to an edge is the larger of the
 distances to the edge's two endpoints. Unreachable elements are at
 distance infinity.
+
+Range coverage reads one depth-limited BFS per device: `ball` stops
+expanding at the range, so a node is covered iff it is in the ball and
+an edge iff both its endpoints are. Its cost is the size of the ball
+times the degree, whatever the size of the graph.
 """
 
 from __future__ import annotations
@@ -167,14 +172,26 @@ def node_edge_distance(g: NetworkGraph, u: int, e: int) -> int | float:
     return max(dist[a], dist[b])
 
 
-def target_distance(
-    target: Target, dist: Sequence[int | float], g: NetworkGraph
-) -> int | float:
-    """Distance to a target given a precomputed source distance array."""
-    if target.kind == "node":
-        return dist[target.id]
-    a, b = g.edge_endpoints(target.id)
-    return max(dist[a], dist[b])
+def ball(g: NetworkGraph, source: int, radius: int) -> dict[int, int]:
+    """Hop count from source to every node at most radius hops away.
+
+    A breadth-first search that stops expanding at depth radius, so it
+    never visits nodes beyond the ball.
+    """
+    g._check_node(source)
+    dist = {source: 0}
+    frontier = [source]
+    for d in range(1, radius + 1):
+        reached = []
+        for u in frontier:
+            for v in g._adj[u]:
+                if v not in dist:
+                    dist[v] = d
+                    reached.append(v)
+        if not reached:
+            break
+        frontier = reached
+    return dist
 
 
 def covered_targets(
@@ -185,8 +202,12 @@ def covered_targets(
         raise InputError(f"range must be a non-negative integer, got {range_limit!r}")
     for t in targets:
         g.check_target(t)
-    dist = bfs_distances(g, u)
-    return {t for t in targets if target_distance(t, dist, g) <= range_limit}
+    near = ball(g, u, range_limit)
+    return {
+        t
+        for t in targets
+        if (t.id in near if t.kind == "node" else all(v in near for v in g.edges[t.id]))
+    }
 
 
 def all_node_targets(g: NetworkGraph) -> list[Target]:

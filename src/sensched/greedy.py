@@ -15,11 +15,15 @@ that reach its top: a top entry whose gain is still current beats every
 other pair. The picks are exactly those of re-scanning every pair on
 every iteration, including both tie-break rules: the lowest
 (device index, slot) by default, and a seeded uniform draw over all
-pairs of maximal gain, listed in (device index, slot) order.
+pairs of maximal gain, listed in (device index, slot) order. Once the
+best gain is 0, every open pair ties for the rest of the run, so the
+seeded draw then runs over a sorted list of the open pairs instead of
+emptying and refilling the heap on every pick.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -70,17 +74,30 @@ def greedy_schedule(inst: ProblemInstance, seed: int | None = None) -> GreedyRes
 
     objective = 0
     trace: list[GreedyPick] = []
+    # seeded only: every open (x, lab) pair in (x, lab) order, once the
+    # best gain is 0 and so every open pair ties for the rest of the run
+    tail: list[tuple[int, int]] | None = None
     total_picks = cov.n_x * sigma
     for iteration in range(1, total_picks + 1):
-        while True:
-            neg, xi, lab, ver = heappop(heap)
-            if len(labels[xi]) >= sigma:
-                continue
-            gain = refresh(neg, xi, lab, ver)
-            if gain == -neg:
-                break
-            heappush(heap, (-gain, xi, lab, version[lab]))
-        if rng is not None:
+        if tail is None:
+            while True:
+                neg, xi, lab, ver = heappop(heap)
+                if len(labels[xi]) >= sigma:
+                    continue
+                gain = refresh(neg, xi, lab, ver)
+                if gain == -neg:
+                    break
+                heappush(heap, (-gain, xi, lab, version[lab]))
+            if rng is not None and gain == 0:
+                tail = sorted(
+                    [(xi, lab)]
+                    + [(tx, tlab) for _, tx, tlab, _ in heap if len(labels[tx]) < sigma]
+                )
+        if tail is not None:  # gain stays 0
+            xi, lab = tail.pop(rng.randrange(len(tail)) if len(tail) > 1 else 0)
+            if len(labels[xi]) == sigma - 1:
+                del tail[bisect_left(tail, (xi,)):bisect_left(tail, (xi + 1,))]
+        elif rng is not None:
             # Every other pair of maximal gain has a bound equal to it, so
             # it is still in the heap and pops next, in (x, lab) order.
             ties = [(xi, lab)]

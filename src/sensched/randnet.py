@@ -70,23 +70,49 @@ class ErdosRenyiSpec:
 def gen_geometric(
     spec: GeometricGraphSpec,
 ) -> tuple[NetworkGraph, tuple[tuple[float, float], ...]]:
-    """Sample a geometric graph; returns the graph and node coordinates."""
+    """Sample a geometric graph; returns the graph and node coordinates.
+
+    Points are bucketed into a grid of cells at least radius wide, so
+    each point is compared only with the points in its own and the 8
+    neighbouring cells (wrapping around both axes on the torus). The
+    pairs found are sorted, which gives the edge ids of comparing every
+    pair in order.
+    """
     rng = derive_rng(spec.seed, "geometric")
-    side = spec.area_side
-    coords = [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(spec.n)]
+    side, n = spec.area_side, spec.n
+    coords = [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
     r2 = spec.radius * spec.radius
-    edges = []
-    for i in range(spec.n):
-        xi, yi = coords[i]
-        for j in range(i + 1, spec.n):
-            dx = abs(xi - coords[j][0])
-            dy = abs(yi - coords[j][1])
-            if spec.torus:
-                dx = min(dx, side - dx)
-                dy = min(dy, side - dy)
-            if dx * dx + dy * dy <= r2:
-                edges.append((str(i), str(j)))
-    g = NetworkGraph([str(i) for i in range(spec.n)], edges)
+    # Cells a hair wider than radius, so that float rounding in x / width
+    # can never put an edge's endpoints two cells apart, and no more of
+    # them per axis than about sqrt(n), which keeps that rounding small.
+    cells = max(1, int(min(side / (spec.radius * (1 + 1e-9)), math.isqrt(n) + 1)))
+    width = side / cells
+    grid: dict[tuple[int, int], list[int]] = {}
+    for i, (x, y) in enumerate(coords):
+        cell = (min(int(x / width), cells - 1), min(int(y / width), cells - 1))
+        grid.setdefault(cell, []).append(i)
+    pairs = []
+    for (cx, cy), members in grid.items():
+        near = {
+            ((cx + dx) % cells, (cy + dy) % cells) if spec.torus else (cx + dx, cy + dy)
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+        }
+        candidates = [j for cell in near for j in grid.get(cell, ())]
+        for i in members:
+            xi, yi = coords[i]
+            for j in candidates:
+                if j <= i:
+                    continue
+                dx = abs(xi - coords[j][0])
+                dy = abs(yi - coords[j][1])
+                if spec.torus:
+                    dx = min(dx, side - dx)
+                    dy = min(dy, side - dy)
+                if dx * dx + dy * dy <= r2:
+                    pairs.append((i, j))
+    pairs.sort()
+    g = NetworkGraph([str(i) for i in range(n)], [(str(i), str(j)) for i, j in pairs])
     return g, tuple(coords)
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from sensched.coverage import TargetPair
-from sensched.graph import target_key
+from sensched.graph import NetworkGraph, target_key
 from sensched.greedy import GreedyPick, GreedyResult
 from sensched.schedule import Labeling
 from sensched.seeds import derive_rng
@@ -204,6 +204,27 @@ def brute_max_coverage_placement(cov, device_count: int) -> tuple[int, ...]:
         remaining.discard(best_x)
         covered |= cov.adj[best_x]
     return tuple(sorted(chosen))
+
+
+def brute_gen_geometric(spec):
+    """Geometric graph by comparing every pair of points, in index order."""
+    rng = derive_rng(spec.seed, "geometric")
+    side = spec.area_side
+    coords = [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(spec.n)]
+    r2 = spec.radius * spec.radius
+    edges = []
+    for i in range(spec.n):
+        xi, yi = coords[i]
+        for j in range(i + 1, spec.n):
+            dx = abs(xi - coords[j][0])
+            dy = abs(yi - coords[j][1])
+            if spec.torus:
+                dx = min(dx, side - dx)
+                dy = min(dy, side - dy)
+            if dx * dx + dy * dy <= r2:
+                edges.append((str(i), str(j)))
+    g = NetworkGraph([str(i) for i in range(spec.n)], edges)
+    return g, tuple(coords)
 
 
 def brute_max_cut(g) -> int:

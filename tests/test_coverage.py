@@ -29,7 +29,7 @@ from sensched.schedule import Labeling, ProblemInstance, score
 from sensched.seeds import derive_rng
 from sensched.verify import random_graph
 
-from ._brute import brute_isolation
+from ._brute import brute_covered, brute_isolation
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -215,6 +215,30 @@ def test_isolation_and_restrict_x_match_brute_force():
             assert sub == direct
             assert sub.rev == direct.rev and sub.masks == direct.masks
     assert mixed >= 10
+
+
+def test_detection_matches_brute_force():
+    rng = derive_rng(12, "brute-detection")
+    isolated = split = mixed = 0
+    for _ in range(80):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n, rng.choice([0.0, 0.15, 0.3, 0.6]))
+        pool = all_node_targets(g) + all_edge_targets(g)
+        targets = rng.choices(pool, k=rng.randint(1, len(pool) + 3))
+        sensors = rng.choices(range(n), k=rng.randint(1, n + 2))
+        for r in (0, 1, 2, n + rng.randint(0, 2)):
+            cov = build_detection(g, sensors, targets, r)
+            assert cov.x_nodes == tuple(sorted(set(sensors)))
+            assert cov.y_items == tuple(sorted(set(targets)))
+            expected = tuple(
+                frozenset(cov.y_items.index(t) for t in brute_covered(g, x, r, targets))
+                for x in cov.x_nodes
+            )
+            assert cov.adj == expected
+        isolated += any(g.degree(x) == 0 for x in cov.x_nodes)
+        split += len(brute_covered(g, 0, n, all_node_targets(g))) < n
+        mixed += len({t.kind for t in targets}) == 2 and len(set(targets)) < len(targets)
+    assert isolated >= 20 and split >= 30 and mixed >= 10
 
 
 @pytest.mark.parametrize(

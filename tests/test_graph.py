@@ -9,6 +9,7 @@ from sensched.graph import (
     Target,
     all_edge_targets,
     all_node_targets,
+    ball,
     bfs_distances,
     covered_targets,
     node_edge_distance,
@@ -129,6 +130,15 @@ def test_bfs_matches_floyd_warshall(data):
     fw = floyd_warshall(g)
     for source in range(g.node_count):
         assert bfs_distances(g, source) == fw[source]
+
+
+@given(small_graphs, st.integers(0, 9))
+@settings(max_examples=60)
+def test_ball_is_bfs_cut_at_radius(data, r):
+    g = _build(*data)
+    for source in range(g.node_count):
+        dist = bfs_distances(g, source)
+        assert ball(g, source, r) == {v: d for v, d in enumerate(dist) if d <= r}
 
 
 @given(small_graphs)

@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 
 from sensched.coverage import build_detection
-from sensched.graph import all_edge_targets
+from sensched.graph import all_edge_targets, all_node_targets
 from sensched.greedy import greedy_schedule
 from sensched.oracle import exact_optimal_schedule
+from sensched.randnet import gen_connected_gnm
 from sensched.schedule import ProblemInstance, score
 from sensched.seeds import derive_rng
 from sensched.verify import random_instance
@@ -105,6 +106,16 @@ def test_lazy_matches_brute_greedy():
             long_tails += len(got.trace) - last_gain >= 5
     assert objectives == {"detection", "isolation"}
     assert long_tails >= 80
+
+    # 60 devices and 5 targets: at most 20 of the 120 picks gain anything,
+    # so the seeded draws run over a zero-gain tail of 100+ picks
+    g = gen_connected_gnm(60, 90, seed=4)
+    cov = build_detection(g, range(60), rng.sample(all_node_targets(g), 5), 1)
+    inst = ProblemInstance(cov, 4, 2)
+    for seed in (None, 3, 17):
+        got = greedy_schedule(inst, seed=seed)
+        assert got == brute_greedy(inst, seed=seed)
+        assert sum(p.gain == 0 for p in got.trace) >= 100
 
 
 def test_within_half_of_oracle():

@@ -16,6 +16,9 @@ from sensched.randnet import (
     gen_geometric,
     simulate_random_schedule,
 )
+from sensched.seeds import derive_rng
+
+from ._brute import brute_gen_geometric
 
 
 def test_closed_form_spot_values():
@@ -133,6 +136,31 @@ def test_geometric_coordinates_align_with_edges():
     for u, v in g.edges:
         (x1, y1), (x2, y2) = coords[u], coords[v]
         assert math.hypot(x1 - x2, y1 - y2) <= spec.radius + 1e-12
+
+
+@pytest.mark.parametrize("torus", [False, True])
+def test_geometric_matches_brute_force(torus):
+    rng = derive_rng(8, "brute-geometric", torus)
+    specs = [
+        GeometricGraphSpec(n=0, area_side=5.0, radius=1.0, torus=torus),
+        GeometricGraphSpec(n=1, area_side=5.0, radius=1.0, torus=torus),
+        GeometricGraphSpec(n=30, area_side=5.0, radius=5.0, torus=torus),  # radius = side
+        GeometricGraphSpec(n=30, area_side=5.0, radius=9.0, torus=torus),  # radius > side
+        GeometricGraphSpec(n=40, area_side=5.0, radius=3.0, torus=torus),  # 1 cell
+        GeometricGraphSpec(n=40, area_side=5.0, radius=2.0, torus=torus),  # 2 cells
+        GeometricGraphSpec(n=60, area_side=10.0, radius=2.5, torus=torus),  # side/radius = 4
+        GeometricGraphSpec(n=60, area_side=1.0, radius=0.1, torus=torus),  # side/radius = 10
+    ]
+    for seed in range(40):
+        side = rng.uniform(0.5, 20.0)
+        radius = side / rng.choice([rng.uniform(0.3, 12.0), rng.randint(1, 12)])
+        specs.append(
+            GeometricGraphSpec(rng.randint(0, 120), side, radius, seed=seed, torus=torus)
+        )
+    for spec in specs:
+        g, coords = gen_geometric(spec)
+        ref, ref_coords = brute_gen_geometric(spec)
+        assert (g.names, g.edges, coords) == (ref.names, ref.edges, ref_coords)
 
 
 def test_gen_connected_gnm_shape():
