@@ -11,15 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Literal
 
 from .coverage import build_detection
-from .errors import InputError, SearchSpaceError, VerificationError
+from .errors import InputError, VerificationError
 from .game import BlllParams, blll_schedule
 from .graph import NetworkGraph, all_node_targets
+from .oracle import _branch_and_bound
 from .schedule import Labeling, ProblemInstance
 from .seeds import derive_rng, derive_seed
+
+# search_config runs the exhaustive search only when n * C(k, sigma) is
+# at most EXHAUSTIVE_LIMIT, and gives it up after EXHAUSTIVE_NODE_CAP nodes
+EXHAUSTIVE_LIMIT = 64
+EXHAUSTIVE_NODE_CAP = 2_000_000
 
 
 def closed_neighborhood(g: NetworkGraph, v: int) -> frozenset[int]:
@@ -112,44 +117,6 @@ def validate_partition(g: NetworkGraph, dp: DomaticPartition) -> None:
             raise InputError(f"set {i} is not dominating")
     if seen != set(range(g.node_count)):
         raise InputError("partition does not cover every node")
-
-
-def domatic_number_exact(g: NetworkGraph, node_limit: int = 12) -> int:
-    """Exact domatic number by backtracking; tiny graphs only."""
-    n = g.node_count
-    if n > node_limit:
-        raise SearchSpaceError(f"{n} nodes exceeds exact-domatic limit {node_limit}")
-    if n == 0:
-        return 0
-    closed = [closed_neighborhood(g, v) for v in range(n)]
-    upper = min(len(c) for c in closed)  # min degree + 1
-
-    def feasible(t: int) -> bool:
-        classes: list[set[int]] = [set() for _ in range(t)]
-
-        def dominated_possible(c: int, frontier: int) -> bool:
-            # every node must stay reachable from class c via members
-            # already placed in c or nodes not yet assigned
-            usable = classes[c] | set(range(frontier, n))
-            return all(closed[w] & usable for w in range(n))
-
-        def walk(v: int) -> bool:
-            if v == n:
-                return all(is_dominating(g, classes[c]) for c in range(t))
-            for c in range(t):
-                classes[c].add(v)
-                if all(dominated_possible(c2, v + 1) for c2 in range(t)):
-                    if walk(v + 1):
-                        return True
-                classes[c].discard(v)
-            return False
-
-        return walk(0)
-
-    t = 1
-    while t < upper and feasible(t + 1):
-        t += 1
-    return t
 
 
 @dataclass(frozen=True)
@@ -280,72 +247,25 @@ def config_as_labeling(cfg: KSigmaConfig) -> Labeling:
     return Labeling(cfg.labels)
 
 
-def _exhaustive_config_search(
-    g: NetworkGraph, k: int, sigma: int, expansion_cap: int
-) -> tuple[bool, KSigmaConfig | None, bool]:
-    """Backtracking over per-node label sets.
-
-    Returns (completed, config, found). A node's constraint is checked
-    as soon as its whole closed neighborhood is assigned. If the
-    expansion cap trips, completed is False and nothing is proven.
-    """
-    n = g.node_count
-    actions = list(combinations(range(k), sigma))
-    closed = [closed_neighborhood(g, v) for v in range(n)]
-    # nodes whose closed neighborhood is fully assigned once v is set
-    ready_after = [[u for u in range(n) if v == max(closed[u])] for v in range(n)]
-    assignment: list[frozenset[int]] = [frozenset()] * n
-    expansions = 0
-
-    def constraint_ok(u: int) -> bool:
-        available: set[int] = set()
-        for w in closed[u]:
-            available |= assignment[w]
-        return len(available) == k
-
-    def walk(v: int) -> bool | None:
-        nonlocal expansions
-        if v == n:
-            return True
-        for action in actions:
-            expansions += 1
-            if expansions > expansion_cap:
-                return None
-            assignment[v] = frozenset(action)
-            if all(constraint_ok(u) for u in ready_after[v]):
-                result = walk(v + 1)
-                if result:
-                    return True
-                if result is None:
-                    return None
-        assignment[v] = frozenset()
-        return False
-
-    result = walk(0)
-    if result is True:
-        cfg = KSigmaConfig(k=k, sigma=sigma, labels=tuple(assignment))
-        return True, cfg, True
-    return (result is False), None, False
-
-
 def search_config(
     g: NetworkGraph,
     k: int,
     sigma: int,
     budget: int = 200_000,
     seed: int = 0,
-    exhaustive_bound: int = 64,
-    exhaustive_expansion_cap: int = 2_000_000,
     epsilon: float = 0.015,
 ) -> ConfigSearchResult:
     """Find a (k, sigma)-configuration or report why none was found.
 
     Order of attack: necessary-condition prechecks (proven nonexistent),
     the constructive path through a greedy domatic partition (covers any
-    k up to sigma times the partition size), exhaustive backtracking
-    when n * C(k, sigma) is within exhaustive_bound (completion proves
-    nonexistence), then stochastic label search in chains until the
-    iteration budget runs out. `exhausted` never claims nonexistence.
+    k up to sigma times the partition size), the oracle's branch and
+    bound on `config_instance` when n * C(k, sigma) is at most
+    EXHAUSTIVE_LIMIT (the first labeling of potential n * k in
+    lexicographic order; a search that ends within EXHAUSTIVE_NODE_CAP
+    nodes without one proves nonexistence), then stochastic label search
+    in chains until the iteration budget runs out. `exhausted` never
+    claims nonexistence.
     """
     if g.node_count == 0:
         raise InputError("empty graph")
@@ -375,16 +295,19 @@ def search_config(
             detail=f"from a {len(dp.sets)}-set greedy domatic partition",
         )
 
-    if g.node_count * math.comb(k, sigma) <= exhaustive_bound:
-        completed, cfg, found = _exhaustive_config_search(
-            g, k, sigma, exhaustive_expansion_cap
+    inst = config_instance(g, k, sigma)
+    target = g.node_count * k
+    if g.node_count * math.comb(k, sigma) <= EXHAUSTIVE_LIMIT:
+        search = _branch_and_bound(
+            inst, floor=target, max_optima=1, node_cap=EXHAUSTIVE_NODE_CAP, first=True
         )
-        if found:
+        if search.optima:
+            cfg = KSigmaConfig(k=k, sigma=sigma, labels=search.optima[0].by_x)
             return ConfigSearchResult(
                 status="found", config=_checked(g, cfg, "exhaustive"),
                 method="exhaustive", detail="by enumeration",
             )
-        if completed:
+        if not search.capped:
             return ConfigSearchResult(
                 status="nonexistent",
                 config=None,
@@ -392,8 +315,6 @@ def search_config(
                 detail="full enumeration found no valid assignment",
             )
 
-    inst = config_instance(g, k, sigma)
-    target = g.node_count * k
     chain_iters = min(budget, 20_000)
     used = 0
     chain = 0

@@ -1,18 +1,24 @@
-"""Exhaustive ground-truth solvers for tiny instances.
+"""Exact ground-truth solvers for tiny instances.
 
-These enumerate the full search space and are the reference every
-heuristic is measured against. All comparisons are exact (integers and
+`exact_optimal_schedule` is a depth-first branch and bound over the
+whole labeling space (Land and Doig, 1960): a subtree is cut only when
+a bound on its best potential falls strictly below the best found so
+far, so every optimal labeling is still visited, in lexicographic
+order. It is the reference every heuristic is measured against, and the
+same search proves or refutes (k, sigma) label configurations in
+`domination.search_config`. All comparisons are exact (integers and
 fractions); there is no floating point anywhere on this path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .coverage import build_detection
-from .errors import InputError, SearchSpaceError
+from .errors import InputError, SearchSpaceError, VerificationError
 from .graph import NetworkGraph, all_edge_targets
 from .schedule import Labeling, ProblemInstance, score as score_labeling
 
@@ -28,67 +34,133 @@ class OracleResult:
     truncated: bool
 
 
-def exact_optimal_schedule(
-    inst: ProblemInstance,
-    limit: int = DEFAULT_SPACE_LIMIT,
-    max_optima: int = 64,
-) -> OracleResult:
-    """Enumerate every exactly-sigma labeling and return the best score.
+@dataclass(frozen=True)
+class _SearchResult:
+    best: int  # the floor when no labeling reached it
+    optima: tuple[Labeling, ...]
+    truncated: bool
+    capped: bool  # the node cap stopped the walk; nothing is proven
 
-    The space has C(k, sigma)^|X| points; anything above `limit` is
-    refused with the size in the message. Enumeration order is
-    lexicographic over (device, label-set rank), so the first optimal
-    labeling is reproducible. Optimal labelings beyond max_optima are
-    dropped and flagged via `truncated`.
+
+def _branch_and_bound(
+    inst: ProblemInstance,
+    floor: int,
+    max_optima: int,
+    node_cap: float = math.inf,
+    first: bool = False,
+) -> _SearchResult:
+    """Depth-first search over exactly-sigma labelings in lexicographic order.
+
+    Devices are assigned in index order, each trying the label sets of
+    combinations(range(k), sigma) in turn. Only labelings with potential
+    >= floor are kept: the highest potential reached and, in visiting
+    order, up to max_optima labelings that reach it (`truncated` if more
+    did). Before device x is assigned, its subtree is cut when
+    phi + min(sum_j |R_x & ~covered_j|, sigma * sum_{x' >= x} |mask(x')|)
+    is strictly below the best so far, where R_x is the OR of the masks of
+    devices x.. and covered_j is slot j's covered set. Each term caps
+    what devices x.. can still add, so no labeling that ties the best is
+    ever cut. With `first`, the walk stops at the first labeling that
+    reaches the floor. Each label set tried counts one node; past
+    node_cap the walk stops and `capped` is set.
     """
     cov = inst.coverage
+    n = cov.n_x
     actions = list(combinations(range(inst.k), inst.sigma))
-    space = len(actions) ** cov.n_x
-    if space > limit:
-        raise SearchSpaceError(
-            f"search space {len(actions)}^{cov.n_x} = {space} exceeds limit {limit}"
-        )
-
     masks = cov.masks
+    reach = [0] * (n + 1)  # OR of masks[x:]
+    room = [0] * (n + 1)  # sigma * sum of |masks[x']| for x' >= x
+    for x in range(n - 1, -1, -1):
+        reach[x] = reach[x + 1] | masks[x]
+        room[x] = room[x + 1] + inst.sigma * masks[x].bit_count()
     covered = [0] * inst.k  # per slot: bitset of the Y elements covered so far
-    current: list[tuple[int, ...]] = [()] * cov.n_x
-    best = {"phi": -1, "optima": [], "truncated": False}
+    current: list[tuple[int, ...]] = [()] * n
+    best = floor
+    optima: list[tuple[tuple[int, ...], ...]] = []
+    truncated = False
+    nodes = 0
 
-    def walk(x: int, phi: int) -> None:
-        if x == cov.n_x:
-            if phi > best["phi"]:
-                best["phi"] = phi
-                best["optima"] = [tuple(current)]
-                best["truncated"] = False
-            elif phi == best["phi"]:
-                if len(best["optima"]) < max_optima:
-                    best["optima"].append(tuple(current))
+    def walk(x: int, phi: int) -> bool:
+        """Search below device x; True stops the whole walk."""
+        nonlocal best, truncated, nodes
+        if x == n:
+            if phi > best:
+                best = phi
+                optima[:] = [tuple(current)]
+                truncated = False
+            elif phi == best:
+                if len(optima) < max_optima:
+                    optima.append(tuple(current))
                 else:
-                    best["truncated"] = True
-            return
+                    truncated = True
+            else:
+                return False
+            return first
+        slack = best - phi
+        if room[x] < slack:
+            return False
+        rest = reach[x]
+        if sum((rest & ~c).bit_count() for c in covered) < slack:
+            return False
         mask = masks[x]
         for action in actions:
+            nodes += 1
+            if nodes > node_cap:
+                return True
             current[x] = action
             saved = [covered[lab] for lab in action]
             gain = 0
             for lab in action:
                 gain += (mask & ~covered[lab]).bit_count()
                 covered[lab] |= mask
-            walk(x + 1, phi + gain)
+            stop = walk(x + 1, phi + gain)
             for lab, before in zip(action, saved):
                 covered[lab] = before
+            if stop:
+                return True
+        return False
 
     walk(0, 0)
-    optima = tuple(
-        Labeling(tuple(frozenset(a) for a in assignment))
-        for assignment in best["optima"]
-    )
+    labelings = tuple(Labeling(tuple(map(frozenset, a))) for a in optima)
+    return _SearchResult(best, labelings, truncated, nodes > node_cap)
+
+
+def exact_optimal_schedule(
+    inst: ProblemInstance,
+    limit: int = DEFAULT_SPACE_LIMIT,
+    max_optima: int = 64,
+) -> OracleResult:
+    """Best score and optimal labelings of the exactly-sigma labelings.
+
+    The space has C(k, sigma)^|X| points; anything above `limit` is
+    refused with the size in the message. The branch and bound cuts only
+    subtrees that cannot tie the best, so the result is that of full
+    enumeration: optima in lexicographic order over (device, label-set
+    rank), those beyond max_optima dropped and flagged via `truncated`.
+    The first optimum is re-scored with `schedule.score`; a different
+    potential raises VerificationError.
+    """
+    cov = inst.coverage
+    n_actions = math.comb(inst.k, inst.sigma)
+    space = n_actions**cov.n_x
+    if space > limit:
+        raise SearchSpaceError(
+            f"search space {n_actions}^{cov.n_x} = {space} exceeds limit {limit}"
+        )
+
+    search = _branch_and_bound(inst, floor=-1, max_optima=max_optima)
+    rescored = score_labeling(inst, search.optima[0]).potential
+    if rescored != search.best:
+        raise VerificationError(
+            f"oracle potential {search.best} differs from the re-scored "
+            f"potential {rescored} of its first optimum"
+        )
     return OracleResult(
-        best_score=Fraction(best["phi"], inst.k * cov.n_y),
-        best_potential=best["phi"],
-        optimal=optima,
+        best_score=Fraction(search.best, inst.k * cov.n_y),
+        best_potential=search.best,
+        optimal=search.optima,
         space=space,
-        truncated=best["truncated"],
+        truncated=search.truncated,
     )
 
 

@@ -201,7 +201,8 @@ def _sim_init(inst: ProblemInstance, seed: int) -> None:
 
 
 def _sim_trial(trial: int) -> Fraction:
-    assert _SIM_CONTEXT is not None
+    if _SIM_CONTEXT is None:
+        raise RuntimeError("_sim_trial needs _sim_init to run first in this process")
     inst, seed = _SIM_CONTEXT
     rng = derive_rng(seed, "trial", trial)
     k, sigma = inst.k, inst.sigma

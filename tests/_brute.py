@@ -269,3 +269,20 @@ def _can_partition(g, t: int) -> bool:
         if all(brute_is_dominating(g, c) for c in classes):
             return True
     return False
+
+
+def brute_first_config(g, k: int, sigma: int):
+    """First (k, sigma) label assignment in product order, or None.
+
+    Assignments run through itertools.product over the sigma-subsets of
+    range(k) in combinations order; one is a configuration when, for
+    every label, the nodes holding it form a dominating set.
+    """
+    actions = list(combinations(range(k), sigma))
+    for assignment in product(actions, repeat=g.node_count):
+        if all(
+            brute_is_dominating(g, [v for v, a in enumerate(assignment) if lab in a])
+            for lab in range(k)
+        ):
+            return tuple(frozenset(a) for a in assignment)
+    return None

@@ -1,9 +1,10 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from sensched import domination, instance
+from sensched import domination, instance, oracle
 from sensched.cli import main
 from sensched.domination import ConfigCheck
 
@@ -61,6 +62,17 @@ def test_verification_failure_exits_2(runner, monkeypatch):
     result = runner.invoke(main, ["schedule", PATH4, "--solver", "greedy"])
     assert result.exit_code == 2
     assert "verification failed: slot-form total 0" in result.output
+
+
+def test_oracle_rescore_mismatch_exits_2(runner, monkeypatch):
+    search = oracle._branch_and_bound
+    monkeypatch.setattr(
+        oracle, "_branch_and_bound",
+        lambda *args, **kwargs: replace(search(*args, **kwargs), best=0),
+    )
+    result = runner.invoke(main, ["schedule", PATH4, "--solver", "oracle"])
+    assert result.exit_code == 2
+    assert "verification failed: oracle potential 0 differs" in result.output
 
 
 def test_schedule_all_solvers_agree_on_fixture(runner):

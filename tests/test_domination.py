@@ -1,23 +1,27 @@
+import math
+
 import pytest
 
+from sensched import domination
 from sensched.domination import (
+    EXHAUSTIVE_LIMIT,
     DomaticPartition,
     KSigmaConfig,
     config_as_labeling,
     config_from_domatic,
     config_instance,
-    domatic_number_exact,
     greedy_domatic_partition,
     is_dominating,
     search_config,
     verify_config,
 )
 from sensched.errors import InputError
+from sensched.graph import NetworkGraph
 from sensched.schedule import score
 from sensched.seeds import derive_rng
 from sensched.verify import random_graph
 
-from ._brute import brute_max_disjoint_dominating
+from ._brute import brute_first_config, brute_max_disjoint_dominating
 
 
 def test_is_dominating_cases(path4):
@@ -31,7 +35,7 @@ def test_is_dominating_cases(path4):
 def test_greedy_partition_path(path4):
     dp = greedy_domatic_partition(path4)
     assert len(dp.sets) == 2
-    assert domatic_number_exact(path4) == 2
+    assert brute_max_disjoint_dominating(path4, upper=path4.min_degree() + 1) == 2
     assert brute_max_disjoint_dominating(path4, upper=3) == 2
 
 
@@ -47,7 +51,7 @@ def test_greedy_partition_star(star5):
     assert all(is_dominating(star5, s) for s in dp.sets)
     union = set().union(*dp.sets)
     assert union == set(range(5))
-    assert domatic_number_exact(star5) == 2
+    assert brute_max_disjoint_dominating(star5, upper=star5.min_degree() + 1) == 2
 
 
 def test_greedy_partition_seeded_reproducible(petersen):
@@ -61,7 +65,7 @@ def test_greedy_never_beats_exact_on_tiny_graphs():
     for _ in range(10):
         g = random_graph(rng, rng.randint(3, 7), 0.5)
         dp = greedy_domatic_partition(g)
-        assert len(dp.sets) <= domatic_number_exact(g)
+        assert len(dp.sets) <= brute_max_disjoint_dominating(g, upper=g.min_degree() + 1)
 
 
 def test_verify_config_saturated(path4):
@@ -145,6 +149,54 @@ def test_search_exhaustive_proves_nonexistence(c4):
     # space is small enough to enumerate completely
     result = search_config(c4, 3, 1, seed=0)
     assert result.status == "nonexistent" and result.method == "exhaustive"
+
+
+def test_exhaustive_config_matches_brute_force():
+    # k is drawn between what the greedy partition builds and the
+    # min-degree precheck, so every case reaches the exhaustive step
+    rng = derive_rng(53, "config-brute")
+    cases = found = 0
+    while cases < 80:
+        g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.3, 0.9))
+        sigma = rng.randint(1, 2)
+        dp = greedy_domatic_partition(g)
+        window = [
+            k
+            for k in range(sigma * len(dp.sets) + 1, sigma * (g.min_degree() + 1) + 1)
+            if g.node_count * math.comb(k, sigma) <= EXHAUSTIVE_LIMIT
+            and math.comb(k, sigma) ** g.node_count <= 10_000
+        ]
+        if not window:
+            continue
+        k = rng.choice(window)
+        cases += 1
+        want = brute_first_config(g, k, sigma)
+        result = search_config(g, k, sigma, seed=0)
+        assert result.method == "exhaustive"
+        if want is None:
+            assert result.status == "nonexistent"
+        else:
+            found += 1
+            assert result.status == "found" and result.config.labels == want
+    assert 10 <= found <= cases - 10
+
+
+@pytest.mark.parametrize(
+    "edges, status",
+    [
+        # C4: no (3, 1)-configuration, which the exhaustive step proves
+        ([(0, 1), (1, 2), (2, 3), (3, 0)], "exhausted"),
+        # a (3, 1)-configuration that only the exhaustive step finds
+        ([(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (2, 4), (3, 4), (3, 5)], "found"),
+    ],
+)
+def test_exhaustive_node_cap_falls_through_to_stochastic(monkeypatch, edges, status):
+    nodes = 1 + max(max(e) for e in edges)
+    g = NetworkGraph([str(v) for v in range(nodes)], [(str(u), str(v)) for u, v in edges])
+    assert search_config(g, 3, 1, budget=2000, seed=0).method == "exhaustive"
+    monkeypatch.setattr(domination, "EXHAUSTIVE_NODE_CAP", 2)
+    result = search_config(g, 3, 1, budget=2000, seed=0)
+    assert result.method == "stochastic" and result.status == status
 
 
 def test_search_validates_args(path4):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,8 @@ from sensched.seeds import derive_rng
 from sensched.verify import random_graph, random_instance, random_triangle_free_graph
 
 from ._brute import brute_best_labeling, brute_max_cut
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_oracle_path_fixture(path4_instance):
@@ -47,19 +53,66 @@ def test_oracle_refuses_large_spaces(path4_instance):
 
 
 def test_oracle_matches_brute_force_enumeration():
+    # the bound cuts subtrees, yet optima, their order and truncation must
+    # be those of enumerating every labeling
     rng = derive_rng(41, "oracle-brute")
     checked = 0
-    while checked < 8:
-        inst = random_instance(rng, max_nodes=5, max_k=4)
-        if math.comb(inst.k, inst.sigma) ** inst.coverage.n_x > 5000:
+    objectives = set()
+    while checked < 100:
+        base = random_instance(rng, max_nodes=8, max_k=5)
+        if not 8 <= math.comb(base.k, base.sigma) ** base.coverage.n_x <= 5000:
             continue
         checked += 1
-        best, winners = brute_best_labeling(inst.coverage, inst.k, inst.sigma)
-        result = exact_optimal_schedule(inst, max_optima=len(winners) + 4)
-        assert result.best_score == best
-        got = {tuple(tuple(sorted(a)) for a in lab.by_x) for lab in result.optimal}
-        want = {tuple(tuple(sorted(a)) for a in w) for w in winners}
-        assert got == want
+        for k, sigma in ((base.k, base.sigma), (1, 1), (base.k, base.k)):
+            inst = ProblemInstance(base.coverage, k=k, sigma=sigma)
+            objectives.add(inst.objective)
+            best, winners = brute_best_labeling(inst.coverage, k, sigma)
+            want = [Labeling(tuple(frozenset(a) for a in w)) for w in winners]
+            for max_optima in (1, 2, 64):
+                result = exact_optimal_schedule(inst, max_optima=max_optima)
+                assert result.best_score == best
+                assert list(result.optimal) == want[:max_optima]
+                assert result.truncated == (len(want) > max_optima)
+    assert objectives == {"detection", "isolation"}
+
+
+def test_oracle_truncation_resets_on_a_better_potential():
+    # on the star K1,3 more than two labelings tie at a lower potential
+    # before the center-against-leaves split and its label swap win
+    g = NetworkGraph(["1", "2", "3", "4"], [("1", "2"), ("1", "3"), ("1", "4")])
+    inst = ProblemInstance(build_detection(g, range(4), all_node_targets(g), 1), 2, 1)
+    result = exact_optimal_schedule(inst, max_optima=2)
+    assert result.best_potential == 8 and len(result.optimal) == 2
+    assert not result.truncated
+
+
+def test_oracle_rescore_mismatch_raises_under_optimize():
+    code = """
+from dataclasses import replace
+from sensched import oracle
+from sensched.coverage import build_detection
+from sensched.errors import VerificationError
+from sensched.graph import NetworkGraph, all_edge_targets
+from sensched.schedule import ProblemInstance
+
+assert False, "asserts must be stripped in this interpreter"
+search = oracle._branch_and_bound
+oracle._branch_and_bound = lambda *a, **kw: replace(search(*a, **kw), best=0)
+g = NetworkGraph(["1", "2", "3"], [("1", "2"), ("2", "3")])
+inst = ProblemInstance(build_detection(g, [1], all_edge_targets(g), 1), 2, 1)
+try:
+    oracle.exact_optimal_schedule(inst)
+except VerificationError as exc:
+    print("raised:", exc)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: oracle potential 0 differs")
 
 
 def test_oracle_single_player_matches_blll_limit(path4):

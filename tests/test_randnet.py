@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sensched import randnet
 from sensched.errors import InputError
 from sensched.graph import NetworkGraph
 from sensched.randnet import (
@@ -206,6 +207,12 @@ def test_simulation_deterministic_and_worker_independent():
     a = simulate_random_schedule(g, 5, 2, trials=12, seed=4, workers=1)
     b = simulate_random_schedule(g, 5, 2, trials=12, seed=4, workers=3)
     assert a == b
+
+
+def test_trial_without_context_raises(monkeypatch):
+    monkeypatch.setattr(randnet, "_SIM_CONTEXT", None)
+    with pytest.raises(RuntimeError, match="_sim_init"):
+        randnet._sim_trial(0)
 
 
 def test_spec_validation():
