@@ -86,7 +86,7 @@ def build_coverage_cmd(instance_file: str, out: str | None) -> None:
     cov = instance.build_coverage(spec, g)
     click.echo(
         f"devices: {cov.n_x}  y-elements: {cov.n_y}  "
-        f"coverage-edges: {sum(len(a) for a in cov.adj)}"
+        f"coverage-edges: {cov.n_edges}"
     )
     _emit(to_adjacency_text(cov), out)
 
@@ -118,7 +118,7 @@ def schedule_cmd(
     report = None
     if solver == "oracle":
         result = oracle.exact_optimal_schedule(inst)
-        labeling = result.optimal[0]
+        labeling, report = result.optimal[0], result.report
         click.echo(
             f"{letter} = {format_score(result.best_score)}  "
             f"optima: {len(result.optimal)}{'+' if result.truncated else ''}  "

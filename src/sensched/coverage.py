@@ -6,22 +6,29 @@ range. Each device's targets are read off one depth-limited BFS (its
 device's neighbourhood. Isolation mode: one Y vertex per unordered
 target pair, adjacent to a device iff the device covers exactly one of
 the two targets (a device seeing both, or neither, cannot tell them
-apart). The isolation graph is derived from the detection graph on the
-same inputs.
+apart).
 
-`CoverageGraph.adj` is the only adjacency stored. `masks` (each
-device's Y neighbourhood as an int bitset) and `rev` (the transpose)
-are views built on first use and cached per coverage graph. Every count
-of covered (slot, Y-element) pairs reads `masks`: a slot's covered set
-is the OR of its active devices' masks, and its size is
-`int.bit_count()`.
+A `CoverageGraph` stores the detection rows for both objectives: the
+targets, their keys and each device's set of covered target indices
+(`covers`). Everything over Y is a view built on first use and cached
+per coverage graph: `masks` (each device's Y neighbourhood as an int
+bitset), `adj` (the same as sets of y indices), `rev` (the transpose),
+`y_items` and `y_keys`; `iter_adj` computes the y indices without
+keeping them. For isolation, a mask is cut straight from the device's
+m-bit detection bitset, one slice per row of the pair triangle, so no
+per-pair work is done until the y indices or the keys are read.
+
+Solvers read only `masks`, `n_x` and `n_y`, and every count of covered
+(slot, Y-element) pairs they make reads `masks`: a slot's covered set is
+the OR of its active devices' masks, and its size is `int.bit_count()`.
+`schedule.score` also counts from `iter_adj`, as an independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Literal, Sequence
+from typing import Collection, Iterable, Iterator, Literal, Sequence
 
 from .errors import InputError, SearchSpaceError
 from .graph import NetworkGraph, Target, ball, target_key
@@ -29,6 +36,8 @@ from .graph import NetworkGraph, Target, ball, target_key
 Objective = Literal["detection", "isolation"]
 
 PAIR_LIMIT = 5_000_000
+# coverage edges sum_x |c_x| * (m - |c_x|), counted before any pair is built
+EDGE_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -45,22 +54,33 @@ class TargetPair:
         return TargetPair(min(a, b), max(a, b))
 
 
+def _pair_rows(m: int) -> list[int]:
+    """Per target index a, the y index at which row a of the pair triangle starts.
+
+    Row a holds the m - 1 - a pairs (a, b), b > a, in order of b, so
+    pair (a, b) is at starts[a] + b - a - 1.
+    """
+    return [a * (2 * m - a - 1) // 2 for a in range(m)]
+
+
 @dataclass(frozen=True)
 class CoverageGraph:
     """Immutable bipartite graph between devices (X) and Y elements.
 
-    X is the sorted set of device node ids; Y is the canonically sorted
-    target list (detection) or every target pair (isolation). adj maps
-    each x index to the y indices it covers and is the only adjacency
-    stored; masks and rev are cached views of it.
+    X is the sorted set of device node ids. The stored state is the
+    detection rows: the canonically sorted targets, their keys and, per
+    x index, the set of target indices the device covers. Y is the
+    target list (detection) or every target pair in lexicographic order
+    of the target indices (isolation); n_y, y_items, y_keys, adj, masks
+    and rev are derived from the rows.
     """
 
     objective: Objective
     x_nodes: tuple[int, ...]
     x_names: tuple[str, ...]
-    y_items: tuple[Target | TargetPair, ...]
-    y_keys: tuple[str, ...]
-    adj: tuple[frozenset[int], ...]
+    targets: tuple[Target, ...]
+    target_keys: tuple[str, ...]
+    covers: tuple[frozenset[int], ...]
 
     @property
     def n_x(self) -> int:
@@ -68,18 +88,83 @@ class CoverageGraph:
 
     @property
     def n_y(self) -> int:
-        return len(self.y_items)
+        m = len(self.targets)
+        return m if self.objective == "detection" else m * (m - 1) // 2
+
+    @property
+    def n_edges(self) -> int:
+        """Coverage edges: sum over devices of |adj[x]|, counted from the rows."""
+        if self.objective == "detection":
+            return sum(len(c) for c in self.covers)
+        m = len(self.targets)
+        return sum(len(c) * (m - len(c)) for c in self.covers)
+
+    @cached_property
+    def y_items(self) -> tuple[Target | TargetPair, ...]:
+        t = self.targets
+        if self.objective == "detection":
+            return t
+        m = len(t)
+        return tuple(TargetPair(t[a], t[b]) for a in range(m) for b in range(a + 1, m))
+
+    @cached_property
+    def y_keys(self) -> tuple[str, ...]:
+        keys = self.target_keys
+        if self.objective == "detection":
+            return keys
+        m = len(keys)
+        return tuple(f"{keys[a]}|{keys[b]}" for a in range(m) for b in range(a + 1, m))
+
+    def iter_adj(self) -> Iterator[Collection[int]]:
+        """Per device, the y indices it covers, computed from the rows and not kept."""
+        if self.objective == "detection":
+            yield from self.covers
+            return
+        m = len(self.targets)
+        # the y index of pair (a, b), a < b, is first[a] + b
+        first = [start - a - 1 for a, start in enumerate(_pair_rows(m))]
+        for covered in self.covers:
+            uncovered = [b for b in range(m) if b not in covered]
+            yield [first[b] + a if b < a else first[a] + b for a in covered for b in uncovered]
+
+    @cached_property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """Per device, the y indices it covers (`iter_adj`, kept)."""
+        if self.objective == "detection":
+            return self.covers
+        return tuple(frozenset(ys) for ys in self.iter_adj())
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        """Per device, its Y neighbourhood as an int bitset (bit y set iff x ~ y)."""
-        n_bytes = (self.n_y + 7) // 8
-        out = []
-        for ys in self.adj:
+        """Per device, its Y neighbourhood as an int bitset (bit y set iff x ~ y).
+
+        Isolation: with d the device's detection bitset, row a of the
+        pair triangle is the m - 1 - a bits of d above bit a (b covered),
+        inverted when bit a is set (then exactly one of a, b is covered
+        iff b is not), shifted to the row's start.
+        """
+        m = len(self.targets)
+        n_bytes = (m + 7) // 8
+        detected = []
+        for cover in self.covers:
             buf = bytearray(n_bytes)
-            for y in ys:
-                buf[y >> 3] |= 1 << (y & 7)
-            out.append(int.from_bytes(buf, "little"))
+            for t in cover:
+                buf[t >> 3] |= 1 << (t & 7)
+            detected.append(int.from_bytes(buf, "little"))
+        if self.objective == "detection":
+            return tuple(detected)
+        starts = _pair_rows(m)
+        out = []
+        for d in detected:
+            mask = 0
+            # rows past d's highest bit are empty: no b > a covered, a not covered
+            for a in range(min(m - 1, d.bit_length())):
+                ones = (1 << (m - 1 - a)) - 1
+                row = (d >> (a + 1)) & ones
+                if d >> a & 1:
+                    row ^= ones
+                mask |= row << starts[a]
+            out.append(mask)
         return tuple(out)
 
     @cached_property
@@ -94,7 +179,7 @@ class CoverageGraph:
     def __repr__(self) -> str:
         return (
             f"CoverageGraph({self.objective}, |X|={self.n_x}, |Y|={self.n_y}, "
-            f"edges={sum(len(a) for a in self.adj)})"
+            f"edges={self.n_edges})"
         )
 
 
@@ -158,9 +243,9 @@ def build_detection(
         objective="detection",
         x_nodes=tuple(xs),
         x_names=tuple(g.node_name(x) for x in xs),
-        y_items=tuple(y_targets),
-        y_keys=tuple(target_key(t, g) for t in y_targets),
-        adj=tuple(frozenset(c) for c in covers),
+        targets=tuple(y_targets),
+        target_keys=tuple(target_key(t, g) for t in y_targets),
+        covers=tuple(frozenset(c) for c in covers),
     )
 
 
@@ -172,14 +257,15 @@ def build_isolation(
 ) -> CoverageGraph:
     """Coverage graph for the isolation objective over all target pairs.
 
-    Derived from the detection graph on the same inputs: x ~ (a, b) iff
-    x covers exactly one of a, b. Y is materialized in full: all C(m, 2)
-    pairs in lexicographic order of the target indices, including pairs
-    no device can separate. More than PAIR_LIMIT pairs is refused with
-    SearchSpaceError before any pair is built.
+    The detection rows on the same inputs, read as pairs: x ~ (a, b) iff
+    x covers exactly one of a, b. Y is all C(m, 2) pairs in
+    lexicographic order of the target indices, including pairs no
+    device can separate. More than PAIR_LIMIT pairs, or more than
+    EDGE_LIMIT coverage edges, is refused with SearchSpaceError; no pair
+    structure is built here.
     """
     det = build_detection(g, sensors, targets, range_limit)
-    m = det.n_y
+    m = len(det.targets)
     if m < 2:
         raise InputError("isolation needs at least 2 targets")
     n_pairs = m * (m - 1) // 2
@@ -187,28 +273,17 @@ def build_isolation(
         raise SearchSpaceError(
             f"isolation needs {n_pairs} target pairs, more than the limit {PAIR_LIMIT}"
         )
-    items, keys = det.y_items, det.y_keys
-    # the y index of pair (i, j), i < j, is first[i] + j
-    first = [i * (2 * m - i - 3) // 2 - 1 for i in range(m)]
-    adj = []
-    for covered in det.adj:
-        uncovered = [b for b in range(m) if b not in covered]
-        adj.append(frozenset(
-            first[b] + a if b < a else first[a] + b for a in covered for b in uncovered
-        ))
-    return replace(
-        det,
-        objective="isolation",
-        y_items=tuple(
-            TargetPair(items[i], items[j]) for i in range(m) for j in range(i + 1, m)
-        ),
-        y_keys=tuple(f"{keys[i]}|{keys[j]}" for i in range(m) for j in range(i + 1, m)),
-        adj=tuple(adj),
-    )
+    iso = replace(det, objective="isolation")
+    if iso.n_edges > EDGE_LIMIT:
+        raise SearchSpaceError(
+            f"isolation needs {iso.n_edges} coverage edges, more than the limit "
+            f"{EDGE_LIMIT}"
+        )
+    return iso
 
 
 def restrict_x(cov: CoverageGraph, x_indices: Iterable[int]) -> CoverageGraph:
-    """Sub-coverage keeping only the given device indices (Y unchanged)."""
+    """Sub-coverage keeping only the given device rows (Y unchanged)."""
     keep = sorted(set(x_indices))
     for xi in keep:
         if not 0 <= xi < cov.n_x:
@@ -219,7 +294,7 @@ def restrict_x(cov: CoverageGraph, x_indices: Iterable[int]) -> CoverageGraph:
         cov,
         x_nodes=tuple(cov.x_nodes[xi] for xi in keep),
         x_names=tuple(cov.x_names[xi] for xi in keep),
-        adj=tuple(cov.adj[xi] for xi in keep),
+        covers=tuple(cov.covers[xi] for xi in keep),
     )
 
 

@@ -18,9 +18,7 @@ accepts downhill moves.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from random import Random
 from typing import Callable
 
@@ -102,9 +100,20 @@ class GameState:
             self._check_action(a)
         self.actions = list(actions)
         self.sites = list(sites) if sites is not None else None
-        # a count never exceeds the players, nor the devices that cover y
-        most = max(Counter(chain.from_iterable(cov.adj)).values(), default=0)
-        self.n_planes = min(self.n_players, most).bit_length()
+        # a count never exceeds the players, nor the devices that cover y:
+        # ripple-add every mask once; len(totals) is the bit length of the
+        # largest provider count
+        totals: list[int] = []
+        for mask in cov.masks:
+            carry = mask
+            for i, plane in enumerate(totals):
+                if not carry:
+                    break
+                totals[i] = plane ^ carry
+                carry &= plane
+            if carry:
+                totals.append(carry)
+        self.n_planes = min(self.n_players.bit_length(), len(totals))
         self._rebuild()
 
     def _rebuild(self) -> None:

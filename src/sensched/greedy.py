@@ -64,7 +64,7 @@ def greedy_schedule(inst: ProblemInstance, seed: int | None = None) -> GreedyRes
     labels: list[set[int]] = [set() for _ in range(cov.n_x)]
     # (-gain bound, x, lab, version[lab] when the bound was computed);
     # every (x, lab) still open sits in the heap exactly once.
-    heap = [(-len(cov.adj[xi]), xi, lab, 0) for xi in range(cov.n_x) for lab in range(k)]
+    heap = [(-masks[xi].bit_count(), xi, lab, 0) for xi in range(cov.n_x) for lab in range(k)]
     heapify(heap)
 
     def refresh(neg: int, xi: int, lab: int, ver: int) -> int:

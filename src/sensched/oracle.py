@@ -20,7 +20,7 @@ from itertools import combinations
 from .coverage import build_detection
 from .errors import InputError, SearchSpaceError, VerificationError
 from .graph import NetworkGraph, all_edge_targets
-from .schedule import Labeling, ProblemInstance, score as score_labeling
+from .schedule import Labeling, ProblemInstance, ScheduleReport, score as score_labeling
 
 DEFAULT_SPACE_LIMIT = 10_000_000
 
@@ -32,6 +32,7 @@ class OracleResult:
     optimal: tuple[Labeling, ...]
     space: int
     truncated: bool
+    report: ScheduleReport  # schedule.score of optimal[0]
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,8 @@ def exact_optimal_schedule(
     enumeration: optima in lexicographic order over (device, label-set
     rank), those beyond max_optima dropped and flagged via `truncated`.
     The first optimum is re-scored with `schedule.score`; a different
-    potential raises VerificationError.
+    potential raises VerificationError, and the result carries that
+    report.
     """
     cov = inst.coverage
     n_actions = math.comb(inst.k, inst.sigma)
@@ -149,11 +151,11 @@ def exact_optimal_schedule(
         )
 
     search = _branch_and_bound(inst, floor=-1, max_optima=max_optima)
-    rescored = score_labeling(inst, search.optima[0]).potential
-    if rescored != search.best:
+    report = score_labeling(inst, search.optima[0])
+    if report.potential != search.best:
         raise VerificationError(
             f"oracle potential {search.best} differs from the re-scored "
-            f"potential {rescored} of its first optimum"
+            f"potential {report.potential} of its first optimum"
         )
     return OracleResult(
         best_score=Fraction(search.best, inst.k * cov.n_y),
@@ -161,6 +163,7 @@ def exact_optimal_schedule(
         optimal=search.optima,
         space=space,
         truncated=search.truncated,
+        report=report,
     )
 
 

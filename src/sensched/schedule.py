@@ -127,15 +127,15 @@ def score(inst: ProblemInstance, labeling: Labeling) -> ScheduleReport:
 
     Computes the per-slot form (sum over slots of covered Y counts, the
     OR of the active devices' `cov.masks`) and, independently, the
-    label-set form (sum over y of covered slot counts: walking `cov.adj`,
-    each device ORs its k-bit label mask into the entry of every y it
-    covers); the two are always equal, and a mismatch raises
-    VerificationError.
+    label-set form (sum over y of covered slot counts: walking
+    `cov.iter_adj()`, each device ORs its k-bit label mask into the entry
+    of every y it covers); the two are always equal, and a mismatch
+    raises VerificationError.
     """
     validate_labeling(inst, labeling)
     cov = inst.coverage
     slots_of_y = [0] * cov.n_y
-    for ys, labels in zip(cov.adj, labeling.by_x):
+    for ys, labels in zip(cov.iter_adj(), labeling.by_x):
         bits = sum(1 << lab for lab in labels)
         for y in ys:
             slots_of_y[y] |= bits

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from sensched import domination, instance, oracle
+from sensched import cli, domination, instance, oracle, schedule
 from sensched.cli import main
 from sensched.domination import ConfigCheck
 
@@ -73,6 +73,34 @@ def test_oracle_rescore_mismatch_exits_2(runner, monkeypatch):
     result = runner.invoke(main, ["schedule", PATH4, "--solver", "oracle"])
     assert result.exit_code == 2
     assert "verification failed: oracle potential 0 differs" in result.output
+
+
+ORACLE_PATH4_LABELING = (
+    "# objective: detection\n# k: 2\n# sigma: 1\n# per-slot-covered: 2,2\n"
+    "# potential: 4\n# score: 2/3 (0.666667)\n2: 1\n3: 2\n"
+)
+
+
+def test_oracle_job_scores_once(runner, monkeypatch, tmp_path):
+    real, calls = schedule.score, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (cli, oracle, schedule):
+        for attr, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, attr, counted)
+    out = tmp_path / "oracle.labeling"
+    head = "D = 2/3 (0.666667)  optima: 2  space: 4\n"
+    for extra, stdout in (([], head + ORACLE_PATH4_LABELING), (["--out", str(out)], head)):
+        calls.clear()
+        result = runner.invoke(main, ["schedule", PATH4, "--solver", "oracle", *extra])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+        assert result.output == stdout
+    assert out.read_text() == ORACLE_PATH4_LABELING
 
 
 def test_schedule_all_solvers_agree_on_fixture(runner):

@@ -174,6 +174,22 @@ def test_too_many_pairs_refused(path4, monkeypatch, tmp_path):
     assert "3 target pairs" in result.output and "limit 2" in result.output
 
 
+def test_too_many_coverage_edges_refused(path4, monkeypatch, tmp_path):
+    # device 1 sees e:1-2 of three edge targets: 1 * (3 - 1) edges
+    monkeypatch.setattr(coverage, "EDGE_LIMIT", 2)
+    assert build_isolation(path4, [0], all_edge_targets(path4), 1).n_edges == 2
+    monkeypatch.setattr(coverage, "EDGE_LIMIT", 1)
+    with pytest.raises(SearchSpaceError, match="2 coverage edges.*limit 1"):
+        build_isolation(path4, [0], all_edge_targets(path4), 1)
+    text = (INSTANCES / "path4.instance").read_text()
+    inst = tmp_path / "iso.instance"
+    inst.write_text(text.replace("objective: detection", "objective: isolation"))
+    monkeypatch.setattr(coverage, "EDGE_LIMIT", 3)
+    result = CliRunner().invoke(main, ["build-coverage", str(inst)])
+    assert result.exit_code == 3
+    assert "4 coverage edges" in result.output and "limit 3" in result.output
+
+
 def test_restrict_x(path4):
     cov = build_detection(path4, [0, 1, 2, 3], all_edge_targets(path4), 1)
     sub = restrict_x(cov, [1, 2])
@@ -215,6 +231,40 @@ def test_isolation_and_restrict_x_match_brute_force():
             assert sub == direct
             assert sub.rev == direct.rev and sub.masks == direct.masks
     assert mixed >= 10
+
+
+def test_isolation_views_match_brute_force():
+    """masks, adj, y_keys and y_items, derived from the rows, against the definitions."""
+    rng = derive_rng(13, "isolation-views")
+    cases = dict.fromkeys(("m2", "blind", "sees_all", "duplicates", "restricted"), 0)
+    compared = 0
+    while compared < 120:
+        n = rng.randint(2, 7)
+        g = random_graph(rng, n, rng.random())
+        pool = all_node_targets(g) + all_edge_targets(g)
+        targets = rng.choices(pool, k=rng.randint(2, min(len(pool), 4) + 3))
+        if len(set(targets)) < 2:
+            continue
+        sensors = rng.sample(range(n), rng.randint(1, n))
+        r = rng.randint(0, 3)
+        adj, keys, items, _ = brute_isolation(g, sensors, targets, r)
+        cov = build_isolation(g, sensors, targets, r)
+        keep = sorted(rng.sample(range(cov.n_x), rng.randint(1, cov.n_x)))
+        views = [(cov, adj), (restrict_x(cov, keep), tuple(adj[xi] for xi in keep))]
+        for view, want in views:
+            assert view.masks == tuple(sum(1 << y for y in ys) for ys in want)
+            assert view.n_y == len(items) and view.n_edges == sum(map(len, want))
+            assert not {"adj", "y_keys", "y_items"} & set(vars(view))
+            assert [frozenset(ys) for ys in view.iter_adj()] == list(want)
+            assert (view.adj, view.y_keys, view.y_items) == (want, keys, items)
+        m = len(set(targets))
+        compared += 1
+        cases["m2"] += m == 2
+        cases["blind"] += any(not c for c in cov.covers)
+        cases["sees_all"] += any(len(c) == m for c in cov.covers)
+        cases["duplicates"] += len(targets) > m
+        cases["restricted"] += len(keep) < cov.n_x
+    assert min(cases.values()) >= 10, cases
 
 
 def test_detection_matches_brute_force():
@@ -277,5 +327,6 @@ def test_solvers_never_build_rev(path4, build):
         inst = fresh()
         call(inst)
         call(shared)
-        assert "rev" not in vars(inst.coverage)
-        assert "rev" not in vars(shared.coverage)
+        for cov in (inst.coverage, shared.coverage):
+            assert "masks" in vars(cov)
+            assert not {"rev", "y_items", "y_keys", "adj"} & set(vars(cov))
