@@ -111,6 +111,8 @@ def schedule_cmd(
     out: str | None,
 ) -> None:
     """Solve one instance and emit the labeling plus its report."""
+    if solver == "oracle" and trace_path:
+        raise InputError("--trace needs --solver greedy or blll")
     spec = instance.load_instance(instance_file)
     _, inst = instance.build_problem(spec)
     letter = SCORE_LETTER[inst.objective]

@@ -301,7 +301,7 @@ def restrict_x(cov: CoverageGraph, x_indices: Iterable[int]) -> CoverageGraph:
 def to_adjacency_text(cov: CoverageGraph) -> str:
     """Canonical one-line-per-device adjacency listing for golden files."""
     lines = []
-    for xi in range(cov.n_x):
-        keys = ",".join(cov.y_keys[y] for y in sorted(cov.adj[xi]))
-        lines.append(f"{cov.x_names[xi]}: {keys}".rstrip())
+    for name, ys in zip(cov.x_names, cov.iter_adj()):
+        keys = ",".join(cov.y_keys[y] for y in sorted(ys))
+        lines.append(f"{name}: {keys}".rstrip())
     return "\n".join(lines) + "\n"

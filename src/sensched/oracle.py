@@ -1,13 +1,19 @@
 """Exact ground-truth solvers for tiny instances.
 
-`exact_optimal_schedule` is a depth-first branch and bound over the
-whole labeling space (Land and Doig, 1960): a subtree is cut only when
-a bound on its best potential falls strictly below the best found so
-far, so every optimal labeling is still visited, in lexicographic
-order. It is the reference every heuristic is measured against, and the
-same search proves or refutes (k, sigma) label configurations in
-`domination.search_config`. All comparisons are exact (integers and
-fractions); there is no floating point anywhere on this path.
+`exact_optimal_schedule` runs a depth-first branch and bound (Land and
+Doig, 1960) over the labeling space in two passes. The objective does
+not change when the k slots are permuted, so the value pass walks only
+canonical labelings, whose labels enter in order (a value-symmetry break
+for interchangeable values), and finds the best potential. The
+lexicographic pass walks the whole space with that potential as its
+floor and stops once the optima list can no longer change. A subtree is
+cut only when it cannot change the result, so the optima, their
+lexicographic order and the truncation flag are those of enumerating
+every labeling. It is the reference every heuristic is measured
+against, and the same search proves or refutes (k, sigma) label
+configurations in `domination.search_config`. All comparisons are exact
+(integers and fractions); there is no floating point anywhere on this
+path.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ class _SearchResult:
     optima: tuple[Labeling, ...]
     truncated: bool
     capped: bool  # the node cap stopped the walk; nothing is proven
+    nodes: int  # label sets tried
 
 
 def _branch_and_bound(
@@ -49,6 +56,8 @@ def _branch_and_bound(
     max_optima: int,
     node_cap: float = math.inf,
     first: bool = False,
+    settle: bool = False,
+    canonical: bool = False,
 ) -> _SearchResult:
     """Depth-first search over exactly-sigma labelings in lexicographic order.
 
@@ -61,50 +70,66 @@ def _branch_and_bound(
     is strictly below the best so far, where R_x is the OR of the masks of
     devices x.. and covered_j is slot j's covered set. Each term caps
     what devices x.. can still add, so no labeling that ties the best is
-    ever cut. With `first`, the walk stops at the first labeling that
-    reaches the floor. Each label set tried counts one node; past
-    node_cap the walk stops and `capped` is set.
+    cut while a tie can still change the result; once `truncated` is set
+    only a strictly better labeling can, and the cut is one tighter.
+
+    With `first`, the walk stops at the first labeling that reaches the
+    floor. With `settle` (the floor is the optimum), it stops at the first
+    tie that finds the optima list full: nothing after it can change the
+    result. With `canonical`, only labelings whose labels enter in order
+    are walked: when devices before x use exactly labels 0..m-1, the new
+    labels of device x must be m, m+1, ... Every labeling is a slot
+    permutation of such a canonical one with the same potential, so the
+    best potential is that of the whole space, but the optima are not.
+    Each label set tried counts one node; past node_cap the walk stops
+    and `capped` is set.
     """
     cov = inst.coverage
-    n = cov.n_x
-    actions = list(combinations(range(inst.k), inst.sigma))
+    n, k = cov.n_x, inst.k
+    actions = list(combinations(range(k), inst.sigma))
+    # choices[m]: with labels 0..m-1 in use, each label set after which
+    # the labels in use are again 0..m'-1, with that m'; for m = k, all
+    choices = []
+    for m in range(k + 1):
+        after = ((a, m + sum(lab >= m for lab in a)) for a in actions)
+        choices.append([(a, m_after) for a, m_after in after if a[-1] < m_after])
     masks = cov.masks
     reach = [0] * (n + 1)  # OR of masks[x:]
     room = [0] * (n + 1)  # sigma * sum of |masks[x']| for x' >= x
     for x in range(n - 1, -1, -1):
         reach[x] = reach[x + 1] | masks[x]
         room[x] = room[x + 1] + inst.sigma * masks[x].bit_count()
-    covered = [0] * inst.k  # per slot: bitset of the Y elements covered so far
+    covered = [0] * k  # per slot: bitset of the Y elements covered so far
     current: list[tuple[int, ...]] = [()] * n
     best = floor
     optima: list[tuple[tuple[int, ...], ...]] = []
     truncated = False
     nodes = 0
 
-    def walk(x: int, phi: int) -> bool:
-        """Search below device x; True stops the whole walk."""
+    def walk(x: int, phi: int, used: int) -> bool:
+        """Search below device x with labels 0..used-1 in use; True stops the walk."""
         nonlocal best, truncated, nodes
         if x == n:
             if phi > best:
                 best = phi
                 optima[:] = [tuple(current)]
                 truncated = False
-            elif phi == best:
-                if len(optima) < max_optima:
-                    optima.append(tuple(current))
-                else:
-                    truncated = True
-            else:
+            elif phi < best:
                 return False
+            elif len(optima) < max_optima:
+                optima.append(tuple(current))
+            else:
+                truncated = True
+                return settle
             return first
-        slack = best - phi
+        slack = best - phi + truncated
         if room[x] < slack:
             return False
         rest = reach[x]
         if sum((rest & ~c).bit_count() for c in covered) < slack:
             return False
         mask = masks[x]
-        for action in actions:
+        for action, now_used in choices[used]:
             nodes += 1
             if nodes > node_cap:
                 return True
@@ -114,16 +139,16 @@ def _branch_and_bound(
             for lab in action:
                 gain += (mask & ~covered[lab]).bit_count()
                 covered[lab] |= mask
-            stop = walk(x + 1, phi + gain)
+            stop = walk(x + 1, phi + gain, now_used)
             for lab, before in zip(action, saved):
                 covered[lab] = before
             if stop:
                 return True
         return False
 
-    walk(0, 0)
+    walk(0, 0, 0 if canonical else k)
     labelings = tuple(Labeling(tuple(map(frozenset, a))) for a in optima)
-    return _SearchResult(best, labelings, truncated, nodes > node_cap)
+    return _SearchResult(best, labelings, truncated, nodes > node_cap, nodes)
 
 
 def exact_optimal_schedule(
@@ -134,8 +159,13 @@ def exact_optimal_schedule(
     """Best score and optimal labelings of the exactly-sigma labelings.
 
     The space has C(k, sigma)^|X| points; anything above `limit` is
-    refused with the size in the message. The branch and bound cuts only
-    subtrees that cannot tie the best, so the result is that of full
+    refused with the size in the message. The search runs in two passes
+    of the branch and bound. The value pass walks the canonical
+    labelings only (labels enter in order), which finds the best
+    potential without its up to k! slot permutations. The lexicographic
+    pass then walks the whole space with that potential as its floor and
+    stops at the first tie past max_optima optima. Both cut only
+    subtrees that cannot change the result, so it is that of full
     enumeration: optima in lexicographic order over (device, label-set
     rank), those beyond max_optima dropped and flagged via `truncated`.
     The first optimum is re-scored with `schedule.score`; a different
@@ -150,7 +180,8 @@ def exact_optimal_schedule(
             f"search space {n_actions}^{cov.n_x} = {space} exceeds limit {limit}"
         )
 
-    search = _branch_and_bound(inst, floor=-1, max_optima=max_optima)
+    value = _branch_and_bound(inst, floor=-1, max_optima=1, canonical=True).best
+    search = _branch_and_bound(inst, floor=value, max_optima=max_optima, settle=True)
     report = score_labeling(inst, search.optima[0])
     if report.potential != search.best:
         raise VerificationError(

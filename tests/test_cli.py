@@ -164,6 +164,16 @@ def test_schedule_greedy_trace_csv(runner, tmp_path):
     assert len(lines) == 3  # two devices, sigma 1
 
 
+def test_schedule_oracle_rejects_trace(runner, tmp_path):
+    trace = tmp_path / "oracle.csv"
+    result = runner.invoke(
+        main, ["schedule", PATH4, "--solver", "oracle", "--trace", str(trace)]
+    )
+    assert result.exit_code == 1
+    assert "--trace needs --solver greedy or blll" in result.output
+    assert not trace.exists()
+
+
 def test_schedule_oracle_refusal_exit_code(runner, tmp_path):
     text = Path(PETERSEN).read_text().replace("k: 5", "k: 12").replace("sigma: 2", "sigma: 6")
     inst = tmp_path / "big.instance"

@@ -153,6 +153,17 @@ def test_adjacency_text_isolation_golden(path4):
     )
 
 
+def test_adjacency_text_keeps_no_isolation_adjacency(path4):
+    # each line is written from iter_adj, so no device's pair set outlives it
+    cov = build_isolation(path4, [0, 1, 2, 3], all_edge_targets(path4), 1)
+    text = to_adjacency_text(cov)
+    assert "adj" not in vars(cov)
+    assert text.splitlines() == [
+        f"{cov.x_names[x]}: {','.join(cov.y_keys[y] for y in sorted(ys))}".rstrip()
+        for x, ys in enumerate(cov.adj)
+    ]
+
+
 def test_pair_canonicalization():
     a, b = Target("node", 2), Target("node", 1)
     assert TargetPair.of(a, b) == TargetPair.of(b, a)

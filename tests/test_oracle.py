@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
 
+from sensched import oracle
 from sensched.coverage import build_detection
 from sensched.errors import InputError, SearchSpaceError
 from sensched.game import BlllParams, blll_schedule
@@ -74,6 +76,72 @@ def test_oracle_matches_brute_force_enumeration():
                 assert list(result.optimal) == want[:max_optima]
                 assert result.truncated == (len(want) > max_optima)
     assert objectives == {"detection", "isolation"}
+
+
+def test_canonical_value_pass_matches_brute_force():
+    # walking only the labelings whose labels enter in order must still
+    # reach the best potential of the whole space
+    rng = derive_rng(45, "oracle-canonical")
+    checked = 0
+    objectives = set()
+    while checked < 60:
+        base = random_instance(rng, max_nodes=8, max_k=5)
+        if not 8 <= math.comb(base.k, base.sigma) ** base.coverage.n_x <= 5000:
+            continue
+        checked += 1
+        for k, sigma in ((base.k, base.sigma), (1, 1), (base.k, 1), (base.k, base.k)):
+            inst = ProblemInstance(base.coverage, k=k, sigma=sigma)
+            objectives.add(inst.objective)
+            best, _ = brute_best_labeling(inst.coverage, k, sigma)
+            search = oracle._branch_and_bound(inst, floor=-1, max_optima=1, canonical=True)
+            assert Fraction(search.best, k * inst.coverage.n_y) == best
+    assert objectives == {"detection", "isolation"}
+
+
+def _renamed_by_first_use(labeling):
+    first_use = {}
+    return tuple((first_use.setdefault(a, len(first_use)),) for (a,) in labeling)
+
+
+def test_canonical_walk_lists_labelings_whose_labels_enter_in_order():
+    # no device covers the target, so nothing is cut and, with room for
+    # every optimum, the walk lists each canonical labeling it visits
+    g = NetworkGraph(["1", "2", "3", "4", "5"], [("1", "2"), ("2", "3"), ("4", "5")])
+    cov = build_detection(g, range(4), [all_node_targets(g)[4]], 0)
+    for k, sigma in ((3, 1), (4, 1), (3, 2), (4, 2)):
+        inst = ProblemInstance(cov, k=k, sigma=sigma)
+        search = oracle._branch_and_bound(inst, floor=-1, max_optima=10**6, canonical=True)
+        listed = [tuple(tuple(sorted(labels)) for labels in o.by_x) for o in search.optima]
+        everything = list(product(combinations(range(k), sigma), repeat=cov.n_x))
+        if sigma == 1:  # exactly one labeling per partition of the devices
+            assert listed == sorted({_renamed_by_first_use(a) for a in everything})
+        # every labeling is a slot permutation of a listed one
+        kept = set(listed)
+        for labeling in everything:
+            assert any(
+                tuple(tuple(sorted(p[a] for a in action)) for action in labeling) in kept
+                for p in permutations(range(k))
+            )
+
+
+def test_oracle_passes_visit_few_nodes(petersen, monkeypatch):
+    # 7 Petersen sensors, k = 5, sigma = 2: 10^7 labelings, the default
+    # limit; one lexicographic walk over all slot permutations took
+    # 1,409,080 nodes. Node counts are deterministic.
+    search, runs = oracle._branch_and_bound, []
+
+    def recorded(*args, **kwargs):
+        runs.append(search(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(oracle, "_branch_and_bound", recorded)
+    cov = build_detection(petersen, range(7), all_node_targets(petersen), 1)
+    result = exact_optimal_schedule(ProblemInstance(cov, k=5, sigma=2))
+    assert result.space == 10**7
+    assert result.best_score == Fraction(9, 10)
+    assert len(result.optimal) == 64 and result.truncated
+    assert len(runs) == 2
+    assert sum(run.nodes for run in runs) < 200_000
 
 
 def test_oracle_truncation_resets_on_a_better_potential():
