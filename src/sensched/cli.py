@@ -365,10 +365,11 @@ def rand_experiment_cmd(
 
     header = ["k", "sigma", "closed_form", "empirical_mean", "stderr", "trials"]
     rows = []
+    cov = randnet.node_coverage(g)
     for k in range(lo, hi + 1):
         stats = randnet.simulate_random_schedule(
             g, k, sigma, trials=trials,
-            seed=derive_seed(seed, "row", k), workers=workers,
+            seed=derive_seed(seed, "row", k), workers=workers, coverage=cov,
         )
         rows.append(
             [k, sigma, _fmt(closed(k)), _fmt(stats.mean), _fmt(stats.stderr), trials]

@@ -1,19 +1,18 @@
 """Exact ground-truth solvers for tiny instances.
 
-`exact_optimal_schedule` runs a depth-first branch and bound (Land and
-Doig, 1960) over the labeling space in two passes. The objective does
-not change when the k slots are permuted, so the value pass walks only
-canonical labelings, whose labels enter in order (a value-symmetry break
-for interchangeable values), and finds the best potential. The
-lexicographic pass walks the whole space with that potential as its
-floor and stops once the optima list can no longer change. A subtree is
-cut only when it cannot change the result, so the optima, their
-lexicographic order and the truncation flag are those of enumerating
-every labeling. It is the reference every heuristic is measured
-against, and the same search proves or refutes (k, sigma) label
-configurations in `domination.search_config`. All comparisons are exact
-(integers and fractions); there is no floating point anywhere on this
-path.
+`exact_optimal_schedule` runs one depth-first branch and bound (Land and
+Doig, 1960) over the canonical labelings, whose labels enter in order (a
+value-symmetry break for interchangeable values): the objective does not
+change when the k slots are permuted, so this finds the best potential
+and the first canonical optima. The optima of the whole space, in
+lexicographic order, are then listed as the slot permutations of those
+canonical optima, which needs no scoring. A subtree is cut only when it
+cannot change the result, so the optima, their lexicographic order and
+the truncation flag are those of enumerating every labeling. It is the
+reference every heuristic is measured against, and the same search
+proves or refutes (k, sigma) label configurations in
+`domination.search_config`. All comparisons are exact (integers and
+fractions); there is no floating point anywhere on this path.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ def _branch_and_bound(
     max_optima: int,
     node_cap: float = math.inf,
     first: bool = False,
-    settle: bool = False,
     canonical: bool = False,
 ) -> _SearchResult:
     """Depth-first search over exactly-sigma labelings in lexicographic order.
@@ -74,13 +72,13 @@ def _branch_and_bound(
     only a strictly better labeling can, and the cut is one tighter.
 
     With `first`, the walk stops at the first labeling that reaches the
-    floor. With `settle` (the floor is the optimum), it stops at the first
-    tie that finds the optima list full: nothing after it can change the
-    result. With `canonical`, only labelings whose labels enter in order
+    floor. With `canonical`, only labelings whose labels enter in order
     are walked: when devices before x use exactly labels 0..m-1, the new
     labels of device x must be m, m+1, ... Every labeling is a slot
     permutation of such a canonical one with the same potential, so the
-    best potential is that of the whole space, but the optima are not.
+    best potential is that of the whole space, and the optima are the
+    first canonical optima in lexicographic order (`_slot_permutations`
+    lists the labelings they stand for).
     Each label set tried counts one node; past node_cap the walk stops
     and `capped` is set.
     """
@@ -120,7 +118,7 @@ def _branch_and_bound(
                 optima.append(tuple(current))
             else:
                 truncated = True
-                return settle
+                return False
             return first
         slack = best - phi + truncated
         if room[x] < slack:
@@ -151,6 +149,50 @@ def _branch_and_bound(
     return _SearchResult(best, labelings, truncated, nodes > node_cap, nodes)
 
 
+def _slot_permutations(
+    canonical: tuple[Labeling, ...], n: int, k: int, sigma: int, limit: int
+) -> list[Labeling]:
+    """The first `limit` labelings, in order, whose renaming is in `canonical`.
+
+    A labeling is renamed by first use: a label keeps its new name once
+    used, and the unused labels of a device take the next unused names in
+    increasing order. The walk tries the label sets of each device in
+    combinations(range(k), sigma) order and extends a prefix only while
+    its renaming is a prefix of a canonical labeling, so every prefix it
+    extends leads to a labeling it lists, and nothing is scored.
+    """
+    trie: dict = {}
+    for labeling in canonical:
+        node = trie
+        for labels in labeling.by_x:
+            node = node.setdefault(labels, {})
+    actions = [(a, frozenset(a)) for a in combinations(range(k), sigma)]
+    name = [-1] * k  # each label's name, -1 while unused
+    current: list[frozenset[int]] = [frozenset()] * n
+    found: list[Labeling] = []
+
+    def walk(x: int, node: dict, used: int) -> bool:
+        """Extend below device x with names 0..used-1 taken; True stops the walk."""
+        if x == n:
+            found.append(Labeling(tuple(current)))
+            return len(found) == limit
+        for action, labels in actions:
+            new = [lab for lab in action if name[lab] < 0]
+            for i, lab in enumerate(new):
+                name[lab] = used + i
+            child = node.get(frozenset(name[lab] for lab in action))
+            if child is not None:
+                current[x] = labels
+                if walk(x + 1, child, used + len(new)):
+                    return True
+            for lab in new:
+                name[lab] = -1
+        return False
+
+    walk(0, trie, 0)
+    return found
+
+
 def exact_optimal_schedule(
     inst: ProblemInstance,
     limit: int = DEFAULT_SPACE_LIMIT,
@@ -159,18 +201,19 @@ def exact_optimal_schedule(
     """Best score and optimal labelings of the exactly-sigma labelings.
 
     The space has C(k, sigma)^|X| points; anything above `limit` is
-    refused with the size in the message. The search runs in two passes
-    of the branch and bound. The value pass walks the canonical
-    labelings only (labels enter in order), which finds the best
-    potential without its up to k! slot permutations. The lexicographic
-    pass then walks the whole space with that potential as its floor and
-    stops at the first tie past max_optima optima. Both cut only
-    subtrees that cannot change the result, so it is that of full
-    enumeration: optima in lexicographic order over (device, label-set
-    rank), those beyond max_optima dropped and flagged via `truncated`.
-    The first optimum is re-scored with `schedule.score`; a different
-    potential raises VerificationError, and the result carries that
-    report.
+    refused with the size in the message. One pass of the branch and
+    bound walks the canonical labelings only (labels enter in order); it
+    finds the best potential without its up to k! slot permutations and
+    keeps the first max_optima canonical optima. Renaming a labeling's
+    labels by first use gives its canonical form, which has the same
+    potential and is never later in lexicographic order, so each of the
+    first max_optima optima of the whole space is a slot permutation of a
+    kept canonical optimum; `_slot_permutations` lists them in order
+    without scoring. The result is that of full enumeration: optima in
+    lexicographic order over (device, label-set rank), those beyond
+    max_optima dropped and flagged via `truncated`. The first optimum is
+    re-scored with `schedule.score`; a different potential raises
+    VerificationError, and the result carries that report.
     """
     cov = inst.coverage
     n_actions = math.comb(inst.k, inst.sigma)
@@ -180,9 +223,16 @@ def exact_optimal_schedule(
             f"search space {n_actions}^{cov.n_x} = {space} exceeds limit {limit}"
         )
 
-    value = _branch_and_bound(inst, floor=-1, max_optima=1, canonical=True).best
-    search = _branch_and_bound(inst, floor=value, max_optima=max_optima, settle=True)
-    report = score_labeling(inst, search.optima[0])
+    search = _branch_and_bound(inst, floor=-1, max_optima=max_optima, canonical=True)
+    # One labeling past max_optima sets `truncated`, and the walk alone
+    # decides it: if the canonical pass overflowed, swapping labels
+    # sigma-1 and sigma in each kept optimum gives another labeling that
+    # renames back into it (sigma < k whenever two labelings exist), so
+    # the walk finds twice as many.
+    optima = _slot_permutations(
+        search.optima, cov.n_x, inst.k, inst.sigma, max_optima + 1
+    )
+    report = score_labeling(inst, optima[0])
     if report.potential != search.best:
         raise VerificationError(
             f"oracle potential {search.best} differs from the re-scored "
@@ -191,9 +241,9 @@ def exact_optimal_schedule(
     return OracleResult(
         best_score=Fraction(search.best, inst.k * cov.n_y),
         best_potential=search.best,
-        optimal=search.optima,
+        optimal=tuple(optima[:max_optima]),
         space=space,
-        truncated=search.truncated,
+        truncated=len(optima) > max_optima,
         report=report,
     )
 

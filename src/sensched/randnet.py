@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coverage import build_detection
+from .coverage import CoverageGraph, build_detection
 from .errors import InputError
 from .graph import NetworkGraph, all_node_targets
 from .schedule import Labeling, ProblemInstance, score
@@ -215,6 +215,12 @@ def _sim_trial(trial: int) -> Fraction:
     return score(inst, labeling).score
 
 
+def node_coverage(g: NetworkGraph, range_limit: int = 1) -> CoverageGraph:
+    """Detection coverage of the random-scheduling model: every node hosts
+    a device and is a target."""
+    return build_detection(g, range(g.node_count), all_node_targets(g), range_limit)
+
+
 def simulate_random_schedule(
     g: NetworkGraph,
     k: int,
@@ -223,6 +229,8 @@ def simulate_random_schedule(
     trials: int = 100,
     seed: int = 0,
     workers: int = 1,
+    *,
+    coverage: CoverageGraph | None = None,
 ) -> RandomScheduleStats:
     """Empirical score of uniform random sigma-of-k activation.
 
@@ -230,6 +238,9 @@ def simulate_random_schedule(
     independent uniform sigma-subset per node; trial seeds derive from
     (seed, trial index), so results do not depend on worker count. The
     closed forms assume range 1; other ranges run but are flagged.
+    `coverage`, when given, must be `node_coverage(g, range_limit)`: a
+    caller simulating several k on one graph builds it (and its masks)
+    once.
     """
     _check_k_sigma(k, sigma)
     if trials < 1:
@@ -241,8 +252,9 @@ def simulate_random_schedule(
             RuntimeWarning,
             stacklevel=2,
         )
-    cov = build_detection(g, range(g.node_count), all_node_targets(g), range_limit)
-    inst = ProblemInstance(cov, k=k, sigma=sigma)
+    if coverage is None:
+        coverage = node_coverage(g, range_limit)
+    inst = ProblemInstance(coverage, k=k, sigma=sigma)
 
     if workers <= 1:
         _sim_init(inst, seed)

@@ -4,9 +4,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from sensched import cli, domination, instance, oracle, schedule
+from sensched import cli, domination, instance, oracle, randnet, schedule
 from sensched.cli import main
 from sensched.domination import ConfigCheck
+from sensched.seeds import derive_seed
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 PATH4 = str(INSTANCES / "path4.instance")
@@ -296,6 +297,34 @@ def test_rand_experiment_csv_and_determinism(runner, tmp_path):
     assert lines[0] == "k,sigma,closed_form,empirical_mean,stderr,trials"
     assert len(lines) == 4
     assert lines[1].startswith("2,2,1,1,0,")  # sigma == k row
+
+
+def test_rand_experiment_builds_coverage_once(runner, monkeypatch):
+    # one coverage, and so one set of masks, serves every k of the range;
+    # each row equals a simulation that builds its own
+    real, builds = randnet.build_detection, []
+
+    def counted(*args, **kwargs):
+        builds.append(real(*args, **kwargs))
+        return builds[-1]
+
+    monkeypatch.setattr(randnet, "build_detection", counted)
+    result = runner.invoke(main, [
+        "rand-experiment", "--family", "er", "--n", "60", "--p", "0.08",
+        "--k-range", "3..5", "--sigma", "2", "--trials", "6", "--seed", "9",
+    ])
+    assert result.exit_code == 0
+    assert len(builds) == 1
+    g = randnet.gen_erdos_renyi(randnet.ErdosRenyiSpec(n=60, p=0.08, seed=9))
+    rows = [line.split(",") for line in result.output.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["3", "4", "5"]
+    for row in rows:
+        k = int(row[0])
+        stats = randnet.simulate_random_schedule(
+            g, k, 2, trials=6, seed=derive_seed(9, "row", k)
+        )
+        assert row[3:5] == [cli._fmt(stats.mean), cli._fmt(stats.stderr)]
+    assert len(builds) == 4
 
 
 def test_rand_experiment_validates_range(runner):

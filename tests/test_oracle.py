@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from pathlib import Path
 
 import pytest
@@ -127,7 +127,8 @@ def test_canonical_walk_lists_labelings_whose_labels_enter_in_order():
 def test_oracle_passes_visit_few_nodes(petersen, monkeypatch):
     # 7 Petersen sensors, k = 5, sigma = 2: 10^7 labelings, the default
     # limit; one lexicographic walk over all slot permutations took
-    # 1,409,080 nodes. Node counts are deterministic.
+    # 1,409,080 nodes, and a canonical value pass followed by that walk
+    # cut short at the 65th tie took 130,562. Node counts are deterministic.
     search, runs = oracle._branch_and_bound, []
 
     def recorded(*args, **kwargs):
@@ -140,8 +141,29 @@ def test_oracle_passes_visit_few_nodes(petersen, monkeypatch):
     assert result.space == 10**7
     assert result.best_score == Fraction(9, 10)
     assert len(result.optimal) == 64 and result.truncated
-    assert len(runs) == 2
-    assert sum(run.nodes for run in runs) < 200_000
+    assert len(runs) == 1
+    assert runs[0].nodes < 50_000
+
+
+def test_oracle_all_ties_lists_the_first_optima_cheaply(monkeypatch):
+    # 7 devices that each cover only their own node: all 10^7 labelings
+    # tie, so the optima are the first 64 of the whole space, and the
+    # search must stop once it holds 64 canonical ones
+    search, runs = oracle._branch_and_bound, []
+
+    def recorded(*args, **kwargs):
+        runs.append(search(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(oracle, "_branch_and_bound", recorded)
+    g = NetworkGraph([str(i) for i in range(7)], [])
+    cov = build_detection(g, range(7), all_node_targets(g), 0)
+    result = exact_optimal_schedule(ProblemInstance(cov, k=5, sigma=2))
+    first = product(combinations(range(5), 2), repeat=7)
+    want = [Labeling(tuple(map(frozenset, a))) for a in islice(first, 64)]
+    assert list(result.optimal) == want
+    assert result.truncated and result.best_score == Fraction(2, 5)
+    assert sum(run.nodes for run in runs) < 1_000
 
 
 def test_oracle_truncation_resets_on_a_better_potential():
