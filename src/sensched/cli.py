@@ -196,68 +196,40 @@ def place_and_schedule_cmd(
     if spec.k is None or spec.sigma is None:
         raise InputError("instance file needs both `k` and `sigma`")
     inst = ProblemInstance(cov, k=spec.k, sigma=spec.sigma)
-    if devices > cov.n_x:
-        raise InputError(
-            f"cannot place {devices} devices on {cov.n_x} candidate sites"
-        )
     letter = SCORE_LETTER[inst.objective]
     params = game.BlllParams(epsilon=epsilon, iterations=iters, seed=seed)
 
-    joint_score = twostage_score = None
+    modes = {"blll-joint": ("joint",), "two-stage": ("two-stage",),
+             "both": ("joint", "two-stage")}[solver]
+    scores: dict[str, Fraction] = {}
     blocks: list[str] = []
-    if solver in ("blll-joint", "both"):
-        joint = game.blll_place_and_schedule(inst, devices, params)
-        joint_cov = restrict_x(cov, joint.best_sites)
-        joint_inst = ProblemInstance(joint_cov, k=inst.k, sigma=inst.sigma)
-        joint_report = score(joint_inst, joint.best_labeling)
-        joint_score = joint_report.score
-        click.echo(
-            f"joint: sites = {', '.join(joint_cov.x_names)}  "
-            f"{letter} = {format_score(joint_score)}"
-        )
+    for mode in modes:
+        if mode == "joint":
+            run = game.blll_place_and_schedule(inst, devices, params)
+            sub = dataclasses.replace(inst, coverage=restrict_x(cov, run.best_sites))
+            labeling = run.best_labeling
+        else:
+            picked = game.greedy_max_coverage_placement(cov, devices)
+            sub = dataclasses.replace(inst, coverage=restrict_x(cov, picked))
+            labeling = game.blll_schedule(sub, params).best_labeling
+        scores[mode] = score(sub, labeling).score
+        names = sub.coverage.x_names
+        shown = format_score(scores[mode])
+        click.echo(f"{mode}: sites = {', '.join(names)}  {letter} = {shown}")
         blocks.append(
             format_label_table(
-                joint_cov.x_names,
-                joint.best_labeling.by_x,
-                [
-                    "mode: joint",
-                    f"sites: {','.join(joint_cov.x_names)}",
-                    f"score: {format_score(joint_score)}",
-                ],
+                names,
+                labeling.by_x,
+                [f"mode: {mode}", f"sites: {','.join(names)}", f"score: {shown}"],
             )
         )
-    if solver in ("two-stage", "both"):
-        picked = game.greedy_max_coverage_placement(cov, devices)
-        stage_cov = restrict_x(cov, picked)
-        stage_inst = ProblemInstance(stage_cov, k=inst.k, sigma=inst.sigma)
-        stage_run = game.blll_schedule(stage_inst, params)
-        stage_report = score(stage_inst, stage_run.best_labeling)
-        twostage_score = stage_report.score
-        click.echo(
-            f"two-stage: sites = {', '.join(stage_cov.x_names)}  "
-            f"{letter} = {format_score(twostage_score)}"
-        )
-        blocks.append(
-            format_label_table(
-                stage_cov.x_names,
-                stage_run.best_labeling.by_x,
-                [
-                    "mode: two-stage",
-                    f"sites: {','.join(stage_cov.x_names)}",
-                    f"score: {format_score(twostage_score)}",
-                ],
-            )
-        )
-    if csv_path and joint_score is not None and twostage_score is not None:
+    if csv_path and len(scores) == 2:
         _write_csv(
             csv_path,
             ["k", "D_joint", "D_twostage"],
-            [[inst.k, _fmt(float(joint_score)), _fmt(float(twostage_score))]],
+            [[inst.k, _fmt(float(scores["joint"])), _fmt(float(scores["two-stage"]))]],
         )
-    if out:
-        Path(out).write_text("\n".join(blocks))
-    elif blocks:
-        click.echo("\n".join(blocks), nl=False)
+    _emit("\n".join(blocks), out)
 
 
 @main.command("lifetime")

@@ -1,12 +1,14 @@
 """Potential-game view of the labeling problem and its stochastic solvers.
 
-Players are devices; an action is an exactly-sigma set of slot labels
-(plus a location in placement mode). The global objective (the game's
-potential) is the number of covered (slot, Y-element) pairs; a player's
-utility is the number of such pairs for which it is the sole provider.
-A unilateral change in any player's action moves utility and potential
-by exactly the same integer amount, which is what lets noisy
-best-response dynamics climb the global objective.
+Players are devices; an action is a site (a candidate location) plus
+an exactly-sigma set of slot labels. Scheduling at fixed locations is
+the same game with every site taken, so no player can move. The global
+objective (the game's potential) is the number of covered
+(slot, Y-element) pairs; a player's utility is the number of such pairs
+for which it is the sole provider. A unilateral change in any player's
+action moves utility and potential by exactly the same integer amount,
+which is what lets noisy best-response dynamics climb the global
+objective.
 
 The solver is binary log-linear learning: repeatedly pick a random
 player and a random trial action, then switch with probability
@@ -24,8 +26,14 @@ from typing import Callable
 
 from .coverage import CoverageGraph
 from .errors import InputError, VerificationError
+from .greedy import greedy_schedule
 from .schedule import Labeling, ProblemInstance
 from .seeds import derive_rng
+
+# accepted moves between full recounts of the provider counts
+AUDIT_INTERVAL = 1000
+# above this many exactly-sigma label sets, trials swap a single label
+UNIFORM_PROPOSAL_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -43,9 +51,7 @@ class BlllParams:
     iterations: int = 20_000
     seed: int = 0
     trace_stride: int = 1
-    audit_interval: int = 1000
     raw_epsilon_rule: bool = False
-    uniform_proposal_limit: int = 1_000_000
     stop_at_potential: int | None = None
 
     def __post_init__(self) -> None:
@@ -60,18 +66,49 @@ class BlllParams:
         return math.log(self.epsilon) if self.raw_epsilon_rule else -math.log(self.epsilon)
 
 
+def _ripple_add(planes: list[int], mask: int) -> None:
+    """Add 1 at every bit of mask to the counts held as bit planes."""
+    carry = mask
+    for i, plane in enumerate(planes):
+        if not carry:
+            return
+        planes[i] = plane ^ carry
+        carry &= plane
+    if carry:
+        planes.append(carry)
+
+
+def _aligned(
+    sites: list[int], actions: list[frozenset[int]]
+) -> tuple[tuple[int, ...], Labeling]:
+    """Sorted sites and the labeling aligned to that order."""
+    ordered = sorted(zip(sites, actions))
+    return tuple(s for s, _ in ordered), Labeling(tuple(a for _, a in ordered))
+
+
+def _check_device_count(cov: CoverageGraph, device_count: int) -> None:
+    if device_count > cov.n_x:
+        raise InputError(
+            f"cannot place {device_count} devices on {cov.n_x} candidate sites"
+        )
+    if device_count < 1:
+        raise InputError("device_count must be >= 1")
+
+
 class GameState:
     """Mutable game position with incrementally maintained counters.
 
-    Per slot, the number of active providers of each Y element is kept
-    as bit planes over the Y bitsets of `cov.masks`: bit y of
-    planes[lab][i] is bit i of y's provider count in slot lab. Adding a
-    device is a ripple carry of its mask through the planes, removing
-    one is a borrow, and covered[lab] (the OR of the planes) holds the
-    Y elements with at least one provider. phi, the number of covered
-    (slot, y) pairs, is kept in lockstep with every move. In placement
-    mode each player additionally owns a distinct site (an index into
-    the candidate coverage's X side).
+    Each player owns a distinct site (an index into the coverage's X
+    side) and an action. Omitting `sites` puts one player on every site,
+    in site order: the fixed-location game, where every site is taken
+    and so no player can move. Per slot, the number of active providers
+    of each Y element is kept as bit planes over the Y bitsets of
+    `cov.masks`: bit y of planes[lab][i] is bit i of y's provider count
+    in slot lab. Adding a device is a ripple carry of its mask through
+    the planes, removing one is a borrow, and covered[lab] (the OR of
+    the planes) holds the Y elements with at least one provider. phi,
+    the number of covered (slot, y) pairs, is kept in lockstep with
+    every move.
     """
 
     def __init__(
@@ -86,33 +123,24 @@ class GameState:
         self.k = k
         self.sigma = sigma
         if sites is None:
-            if len(actions) != cov.n_x:
-                raise InputError("need one action per device")
-        else:
-            if len(sites) != len(actions):
-                raise InputError("need one site per player")
-            if len(set(sites)) != len(sites):
-                raise InputError("players must occupy distinct sites")
-            for s in sites:
-                if not 0 <= s < cov.n_x:
-                    raise InputError(f"unknown site index: {s}")
+            sites = range(cov.n_x)
+        if len(sites) != len(actions):
+            raise InputError("need one action per site")
+        if len(set(sites)) != len(sites):
+            raise InputError("players must occupy distinct sites")
+        for s in sites:
+            if not 0 <= s < cov.n_x:
+                raise InputError(f"unknown site index: {s}")
         for a in actions:
             self._check_action(a)
         self.actions = list(actions)
-        self.sites = list(sites) if sites is not None else None
+        self.sites = list(sites)
         # a count never exceeds the players, nor the devices that cover y:
         # ripple-add every mask once; len(totals) is the bit length of the
         # largest provider count
         totals: list[int] = []
         for mask in cov.masks:
-            carry = mask
-            for i, plane in enumerate(totals):
-                if not carry:
-                    break
-                totals[i] = plane ^ carry
-                carry &= plane
-            if carry:
-                totals.append(carry)
+            _ripple_add(totals, mask)
         self.n_planes = min(self.n_players.bit_length(), len(totals))
         self._rebuild()
 
@@ -120,8 +148,8 @@ class GameState:
         self.planes = [[0] * self.n_planes for _ in range(self.k)]
         self.covered = [0] * self.k
         self.phi = 0
-        for player, action in enumerate(self.actions):
-            self._add(self.site(player), action)
+        for x, action in zip(self.sites, self.actions):
+            self._add(x, action)
 
     def _check_action(self, action: frozenset[int]) -> None:
         if len(action) != self.sigma:
@@ -134,19 +162,16 @@ class GameState:
     def n_players(self) -> int:
         return len(self.actions)
 
-    def site(self, player: int) -> int:
-        return player if self.sites is None else self.sites[player]
+    def open_sites(self, player: int) -> list[int]:
+        """The player's own site plus the free ones, in increasing order."""
+        occupied = set(self.sites)
+        occupied.discard(self.sites[player])
+        return [s for s in range(self.cov.n_x) if s not in occupied]
 
     def _add(self, x: int, labels: frozenset[int]) -> None:
         mask = self.cov.masks[x]
         for lab in labels:
-            planes = self.planes[lab]
-            carry = mask
-            for i, plane in enumerate(planes):
-                if not carry:
-                    break
-                planes[i] = plane ^ carry
-                carry &= plane
+            _ripple_add(self.planes[lab], mask)
             self.phi += (mask & ~self.covered[lab]).bit_count()
             self.covered[lab] |= mask
 
@@ -174,7 +199,7 @@ class GameState:
 
     def utility(self, player: int) -> int:
         """Covered (slot, y) pairs this player alone provides."""
-        x, action = self.site(player), self.actions[player]
+        x, action = self.sites[player], self.actions[player]
         self._remove(x, action)
         alone = self.gain(x, action)
         self._add(x, action)
@@ -185,17 +210,15 @@ class GameState:
     ) -> None:
         """Unilateral deviation: replace the player's action (and site)."""
         self._check_action(labels)
-        new_site = self.site(player) if site is None else site
-        if self.sites is None and new_site != player:
-            raise InputError("fixed-location game: players cannot move site")
-        if self.sites is not None and new_site != self.sites[player]:
+        old_site = self.sites[player]
+        new_site = old_site if site is None else site
+        if new_site != old_site:
             if new_site in self.sites:
                 raise InputError(f"site {new_site} already occupied")
             if not 0 <= new_site < self.cov.n_x:
                 raise InputError(f"unknown site index: {new_site}")
-        self._remove(self.site(player), self.actions[player])
-        if self.sites is not None:
-            self.sites[player] = new_site
+        self._remove(old_site, self.actions[player])
+        self.sites[player] = new_site
         self.actions[player] = labels
         self._add(new_site, labels)
 
@@ -215,16 +238,12 @@ class GameState:
         return self.phi
 
     def labeling(self) -> Labeling:
-        if self.sites is not None:
-            raise InputError("placement games map to labelings via placement()")
-        return Labeling(tuple(self.actions))
+        """Label sets in site order (a fixed game's device order)."""
+        return self.placement()[1]
 
     def placement(self) -> tuple[tuple[int, ...], Labeling]:
         """Sorted occupied sites and the labeling aligned to that order."""
-        if self.sites is None:
-            raise InputError("not a placement game")
-        ordered = sorted(zip(self.sites, self.actions))
-        return tuple(s for s, _ in ordered), Labeling(tuple(a for _, a in ordered))
+        return _aligned(self.sites, self.actions)
 
 
 def random_state(cov: CoverageGraph, k: int, sigma: int, rng: Random) -> GameState:
@@ -237,12 +256,7 @@ def random_placement_state(
     cov: CoverageGraph, k: int, sigma: int, device_count: int, rng: Random
 ) -> GameState:
     """Uniform random distinct sites plus uniform label sets."""
-    if device_count > cov.n_x:
-        raise InputError(
-            f"cannot place {device_count} devices on {cov.n_x} candidate sites"
-        )
-    if device_count < 1:
-        raise InputError("device_count must be >= 1")
+    _check_device_count(cov, device_count)
     sites = rng.sample(range(cov.n_x), device_count)
     actions = [frozenset(rng.sample(range(k), sigma)) for _ in range(device_count)]
     return GameState(cov, k, sigma, actions, sites=sites)
@@ -278,7 +292,7 @@ def check_potential_identity(
     if not 0 <= player < state.n_players:
         raise InputError(f"unknown player: {player}")
     old_labels = state.actions[player]
-    old_site = state.site(player)
+    old_site = state.sites[player]
     u_before = state.utility(player)
     phi_before = state.recount()
     state.move(player, labels, site=site)
@@ -301,12 +315,12 @@ def _accept_probability(u_new: int, u_cur: int, log_base: float) -> float:
 
 
 def _propose_action(
-    rng: Random, k: int, sigma: int, current: frozenset[int], uniform_limit: int
+    rng: Random, k: int, sigma: int, current: frozenset[int]
 ) -> frozenset[int]:
     n_actions = math.comb(k, sigma)
     if n_actions == 1:
         return current
-    if n_actions <= uniform_limit:
+    if n_actions <= UNIFORM_PROPOSAL_LIMIT:
         while True:
             cand = frozenset(rng.sample(range(k), sigma))
             if cand != current:
@@ -346,47 +360,46 @@ def _run_chain(
     params: BlllParams,
     rng: Random,
     propose: Callable[[Random, GameState, int], tuple[int, frozenset[int]]],
-) -> tuple[list[tuple[int, int]], int, int, tuple]:
-    """Shared BLLL loop; propose() returns (site, labels) trials."""
+) -> tuple[list[tuple[int, int]], int, int, tuple[tuple[int, ...], Labeling]]:
+    """Shared BLLL loop; propose() returns (site, labels) trials.
+
+    Returns the trace, the best potential, the accepted-move count and
+    the best state seen as placement() gives it.
+    """
     log_base = params.log_base()
     trace: list[tuple[int, int]] = [(0, state.phi)]
     best_phi = state.phi
-    best_snapshot = (list(state.sites) if state.sites is not None else None,
-                     list(state.actions))
+    best_snapshot = (list(state.sites), list(state.actions))
     accepted = 0
     for i in range(1, params.iterations + 1):
         player = rng.randrange(state.n_players)
         old_labels = state.actions[player]
-        old_site = state.site(player)
+        old_site = state.sites[player]
         new_site, new_labels = propose(rng, state, player)
 
         state._remove(old_site, old_labels)
         u_cur = state.gain(old_site, old_labels)
         u_new = state.gain(new_site, new_labels)
         if rng.random() < _accept_probability(u_new, u_cur, log_base):
-            if state.sites is not None:
-                state.sites[player] = new_site
+            state.sites[player] = new_site
             state.actions[player] = new_labels
             state._add(new_site, new_labels)
             accepted += 1
-            if params.audit_interval and accepted % params.audit_interval == 0:
+            if accepted % AUDIT_INTERVAL == 0:
                 state.recount()
         else:
             state._add(old_site, old_labels)
 
         if state.phi > best_phi:
             best_phi = state.phi
-            best_snapshot = (
-                list(state.sites) if state.sites is not None else None,
-                list(state.actions),
-            )
+            best_snapshot = (list(state.sites), list(state.actions))
         if i % params.trace_stride == 0 or i == params.iterations:
             trace.append((i, state.phi))
         if params.stop_at_potential is not None and state.phi >= params.stop_at_potential:
             if trace[-1][0] != i:
                 trace.append((i, state.phi))
             break
-    return trace, best_phi, accepted, best_snapshot
+    return trace, best_phi, accepted, _aligned(*best_snapshot)
 
 
 def blll_schedule(inst: ProblemInstance, params: BlllParams | None = None) -> BlllResult:
@@ -402,16 +415,14 @@ def blll_schedule(inst: ProblemInstance, params: BlllParams | None = None) -> Bl
     state = random_state(cov, inst.k, inst.sigma, rng)
 
     def propose(r: Random, st: GameState, player: int) -> tuple[int, frozenset[int]]:
-        return player, _propose_action(
-            r, st.k, st.sigma, st.actions[player], params.uniform_proposal_limit
-        )
+        return st.sites[player], _propose_action(r, st.k, st.sigma, st.actions[player])
 
-    trace, best_phi, accepted, (_, best_actions) = _run_chain(
+    trace, best_phi, accepted, (_, best_labeling) = _run_chain(
         state, params, rng, propose
     )
     return BlllResult(
         labeling=state.labeling(),
-        best_labeling=Labeling(tuple(best_actions)),
+        best_labeling=best_labeling,
         final_potential=state.phi,
         best_potential=best_phi,
         trace=tuple(trace),
@@ -434,23 +445,20 @@ def blll_place_and_schedule(
     state = random_placement_state(cov, inst.k, inst.sigma, device_count, rng)
 
     def propose(r: Random, st: GameState, player: int) -> tuple[int, frozenset[int]]:
-        occupied = set(st.sites)
-        occupied.discard(st.sites[player])
-        candidates = [s for s in range(cov.n_x) if s not in occupied]
+        candidates = st.open_sites(player)
         new_site = candidates[r.randrange(len(candidates))]
         new_labels = frozenset(r.sample(range(st.k), st.sigma))
         return new_site, new_labels
 
-    trace, best_phi, accepted, (best_sites, best_actions) = _run_chain(
+    trace, best_phi, accepted, (best_sites, best_labeling) = _run_chain(
         state, params, rng, propose
     )
     sites, labeling = state.placement()
-    ordered = sorted(zip(best_sites, best_actions))
     return PlacementResult(
         sites=sites,
         labeling=labeling,
-        best_sites=tuple(s for s, _ in ordered),
-        best_labeling=Labeling(tuple(a for _, a in ordered)),
+        best_sites=best_sites,
+        best_labeling=best_labeling,
         final_potential=state.phi,
         best_potential=best_phi,
         trace=tuple(trace),
@@ -459,26 +467,13 @@ def blll_place_and_schedule(
 
 
 def greedy_max_coverage_placement(cov: CoverageGraph, device_count: int) -> tuple[int, ...]:
-    """Classic greedy maximum-coverage site pick (ties to the lowest index)."""
-    if device_count > cov.n_x:
-        raise InputError(
-            f"cannot place {device_count} devices on {cov.n_x} candidate sites"
-        )
-    if device_count < 1:
-        raise InputError("device_count must be >= 1")
-    masks = cov.masks
-    chosen: list[int] = []
-    covered = 0
-    remaining = set(range(cov.n_x))
-    for _ in range(device_count):
-        best_x = -1
-        best_gain = -1
-        for x in sorted(remaining):
-            gain = (masks[x] & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_x = x
-        chosen.append(best_x)
-        remaining.discard(best_x)
-        covered |= masks[best_x]
-    return tuple(sorted(chosen))
+    """Greedy maximum-coverage site pick (Nemhauser, Wolsey and Fisher).
+
+    Each pick adds the site that covers the most Y elements not yet
+    covered, ties to the lowest index. That is greedy_schedule on the
+    one-slot, one-label instance, so the sites are the first
+    device_count devices it labels, sorted.
+    """
+    _check_device_count(cov, device_count)
+    trace = greedy_schedule(ProblemInstance(cov, k=1, sigma=1)).trace
+    return tuple(sorted(pick.x for pick in trace[:device_count]))

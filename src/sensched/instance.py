@@ -169,7 +169,8 @@ def resolve_sensors(spec: InstanceSpec, g: NetworkGraph) -> list[int]:
         raise InputError("instance file has no `sensors` entry")
     if spec.sensors == ("all",):
         return list(range(g.node_count))
-    unresolved = [name for name in spec.sensors if name not in set(g.names)]
+    known = set(g.names)
+    unresolved = [name for name in spec.sensors if name not in known]
     if unresolved:
         raise InputError("unknown sensor names: " + ", ".join(sorted(set(unresolved))))
     return [g.node_id(name) for name in spec.sensors]

@@ -71,7 +71,6 @@ class ScheduleReport:
     per_slot_covered: tuple[int, ...]
     potential: int
     score: Fraction
-    slot_sets: tuple[frozenset[int], ...]
 
 
 def validate_labeling(inst: ProblemInstance, labeling: Labeling) -> None:
@@ -140,14 +139,11 @@ def score(inst: ProblemInstance, labeling: Labeling) -> ScheduleReport:
         for y in ys:
             slots_of_y[y] |= bits
     potential = sum(s.bit_count() for s in slots_of_y)
-    slots = slot_sets(labeling, inst.k)
-    masks = cov.masks
-    per_slot = []
-    for active in slots:
-        covered = 0
-        for xi in active:
-            covered |= masks[xi]
-        per_slot.append(covered.bit_count())
+    covered = [0] * inst.k
+    for mask, labels in zip(cov.masks, labeling.by_x):
+        for lab in labels:
+            covered[lab] |= mask
+    per_slot = [c.bit_count() for c in covered]
     if sum(per_slot) != potential:
         raise VerificationError(
             f"slot-form total {sum(per_slot)} and label-form total {potential} diverged"
@@ -158,7 +154,6 @@ def score(inst: ProblemInstance, labeling: Labeling) -> ScheduleReport:
         per_slot_covered=tuple(per_slot),
         potential=potential,
         score=Fraction(potential, inst.k * cov.n_y),
-        slot_sets=slots,
     )
 
 

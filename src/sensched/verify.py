@@ -150,9 +150,7 @@ def _deviate_many(
         labels = frozenset(rng.sample(range(state.k), state.sigma))
         site = None
         if placement:
-            occupied = set(state.sites)
-            occupied.discard(state.sites[player])
-            free = [s for s in range(state.cov.n_x) if s not in occupied]
+            free = state.open_sites(player)
             site = free[rng.randrange(len(free))]
         du, dphi = check_potential_identity(state, player, labels, site=site)
         report.checks += 1
@@ -254,11 +252,3 @@ def check_reduction(
                 f"graph n={n}: score fell below the cut formula"
             )
     return report
-
-
-def run_all(seed: int = 0) -> list[CheckReport]:
-    return [
-        check_potential_game(seed),
-        check_dual_form(seed),
-        check_reduction(seed),
-    ]

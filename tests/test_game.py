@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from sensched import game
 from sensched.coverage import build_detection, restrict_x
 from sensched.errors import InputError, VerificationError
 from sensched.game import (
@@ -22,7 +23,7 @@ from sensched.game import (
 )
 from sensched.graph import NetworkGraph, Target, all_node_targets
 from sensched.oracle import exact_optimal_schedule
-from sensched.schedule import ProblemInstance, score
+from sensched.schedule import Labeling, ProblemInstance, score
 from sensched.seeds import derive_rng
 from sensched.verify import random_instance
 
@@ -113,8 +114,7 @@ def test_identity_placement_mode():
         )
         for _ in range(10):
             player = rng.randrange(devices)
-            occupied = set(state.sites) - {state.sites[player]}
-            free = [s for s in range(inst.coverage.n_x) if s not in occupied]
+            free = state.open_sites(player)
             site = free[rng.randrange(len(free))]
             labels = frozenset(rng.sample(range(inst.k), inst.sigma))
             du, dphi = check_potential_identity(state, player, labels, site=site)
@@ -125,7 +125,7 @@ def _labels_by_site(state):
     """Label sets aligned with the coverage X order, empty where no player sits."""
     sets = [frozenset()] * state.cov.n_x
     for player, action in enumerate(state.actions):
-        sets[state.site(player)] = action
+        sets[state.sites[player]] = action
     return sets
 
 
@@ -146,15 +146,14 @@ def test_incremental_counts_match_brute_force(placement):
             player = rng.randrange(state.n_players)
             site = None
             if placement:
-                occupied = set(state.sites) - {state.sites[player]}
-                free = [s for s in range(cov.n_x) if s not in occupied]
+                free = state.open_sites(player)
                 site = free[rng.randrange(len(free))]
             state.move(player, frozenset(rng.sample(range(inst.k), inst.sigma)), site=site)
             label_sets = _labels_by_site(state)
             assert state.phi == brute_potential(cov, label_sets)
             for other in range(state.n_players):
                 assert utility(state, other) == brute_utility(
-                    cov, label_sets, state.site(other)
+                    cov, label_sets, state.sites[other]
                 )
         assert state.recount() == state.phi
     assert objectives == {"detection", "isolation"}
@@ -209,6 +208,30 @@ def test_move_rejects_occupied_site(path4):
     state = GameState(cov, 2, 1, [frozenset({0}), frozenset({1})], sites=[0, 1])
     with pytest.raises(InputError):
         state.move(0, frozenset({0}), site=1)
+
+
+def test_fixed_game_refuses_a_site_move(path4_instance):
+    state = fixture_state(path4_instance)
+    with pytest.raises(InputError, match="site 1 already occupied"):
+        state.move(0, frozenset({0}), site=1)
+    state.move(0, frozenset({1}), site=0)  # staying put is not a move
+    assert state.sites == [0, 1]
+
+
+def test_open_sites(path4):
+    cov = build_detection(path4, range(4), all_node_targets(path4), 1)
+    fixed = GameState(cov, 2, 1, [frozenset({0})] * 4)
+    assert [fixed.open_sites(p) for p in range(4)] == [[0], [1], [2], [3]]
+    placed = GameState(cov, 2, 1, [frozenset({0}), frozenset({1})], sites=[2, 0])
+    assert placed.open_sites(0) == [1, 2, 3]
+    assert placed.open_sites(1) == [0, 1, 3]
+
+
+def test_placement_labeling_is_aligned_to_sorted_sites(path4):
+    cov = build_detection(path4, range(4), all_node_targets(path4), 1)
+    state = GameState(cov, 3, 1, [frozenset({0}), frozenset({2})], sites=[3, 1])
+    assert state.placement() == ((1, 3), Labeling((frozenset({2}), frozenset({0}))))
+    assert state.labeling() == state.placement()[1]
 
 
 def test_phi_equals_score_times_denominator():
@@ -341,9 +364,10 @@ def test_trace_stride(path4_instance):
     assert [i for i, _ in result.trace] == [0, 25, 50, 75, 100, 103]
 
 
-def test_swap_proposals_for_large_action_spaces():
+def test_swap_proposals_for_large_action_spaces(monkeypatch):
     rng = derive_rng(35, "swap")
     inst = random_instance(rng, max_nodes=6, max_k=5)
-    params = BlllParams(iterations=300, seed=7, uniform_proposal_limit=1)
+    monkeypatch.setattr(game, "UNIFORM_PROPOSAL_LIMIT", 1)
+    params = BlllParams(iterations=300, seed=7)
     result = blll_schedule(inst, params)
     assert all(len(a) == inst.sigma for a in result.labeling.by_x)

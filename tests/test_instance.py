@@ -123,6 +123,24 @@ def test_unresolved_sensor_and_target_names():
     assert "1-4" in str(err.value) and "7" in str(err.value)
 
 
+def test_many_listed_sensors_resolve_in_listed_order():
+    n = 4000
+    names = [f"n{i}" for i in range(n)]
+    edges = ", ".join(f"{a}-{b}" for a, b in zip(names, names[1:]))
+    listed = names[::-1]
+    text = (GOOD.replace("nodes: 1, 2, 3, 4", "nodes: " + ", ".join(names))
+            .replace("edges: 1-2, 2-3, 3-4", "edges: " + edges)
+            .replace("sensors: 2, 3", "sensors: " + ", ".join(listed)))
+    spec = parse_instance(text)
+    g = build_graph(spec)
+    assert resolve_sensors(spec, g) == list(range(n - 1, -1, -1))
+
+    spec = parse_instance(text.replace("sensors: ", "sensors: zz, m7, zz, "))
+    with pytest.raises(InputError) as err:
+        resolve_sensors(spec, g)
+    assert str(err.value) == "unknown sensor names: m7, zz"
+
+
 def test_graph_only_instance_supports_lifetime_use():
     spec = parse_instance("nodes: a, b, c\nedges: a-b, b-c\n")
     g = build_graph(spec)
