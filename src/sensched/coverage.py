@@ -184,7 +184,8 @@ class CoverageGraph:
 
 
 def _canonical_targets(g: NetworkGraph, targets: Iterable[Target]) -> list[Target]:
-    out = sorted(set(targets))
+    # Target's own order, (kind, id), without a generated __lt__ call per comparison
+    out = sorted(set(targets), key=lambda t: (t.kind, t.id))
     for t in out:
         g.check_target(t)
     return out

@@ -15,18 +15,32 @@ player and a random trial action, then switch with probability
 b^U(trial) / (b^U(trial) + b^U(current)) where b = 1/epsilon > 1, so
 higher-utility actions are favored and the noise epsilon occasionally
 accepts downhill moves.
+
+One step is scored from the per-slot provider counts alone: the
+player's mask is borrowed out of its slots (the Y elements that lose
+their last provider are its current utility), the trial's utility is
+its gain against what stays covered, and whichever action wins is
+rippled back in. A trial label set makes exactly the random draws of
+`frozenset(rng.sample(range(k), sigma))`, and a joint-placement trial
+site those of `open_sites(player)[randrange(len)]`, but neither builds
+a list: labels are decoded from sample's own draws through a table
+filled on first use (see _label_sampler), and the site is read off the
+sorted free-site list that GameState keeps (GameState.open_site). So
+seeded runs give the same results as sampling afresh on every step.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import islice
 from random import Random
 from typing import Callable
 
 from .coverage import CoverageGraph
 from .errors import InputError, VerificationError
-from .greedy import greedy_schedule
+from .greedy import greedy_picks
 from .schedule import Labeling, ProblemInstance
 from .seeds import derive_rng
 
@@ -34,6 +48,9 @@ from .seeds import derive_rng
 AUDIT_INTERVAL = 1000
 # above this many exactly-sigma label sets, trials swap a single label
 UNIFORM_PROPOSAL_LIMIT = 1_000_000
+# most label-draw sequences a run may tabulate (one frozenset each);
+# beyond it trials call random.sample
+LABEL_TABLE_LIMIT = 32_768
 
 
 @dataclass(frozen=True)
@@ -78,6 +95,23 @@ def _ripple_add(planes: list[int], mask: int) -> None:
         planes.append(carry)
 
 
+def _borrow(planes: list[int], mask: int, lab: int) -> int:
+    """Subtract 1 at every bit of mask from slot lab's counts held as bit planes.
+
+    Returns the Y elements still covered (the OR of the planes left);
+    raises VerificationError if some bit of mask had a zero count.
+    """
+    borrow = mask
+    covered = 0
+    for i, plane in enumerate(planes):
+        planes[i] = left = plane ^ borrow
+        borrow &= ~plane
+        covered |= left
+    if borrow:
+        raise VerificationError(f"removed a provider that slot {lab + 1} does not count")
+    return covered
+
+
 def _aligned(
     sites: list[int], actions: list[frozenset[int]]
 ) -> tuple[tuple[int, ...], Labeling]:
@@ -101,9 +135,12 @@ class GameState:
     Each player owns a distinct site (an index into the coverage's X
     side) and an action. Omitting `sites` puts one player on every site,
     in site order: the fixed-location game, where every site is taken
-    and so no player can move. Per slot, the number of active providers
-    of each Y element is kept as bit planes over the Y bitsets of
-    `cov.masks`: bit y of planes[lab][i] is bit i of y's provider count
+    and so no player can move. free_sites lists the untaken sites in
+    increasing order, kept by bisection on every site move, so a move's
+    occupancy check and open_site() cost a binary search, not a scan
+    over the players or the candidates. Per slot, the number of active
+    providers of each Y element is kept as bit planes over the Y bitsets
+    of `cov.masks`: bit y of planes[lab][i] is bit i of y's provider count
     in slot lab. Adding a device is a ripple carry of its mask through
     the planes, removing one is a borrow, and covered[lab] (the OR of
     the planes) holds the Y elements with at least one provider. phi,
@@ -135,6 +172,7 @@ class GameState:
             self._check_action(a)
         self.actions = list(actions)
         self.sites = list(sites)
+        self.free_sites = sorted(set(range(cov.n_x)).difference(sites))
         # a count never exceeds the players, nor the devices that cover y:
         # ripple-add every mask once; len(totals) is the bit length of the
         # largest provider count
@@ -164,9 +202,24 @@ class GameState:
 
     def open_sites(self, player: int) -> list[int]:
         """The player's own site plus the free ones, in increasing order."""
-        occupied = set(self.sites)
-        occupied.discard(self.sites[player])
-        return [s for s in range(self.cov.n_x) if s not in occupied]
+        out = list(self.free_sites)
+        insort(out, self.sites[player])
+        return out
+
+    def open_site(self, player: int, i: int) -> int:
+        """open_sites(player)[i] for 0 <= i <= len(free_sites), without the list."""
+        own = self.sites[player]
+        at = bisect_left(self.free_sites, own)
+        if i < at:
+            return self.free_sites[i]
+        return own if i == at else self.free_sites[i - 1]
+
+    def _relocate(self, player: int, site: int) -> None:
+        """Move the player to a free site, keeping free_sites sorted."""
+        free = self.free_sites
+        del free[bisect_left(free, site)]
+        insort(free, self.sites[player])
+        self.sites[player] = site
 
     def _add(self, x: int, labels: frozenset[int]) -> None:
         mask = self.cov.masks[x]
@@ -178,17 +231,7 @@ class GameState:
     def _remove(self, x: int, labels: frozenset[int]) -> None:
         mask = self.cov.masks[x]
         for lab in labels:
-            planes = self.planes[lab]
-            borrow = mask
-            covered = 0
-            for i, plane in enumerate(planes):
-                planes[i] = left = plane ^ borrow
-                borrow &= ~plane
-                covered |= left
-            if borrow:
-                raise VerificationError(
-                    f"removed a provider that slot {lab + 1} does not count"
-                )
+            covered = _borrow(self.planes[lab], mask, lab)
             self.phi -= (self.covered[lab] & ~covered).bit_count()
             self.covered[lab] = covered
 
@@ -213,12 +256,15 @@ class GameState:
         old_site = self.sites[player]
         new_site = old_site if site is None else site
         if new_site != old_site:
-            if new_site in self.sites:
-                raise InputError(f"site {new_site} already occupied")
             if not 0 <= new_site < self.cov.n_x:
                 raise InputError(f"unknown site index: {new_site}")
+            free = self.free_sites
+            at = bisect_left(free, new_site)
+            if at == len(free) or free[at] != new_site:
+                raise InputError(f"site {new_site} already occupied")
         self._remove(old_site, self.actions[player])
-        self.sites[player] = new_site
+        if new_site != old_site:
+            self._relocate(player, new_site)
         self.actions[player] = labels
         self._add(new_site, labels)
 
@@ -306,31 +352,81 @@ def check_potential_identity(
     return u_after - u_before, phi_after - phi_before
 
 
-def _accept_probability(u_new: int, u_cur: int, log_base: float) -> float:
-    x = (u_new - u_cur) * log_base
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+def _label_sampler(rng: Random, k: int, sigma: int) -> Callable[[], frozenset[int]]:
+    """A draw() that returns frozenset(rng.sample(range(k), sigma)).
+
+    random.sample draws from a pool list whenever k <= 21: it picks
+    j_i = randbelow(k - i) for i < sigma and moves the pool's last free
+    entry into the gap. randrange(n) is randbelow(n), so draw() makes the
+    same draws, reads them as one mixed-radix index and looks the label
+    set up in a table that replays the pool swap for each index on first
+    use. Each entry is built in draw order, as frozenset(sample(...)) is,
+    so it iterates in the same order too. Above k = 21, or when the table
+    could hold more than LABEL_TABLE_LIMIT draw sequences, draw() calls
+    sample.
+    """
+    if k > 21 or math.perm(k, sigma) > LABEL_TABLE_LIMIT:
+        return lambda: frozenset(rng.sample(range(k), sigma))
+
+    randrange = rng.randrange
+    radices = range(k, k - sigma, -1)
+    table: dict[int, frozenset[int]] = {}
+
+    def decode(index: int) -> frozenset[int]:
+        draws = []
+        for r in reversed(radices):
+            index, j = divmod(index, r)
+            draws.append(j)
+        pool = list(range(k))
+        picked = []
+        for r, j in zip(radices, reversed(draws)):
+            picked.append(pool[j])
+            pool[j] = pool[r - 1]
+        return frozenset(picked)
+
+    def draw() -> frozenset[int]:
+        index = 0
+        for r in radices:
+            index = index * r + randrange(r)
+        labels = table.get(index)
+        if labels is None:
+            labels = table[index] = decode(index)
+        return labels
+
+    return draw
 
 
-def _propose_action(
-    rng: Random, k: int, sigma: int, current: frozenset[int]
-) -> frozenset[int]:
+def _action_proposer(
+    rng: Random, k: int, sigma: int
+) -> Callable[[frozenset[int]], frozenset[int]]:
+    """Trial label sets for a fixed-location player, given its current set.
+
+    A uniform exactly-sigma set other than the current one, or the
+    current one when it is the only set; above UNIFORM_PROPOSAL_LIMIT
+    sets, the current set with one uniform label swapped for an unused one.
+    """
     n_actions = math.comb(k, sigma)
     if n_actions == 1:
-        return current
+        return lambda current: current
     if n_actions <= UNIFORM_PROPOSAL_LIMIT:
-        while True:
-            cand = frozenset(rng.sample(range(k), sigma))
-            if cand != current:
-                return cand
-    # large action space: uniform single-label swap
-    inside = sorted(current)
-    outside = sorted(set(range(k)) - current)
-    drop = inside[rng.randrange(len(inside))]
-    add = outside[rng.randrange(len(outside))]
-    return (current - {drop}) | {add}
+        draw = _label_sampler(rng, k, sigma)
+
+        def resample(current: frozenset[int]) -> frozenset[int]:
+            while True:
+                cand = draw()
+                if cand != current:
+                    return cand
+
+        return resample
+
+    def swap(current: frozenset[int]) -> frozenset[int]:
+        inside = sorted(current)
+        outside = sorted(set(range(k)) - current)
+        drop = inside[rng.randrange(len(inside))]
+        add = outside[rng.randrange(len(outside))]
+        return (current - {drop}) | {add}
+
+    return swap
 
 
 @dataclass(frozen=True)
@@ -359,46 +455,74 @@ def _run_chain(
     state: GameState,
     params: BlllParams,
     rng: Random,
-    propose: Callable[[Random, GameState, int], tuple[int, frozenset[int]]],
+    propose: Callable[[int], tuple[int, frozenset[int]]],
 ) -> tuple[list[tuple[int, int]], int, int, tuple[tuple[int, ...], Labeling]]:
-    """Shared BLLL loop; propose() returns (site, labels) trials.
+    """Shared BLLL loop; propose(player) returns a (site, labels) trial.
 
     Returns the trace, the best potential, the accepted-move count and
     the best state seen as placement() gives it.
     """
     log_base = params.log_base()
-    trace: list[tuple[int, int]] = [(0, state.phi)]
-    best_phi = state.phi
-    best_snapshot = (list(state.sites), list(state.actions))
+    iterations, stride = params.iterations, params.trace_stride
+    stop = params.stop_at_potential
+    audit_interval = AUDIT_INTERVAL
+    randrange, random, exp = rng.randrange, rng.random, math.exp
+    masks = state.cov.masks
+    n_players, sites, actions = state.n_players, state.sites, state.actions
+    planes, covered, phi = state.planes, state.covered, state.phi
+    trace: list[tuple[int, int]] = [(0, phi)]
+    best_phi = phi
+    best_snapshot = (list(sites), list(actions))
     accepted = 0
-    for i in range(1, params.iterations + 1):
-        player = rng.randrange(state.n_players)
-        old_labels = state.actions[player]
-        old_site = state.sites[player]
-        new_site, new_labels = propose(rng, state, player)
+    for i in range(1, iterations + 1):
+        player = randrange(n_players)
+        site = sites[player]
+        labels = actions[player]
+        new_site, new_labels = propose(player)
 
-        state._remove(old_site, old_labels)
-        u_cur = state.gain(old_site, old_labels)
-        u_new = state.gain(new_site, new_labels)
-        if rng.random() < _accept_probability(u_new, u_cur, log_base):
-            state.sites[player] = new_site
-            state.actions[player] = new_labels
-            state._add(new_site, new_labels)
-            accepted += 1
-            if accepted % AUDIT_INTERVAL == 0:
-                state.recount()
+        # the Y elements that lose their last provider are the player's utility
+        mask = masks[site]
+        u_cur = 0
+        for lab in labels:
+            left = _borrow(planes[lab], mask, lab)
+            u_cur += (mask & ~left).bit_count()
+            covered[lab] = left
+        new_mask = masks[new_site]
+        u_new = 0
+        for lab in new_labels:
+            u_new += (new_mask & ~covered[lab]).bit_count()
+        x = (u_new - u_cur) * log_base
+        if x >= 0:
+            p = 1.0 / (1.0 + exp(-x))
         else:
-            state._add(old_site, old_labels)
+            e = exp(x)
+            p = e / (1.0 + e)
+        accept = random() < p
+        if accept:
+            if new_site != site:
+                state._relocate(player, new_site)
+            actions[player] = labels = new_labels
+            mask = new_mask
+            phi += u_new - u_cur
+            accepted += 1
+        for lab in labels:
+            _ripple_add(planes[lab], mask)
+            covered[lab] |= mask
+        if accept and accepted % audit_interval == 0:
+            state.phi = phi
+            state.recount()
+            planes, covered = state.planes, state.covered
 
-        if state.phi > best_phi:
-            best_phi = state.phi
-            best_snapshot = (list(state.sites), list(state.actions))
-        if i % params.trace_stride == 0 or i == params.iterations:
-            trace.append((i, state.phi))
-        if params.stop_at_potential is not None and state.phi >= params.stop_at_potential:
+        if phi > best_phi:
+            best_phi = phi
+            best_snapshot = (list(sites), list(actions))
+        if i % stride == 0 or i == iterations:
+            trace.append((i, phi))
+        if stop is not None and phi >= stop:
             if trace[-1][0] != i:
-                trace.append((i, state.phi))
+                trace.append((i, phi))
             break
+    state.phi = phi
     return trace, best_phi, accepted, _aligned(*best_snapshot)
 
 
@@ -413,9 +537,11 @@ def blll_schedule(inst: ProblemInstance, params: BlllParams | None = None) -> Bl
     cov = inst.coverage
     rng = derive_rng(params.seed, "blll-schedule")
     state = random_state(cov, inst.k, inst.sigma, rng)
+    next_action = _action_proposer(rng, inst.k, inst.sigma)
+    sites, actions = state.sites, state.actions
 
-    def propose(r: Random, st: GameState, player: int) -> tuple[int, frozenset[int]]:
-        return st.sites[player], _propose_action(r, st.k, st.sigma, st.actions[player])
+    def propose(player: int) -> tuple[int, frozenset[int]]:
+        return sites[player], next_action(actions[player])
 
     trace, best_phi, accepted, (_, best_labeling) = _run_chain(
         state, params, rng, propose
@@ -443,12 +569,11 @@ def blll_place_and_schedule(
     cov = inst.coverage
     rng = derive_rng(params.seed, "blll-placement")
     state = random_placement_state(cov, inst.k, inst.sigma, device_count, rng)
+    draw = _label_sampler(rng, inst.k, inst.sigma)
+    n_open = len(state.free_sites) + 1
 
-    def propose(r: Random, st: GameState, player: int) -> tuple[int, frozenset[int]]:
-        candidates = st.open_sites(player)
-        new_site = candidates[r.randrange(len(candidates))]
-        new_labels = frozenset(r.sample(range(st.k), st.sigma))
-        return new_site, new_labels
+    def propose(player: int) -> tuple[int, frozenset[int]]:
+        return state.open_site(player, rng.randrange(n_open)), draw()
 
     trace, best_phi, accepted, (best_sites, best_labeling) = _run_chain(
         state, params, rng, propose
@@ -472,8 +597,8 @@ def greedy_max_coverage_placement(cov: CoverageGraph, device_count: int) -> tupl
     Each pick adds the site that covers the most Y elements not yet
     covered, ties to the lowest index. That is greedy_schedule on the
     one-slot, one-label instance, so the sites are the first
-    device_count devices it labels, sorted.
+    device_count devices it labels, sorted; it stops after those picks.
     """
     _check_device_count(cov, device_count)
-    trace = greedy_schedule(ProblemInstance(cov, k=1, sigma=1)).trace
-    return tuple(sorted(pick.x for pick in trace[:device_count]))
+    picks = greedy_picks(ProblemInstance(cov, k=1, sigma=1))
+    return tuple(sorted(pick.x for pick in islice(picks, device_count)))

@@ -26,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from typing import Iterator
 
 from .schedule import Labeling, ProblemInstance
 from .seeds import derive_rng
@@ -54,6 +55,23 @@ def greedy_schedule(inst: ProblemInstance, seed: int | None = None) -> GreedyRes
     (device index, slot) by default; passing a seed switches to uniform
     random tie-breaking for variance studies.
     """
+    trace = tuple(greedy_picks(inst, seed))
+    labels: list[set[int]] = [set() for _ in range(inst.coverage.n_x)]
+    for pick in trace:
+        labels[pick.x].add(pick.label)
+    return GreedyResult(
+        labeling=Labeling(tuple(frozenset(s) for s in labels)),
+        trace=trace,
+        objective=trace[-1].objective if trace else 0,
+    )
+
+
+def greedy_picks(inst: ProblemInstance, seed: int | None = None) -> Iterator[GreedyPick]:
+    """The picks of greedy_schedule, in order, each computed when asked for.
+
+    A caller that needs only the first few picks stops early and pays
+    for no more of them.
+    """
     cov = inst.coverage
     k, sigma = inst.k, inst.sigma
     rng = derive_rng(seed, "greedy-tiebreak") if seed is not None else None
@@ -64,7 +82,11 @@ def greedy_schedule(inst: ProblemInstance, seed: int | None = None) -> GreedyRes
     labels: list[set[int]] = [set() for _ in range(cov.n_x)]
     # (-gain bound, x, lab, version[lab] when the bound was computed);
     # every (x, lab) still open sits in the heap exactly once.
-    heap = [(-masks[xi].bit_count(), xi, lab, 0) for xi in range(cov.n_x) for lab in range(k)]
+    heap = [
+        (-size, xi, lab, 0)
+        for xi, size in enumerate(mask.bit_count() for mask in masks)
+        for lab in range(k)
+    ]
     heapify(heap)
 
     def refresh(neg: int, xi: int, lab: int, ver: int) -> int:
@@ -73,7 +95,6 @@ def greedy_schedule(inst: ProblemInstance, seed: int | None = None) -> GreedyRes
         return (masks[xi] & ~covered[lab]).bit_count()
 
     objective = 0
-    trace: list[GreedyPick] = []
     # seeded only: every open (x, lab) pair in (x, lab) order, once the
     # best gain is 0 and so every open pair ties for the rest of the run
     tail: list[tuple[int, int]] | None = None
@@ -118,10 +139,4 @@ def greedy_schedule(inst: ProblemInstance, seed: int | None = None) -> GreedyRes
         covered[lab] |= masks[xi]
         version[lab] += 1
         objective += gain
-        trace.append(GreedyPick(iteration, xi, lab, gain, objective))
-
-    return GreedyResult(
-        labeling=Labeling(tuple(frozenset(s) for s in labels)),
-        trace=tuple(trace),
-        objective=objective,
-    )
+        yield GreedyPick(iteration, xi, lab, gain, objective)

@@ -3,15 +3,22 @@
 Everything here is written straight from definitions with no shared
 code paths into the package (aside from plain data access, the result
 dataclasses and the seeded RNG derivation), so that package results can
-be checked against a second route.
+be checked against a second route. The one exception is the BLLL
+reference at the end: it drives GameState's counters (checked against
+brute_potential on their own) one method call at a time, and pins the
+random draws and the acceptance rule of the package's fused chain.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
+from random import Random
 
+from sensched import game
 from sensched.coverage import TargetPair
+from sensched.game import BlllParams, BlllResult, GameState, PlacementResult
 from sensched.graph import NetworkGraph, target_key
 from sensched.greedy import GreedyPick, GreedyResult
 from sensched.schedule import Labeling
@@ -286,3 +293,135 @@ def brute_first_config(g, k: int, sigma: int):
         ):
             return tuple(frozenset(a) for a in assignment)
     return None
+
+
+# --- BLLL reference: the chain one GameState call at a time ------------------
+
+
+def _accept_probability(u_new: int, u_cur: int, log_base: float) -> float:
+    x = (u_new - u_cur) * log_base
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def _propose_action(
+    rng: Random, k: int, sigma: int, current: frozenset[int]
+) -> frozenset[int]:
+    n_actions = math.comb(k, sigma)
+    if n_actions == 1:
+        return current
+    if n_actions <= game.UNIFORM_PROPOSAL_LIMIT:
+        while True:
+            cand = frozenset(rng.sample(range(k), sigma))
+            if cand != current:
+                return cand
+    # large action space: uniform single-label swap
+    inside = sorted(current)
+    outside = sorted(set(range(k)) - current)
+    drop = inside[rng.randrange(len(inside))]
+    add = outside[rng.randrange(len(outside))]
+    return (current - {drop}) | {add}
+
+
+def _open_sites(state: GameState, player: int) -> list[int]:
+    """The player's own site plus the free ones, in increasing order."""
+    occupied = set(state.sites)
+    occupied.discard(state.sites[player])
+    return [s for s in range(state.cov.n_x) if s not in occupied]
+
+
+def _aligned(sites, actions) -> tuple[tuple[int, ...], Labeling]:
+    ordered = sorted(zip(sites, actions))
+    return tuple(s for s, _ in ordered), Labeling(tuple(a for _, a in ordered))
+
+
+def _run_chain(state: GameState, params: BlllParams, rng: Random, propose):
+    """BLLL loop; propose(rng, state, player) returns (site, labels) trials."""
+    log_base = params.log_base()
+    trace: list[tuple[int, int]] = [(0, state.phi)]
+    best_phi = state.phi
+    best_snapshot = (list(state.sites), list(state.actions))
+    accepted = 0
+    for i in range(1, params.iterations + 1):
+        player = rng.randrange(state.n_players)
+        old_labels = state.actions[player]
+        old_site = state.sites[player]
+        new_site, new_labels = propose(rng, state, player)
+
+        state._remove(old_site, old_labels)
+        u_cur = state.gain(old_site, old_labels)
+        u_new = state.gain(new_site, new_labels)
+        if rng.random() < _accept_probability(u_new, u_cur, log_base):
+            state.sites[player] = new_site
+            state.actions[player] = new_labels
+            state._add(new_site, new_labels)
+            accepted += 1
+            if accepted % game.AUDIT_INTERVAL == 0:
+                state.recount()
+        else:
+            state._add(old_site, old_labels)
+
+        if state.phi > best_phi:
+            best_phi = state.phi
+            best_snapshot = (list(state.sites), list(state.actions))
+        if i % params.trace_stride == 0 or i == params.iterations:
+            trace.append((i, state.phi))
+        if params.stop_at_potential is not None and state.phi >= params.stop_at_potential:
+            if trace[-1][0] != i:
+                trace.append((i, state.phi))
+            break
+    return trace, best_phi, accepted, _aligned(*best_snapshot)
+
+
+def brute_blll_schedule(inst, params: BlllParams) -> BlllResult:
+    """blll_schedule with a fresh rng.sample per trial."""
+    rng = derive_rng(params.seed, "blll-schedule")
+    state = game.random_state(inst.coverage, inst.k, inst.sigma, rng)
+
+    def propose(r, st, player):
+        return st.sites[player], _propose_action(r, st.k, st.sigma, st.actions[player])
+
+    trace, best_phi, accepted, (_, best_labeling) = _run_chain(
+        state, params, rng, propose
+    )
+    return BlllResult(
+        labeling=_aligned(state.sites, state.actions)[1],
+        best_labeling=best_labeling,
+        final_potential=state.phi,
+        best_potential=best_phi,
+        trace=tuple(trace),
+        accepted=accepted,
+    )
+
+
+def brute_blll_place_and_schedule(
+    inst, device_count: int, params: BlllParams
+) -> PlacementResult:
+    """blll_place_and_schedule with a fresh open-site list per trial."""
+    rng = derive_rng(params.seed, "blll-placement")
+    state = game.random_placement_state(
+        inst.coverage, inst.k, inst.sigma, device_count, rng
+    )
+
+    def propose(r, st, player):
+        candidates = _open_sites(st, player)
+        new_site = candidates[r.randrange(len(candidates))]
+        new_labels = frozenset(r.sample(range(st.k), st.sigma))
+        return new_site, new_labels
+
+    trace, best_phi, accepted, (best_sites, best_labeling) = _run_chain(
+        state, params, rng, propose
+    )
+    sites, labeling = _aligned(state.sites, state.actions)
+    return PlacementResult(
+        sites=sites,
+        labeling=labeling,
+        best_sites=best_sites,
+        best_labeling=best_labeling,
+        final_potential=state.phi,
+        best_potential=best_phi,
+        trace=tuple(trace),
+        accepted=accepted,
+    )

@@ -27,7 +27,13 @@ from sensched.schedule import Labeling, ProblemInstance, score
 from sensched.seeds import derive_rng
 from sensched.verify import random_instance
 
-from ._brute import brute_max_coverage_placement, brute_potential, brute_utility
+from ._brute import (
+    brute_blll_place_and_schedule,
+    brute_blll_schedule,
+    brute_max_coverage_placement,
+    brute_potential,
+    brute_utility,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -218,6 +224,23 @@ def test_fixed_game_refuses_a_site_move(path4_instance):
     assert state.sites == [0, 1]
 
 
+def test_open_site_reads_open_sites_without_the_list():
+    rng = derive_rng(38, "open-site")
+    for _ in range(30):
+        inst = random_instance(rng, allow_isolation=False)
+        cov = inst.coverage
+        devices = rng.randint(1, cov.n_x)
+        state = random_placement_state(cov, inst.k, inst.sigma, devices, rng)
+        for _ in range(8):
+            player = rng.randrange(devices)
+            free = state.open_sites(player)
+            state.move(player, state.actions[player], site=free[rng.randrange(len(free))])
+            assert state.free_sites == sorted(set(range(cov.n_x)) - set(state.sites))
+            for p in range(devices):
+                listed = state.open_sites(p)
+                assert [state.open_site(p, i) for i in range(len(listed))] == listed
+
+
 def test_open_sites(path4):
     cov = build_detection(path4, range(4), all_node_targets(path4), 1)
     fixed = GameState(cov, 2, 1, [frozenset({0})] * 4)
@@ -347,14 +370,25 @@ def test_greedy_max_coverage_placement(star5):
         greedy_max_coverage_placement(cov, 6)
 
 
-def test_placement_masks_match_brute_force():
+def test_placement_masks_match_brute_force(monkeypatch):
+    pulled = []
+    picks = game.greedy_picks
+
+    def counted(*args):
+        for pick in picks(*args):
+            pulled.append(pick)
+            yield pick
+
+    monkeypatch.setattr(game, "greedy_picks", counted)
     rng = derive_rng(37, "max-coverage-placement")
     for _ in range(60):
         cov = random_instance(rng).coverage
         devices = rng.randint(1, cov.n_x)
+        pulled.clear()
         assert greedy_max_coverage_placement(cov, devices) == (
             brute_max_coverage_placement(cov, devices)
         )
+        assert len(pulled) == devices  # stops at the last site it needs
 
 
 def test_trace_stride(path4_instance):
@@ -371,3 +405,78 @@ def test_swap_proposals_for_large_action_spaces(monkeypatch):
     params = BlllParams(iterations=300, seed=7)
     result = blll_schedule(inst, params)
     assert all(len(a) == inst.sigma for a in result.labeling.by_x)
+
+
+# (k, sigma, BlllParams overrides, objective, swap proposals). For
+# sigma <= 5 random.sample draws from a pool list up to k = 21 and from a
+# set above it; 12 * 11 * ... * 8 draw sequences exceed the table limit.
+# C(3, 3) = 1 leaves no other action.
+BLLL_CASES = [
+    (4, 1, {}, "detection", False),
+    (5, 2, {"trace_stride": 7}, "isolation", False),
+    (7, 3, {"raw_epsilon_rule": True}, "detection", False),
+    (8, 4, {"epsilon": 0.3}, "isolation", False),
+    (7, 6, {"trace_stride": 50}, "detection", False),
+    (21, 2, {}, "detection", False),
+    (22, 3, {}, "isolation", False),
+    (30, 6, {}, "detection", False),
+    (12, 5, {}, "isolation", False),
+    (3, 3, {}, "detection", False),
+    (6, 2, {"stop_at_potential": "reached"}, "detection", False),
+    (9, 3, {}, "isolation", True),
+]
+
+
+def _instances_of(objective, k, sigma, seed, count):
+    rng = derive_rng(seed, "blll-differential", objective, k, sigma)
+    out = []
+    while len(out) < count:
+        inst = random_instance(rng, max_nodes=8)
+        if inst.objective == objective:
+            out.append(ProblemInstance(inst.coverage, k=k, sigma=sigma))
+    return out
+
+
+@pytest.mark.parametrize("k,sigma,overrides,objective,swap", BLLL_CASES)
+def test_blll_matches_reference_chain(monkeypatch, k, sigma, overrides, objective, swap):
+    if swap:
+        monkeypatch.setattr(game, "UNIFORM_PROPOSAL_LIMIT", 1)
+    rng = derive_rng(39, "blll-differential-draws", k, sigma)
+    budgets = (400, 250, 100, 1, 0)
+    instances = _instances_of(objective, k, sigma, 39, len(budgets))
+    for iterations, inst in zip(budgets, instances):
+        kwargs = dict(overrides, iterations=iterations, seed=rng.randrange(99))
+        if kwargs.get("stop_at_potential") == "reached":
+            kwargs["stop_at_potential"] = brute_blll_schedule(
+                inst, BlllParams(iterations=200, seed=kwargs["seed"])
+            ).trace[-1][1]
+        params = BlllParams(**kwargs)
+        assert blll_schedule(inst, params) == brute_blll_schedule(inst, params)
+        devices = rng.randint(1, inst.coverage.n_x)
+        assert blll_place_and_schedule(inst, devices, params) == (
+            brute_blll_place_and_schedule(inst, devices, params)
+        )
+
+
+def test_blll_audits_every_accepted_move_when_asked(monkeypatch):
+    inst = _instances_of("isolation", 5, 2, 40, 1)[0]
+    params = BlllParams(iterations=600, seed=3, epsilon=0.4)
+    fixed = brute_blll_schedule(inst, params)
+    devices = max(1, inst.coverage.n_x - 1)
+    joint = brute_blll_place_and_schedule(inst, devices, params)
+    audits = []
+    recount = GameState.recount
+
+    def counted(state):
+        audits.append(state.phi)
+        return recount(state)
+
+    monkeypatch.setattr(game, "AUDIT_INTERVAL", 1)
+    monkeypatch.setattr(GameState, "recount", counted)
+    # a chain that kept writing to the planes a recount replaced would
+    # fail the next audit, so equal results mean it moved to the new ones
+    assert blll_schedule(inst, params) == fixed
+    assert len(audits) == fixed.accepted > 1
+    audits.clear()
+    assert blll_place_and_schedule(inst, devices, params) == joint
+    assert len(audits) == joint.accepted > 1
