@@ -23,10 +23,14 @@ its gain against what stays covered, and whichever action wins is
 rippled back in. A trial label set makes exactly the random draws of
 `frozenset(rng.sample(range(k), sigma))`, and a joint-placement trial
 site those of `open_sites(player)[randrange(len)]`, but neither builds
-a list: labels are decoded from sample's own draws through a table
-filled on first use (see _label_sampler), and the site is read off the
-sorted free-site list that GameState keeps (GameState.open_site). So
-seeded runs give the same results as sampling afresh on every step.
+a list. Label sets, here as in randnet's Monte-Carlo trials, come from
+`seeds.label_sampler`, which decodes sample's own draws
+(`getrandbits(r.bit_length())`, redrawn while >= r, for r = k, k - 1,
+...) through a table filled on first use. The site is read off the
+sorted free-site list that GameState keeps (GameState.open_site), and
+the player and site indices are drawn by `seeds.randbelow`, randrange's
+own getrandbits loop. So seeded runs give the same results as sampling
+afresh on every step.
 """
 
 from __future__ import annotations
@@ -42,15 +46,12 @@ from .coverage import CoverageGraph
 from .errors import InputError, VerificationError
 from .greedy import greedy_picks
 from .schedule import Labeling, ProblemInstance
-from .seeds import derive_rng
+from .seeds import derive_rng, label_sampler, randbelow
 
 # accepted moves between full recounts of the provider counts
 AUDIT_INTERVAL = 1000
 # above this many exactly-sigma label sets, trials swap a single label
 UNIFORM_PROPOSAL_LIMIT = 1_000_000
-# most label-draw sequences a run may tabulate (one frozenset each);
-# beyond it trials call random.sample
-LABEL_TABLE_LIMIT = 32_768
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,8 @@ class GameState:
 
 def random_state(cov: CoverageGraph, k: int, sigma: int, rng: Random) -> GameState:
     """Every device draws a uniform exactly-sigma label set."""
-    actions = [frozenset(rng.sample(range(k), sigma)) for _ in range(cov.n_x)]
+    draw = label_sampler(k, sigma)(rng)
+    actions = [draw() for _ in range(cov.n_x)]
     return GameState(cov, k, sigma, actions)
 
 
@@ -304,7 +306,8 @@ def random_placement_state(
     """Uniform random distinct sites plus uniform label sets."""
     _check_device_count(cov, device_count)
     sites = rng.sample(range(cov.n_x), device_count)
-    actions = [frozenset(rng.sample(range(k), sigma)) for _ in range(device_count)]
+    draw = label_sampler(k, sigma)(rng)
+    actions = [draw() for _ in range(device_count)]
     return GameState(cov, k, sigma, actions, sites=sites)
 
 
@@ -352,50 +355,6 @@ def check_potential_identity(
     return u_after - u_before, phi_after - phi_before
 
 
-def _label_sampler(rng: Random, k: int, sigma: int) -> Callable[[], frozenset[int]]:
-    """A draw() that returns frozenset(rng.sample(range(k), sigma)).
-
-    random.sample draws from a pool list whenever k <= 21: it picks
-    j_i = randbelow(k - i) for i < sigma and moves the pool's last free
-    entry into the gap. randrange(n) is randbelow(n), so draw() makes the
-    same draws, reads them as one mixed-radix index and looks the label
-    set up in a table that replays the pool swap for each index on first
-    use. Each entry is built in draw order, as frozenset(sample(...)) is,
-    so it iterates in the same order too. Above k = 21, or when the table
-    could hold more than LABEL_TABLE_LIMIT draw sequences, draw() calls
-    sample.
-    """
-    if k > 21 or math.perm(k, sigma) > LABEL_TABLE_LIMIT:
-        return lambda: frozenset(rng.sample(range(k), sigma))
-
-    randrange = rng.randrange
-    radices = range(k, k - sigma, -1)
-    table: dict[int, frozenset[int]] = {}
-
-    def decode(index: int) -> frozenset[int]:
-        draws = []
-        for r in reversed(radices):
-            index, j = divmod(index, r)
-            draws.append(j)
-        pool = list(range(k))
-        picked = []
-        for r, j in zip(radices, reversed(draws)):
-            picked.append(pool[j])
-            pool[j] = pool[r - 1]
-        return frozenset(picked)
-
-    def draw() -> frozenset[int]:
-        index = 0
-        for r in radices:
-            index = index * r + randrange(r)
-        labels = table.get(index)
-        if labels is None:
-            labels = table[index] = decode(index)
-        return labels
-
-    return draw
-
-
 def _action_proposer(
     rng: Random, k: int, sigma: int
 ) -> Callable[[frozenset[int]], frozenset[int]]:
@@ -409,7 +368,7 @@ def _action_proposer(
     if n_actions == 1:
         return lambda current: current
     if n_actions <= UNIFORM_PROPOSAL_LIMIT:
-        draw = _label_sampler(rng, k, sigma)
+        draw = label_sampler(k, sigma)(rng)
 
         def resample(current: frozenset[int]) -> frozenset[int]:
             while True:
@@ -466,7 +425,7 @@ def _run_chain(
     iterations, stride = params.iterations, params.trace_stride
     stop = params.stop_at_potential
     audit_interval = AUDIT_INTERVAL
-    randrange, random, exp = rng.randrange, rng.random, math.exp
+    below, random, exp = randbelow(rng), rng.random, math.exp
     masks = state.cov.masks
     n_players, sites, actions = state.n_players, state.sites, state.actions
     planes, covered, phi = state.planes, state.covered, state.phi
@@ -475,7 +434,7 @@ def _run_chain(
     best_snapshot = (list(sites), list(actions))
     accepted = 0
     for i in range(1, iterations + 1):
-        player = randrange(n_players)
+        player = below(n_players)
         site = sites[player]
         labels = actions[player]
         new_site, new_labels = propose(player)
@@ -569,11 +528,12 @@ def blll_place_and_schedule(
     cov = inst.coverage
     rng = derive_rng(params.seed, "blll-placement")
     state = random_placement_state(cov, inst.k, inst.sigma, device_count, rng)
-    draw = _label_sampler(rng, inst.k, inst.sigma)
+    draw = label_sampler(inst.k, inst.sigma)(rng)
+    below = randbelow(rng)
     n_open = len(state.free_sites) + 1
 
     def propose(player: int) -> tuple[int, frozenset[int]]:
-        return state.open_site(player, rng.randrange(n_open)), draw()
+        return state.open_site(player, below(n_open)), draw()
 
     trace, best_phi, accepted, (best_sites, best_labeling) = _run_chain(
         state, params, rng, propose

@@ -9,7 +9,14 @@ has a closed form on random geometric and Erdos-Renyi graphs:
 
 Both treat neighbor counts as Poisson and activations as independent,
 so on finite graphs they are approximations; simulate_random_schedule
-measures the actual value for comparison.
+measures the actual value for comparison, and expected_random_score
+gives its exact mean on the instance at hand.
+
+A trial's label sets are the draws of frozenset(rng.sample(range(k),
+sigma)) per device, taken through seeds.label_sampler: one decode table
+per (k, sigma) and process, shared by every trial's rng, and one
+getrandbits(r.bit_length()) per label (redrawn while >= r, for
+r = k, k - 1, ...), as BLLL's trial label sets are.
 """
 
 from __future__ import annotations
@@ -17,15 +24,18 @@ from __future__ import annotations
 import math
 import statistics
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
+from typing import Callable
 
 from .coverage import CoverageGraph, build_detection
 from .errors import InputError
 from .graph import NetworkGraph, all_node_targets
 from .schedule import Labeling, ProblemInstance, score
-from .seeds import derive_rng
+from .seeds import derive_rng, label_sampler
 
 
 @dataclass(frozen=True)
@@ -192,27 +202,57 @@ class RandomScheduleStats:
     mean_fraction: Fraction
 
 
-_SIM_CONTEXT: tuple[ProblemInstance, int] | None = None
+# the instance, the root seed and the label sampler for (k, sigma), built
+# once per simulate_random_schedule call in each process that runs trials
+_SIM_CONTEXT: (
+    tuple[ProblemInstance, int, Callable[[Random], Callable[[], frozenset[int]]]] | None
+) = None
 
 
 def _sim_init(inst: ProblemInstance, seed: int) -> None:
     global _SIM_CONTEXT
-    _SIM_CONTEXT = (inst, seed)
+    _SIM_CONTEXT = (inst, seed, label_sampler(inst.k, inst.sigma))
 
 
 def _sim_trial(trial: int) -> Fraction:
     if _SIM_CONTEXT is None:
         raise RuntimeError("_sim_trial needs _sim_init to run first in this process")
-    inst, seed = _SIM_CONTEXT
-    rng = derive_rng(seed, "trial", trial)
-    k, sigma = inst.k, inst.sigma
-    labeling = Labeling(
-        tuple(
-            frozenset(rng.sample(range(k), sigma))
-            for _ in range(inst.coverage.n_x)
-        )
-    )
+    inst, seed, sampler = _SIM_CONTEXT
+    draw = sampler(derive_rng(seed, "trial", trial))
+    labeling = Labeling(tuple(draw() for _ in range(inst.coverage.n_x)))
     return score(inst, labeling).score
+
+
+def expected_random_score(inst: ProblemInstance) -> Fraction:
+    """Exact mean score of uniform random sigma-of-k scheduling on inst.
+
+    Each device is active in a given slot with probability sigma/k,
+    independently of the others, so a Y element covered by c devices is
+    uncovered in a slot with probability q^c, q = (k - sigma)/k, and the
+    mean score is (1/|Y|) * sum over y of (1 - q^c_y). Detection counts
+    c_y off the rows (`covers`). For the isolation pair (a, b), c_y is the
+    popcount of N(a) ^ N(b), N(t) being the bitset of the devices that
+    cover target t; pairs are walked over distinct bitsets only, since
+    equal ones give c = 0. No rev and no pair list is built.
+    """
+    cov = inst.coverage
+    if cov.objective == "detection":
+        counts = Counter(Counter(t for cover in cov.covers for t in cover).values())
+    else:
+        holders = [0] * len(cov.targets)
+        for x, cover in enumerate(cov.covers):
+            bit = 1 << x
+            for t in cover:
+                holders[t] |= bit
+        groups = list(Counter(holders).items())
+        counts = Counter()
+        for i, (a, size_a) in enumerate(groups):
+            for b, size_b in groups[i + 1 :]:
+                counts[(a ^ b).bit_count()] += size_a * size_b
+    k, idle = inst.k, inst.k - inst.sigma
+    top = max(counts, default=0)
+    covered = sum(n * (k**c - idle**c) * k ** (top - c) for c, n in counts.items())
+    return Fraction(covered, k**top * cov.n_y)
 
 
 def node_coverage(g: NetworkGraph, range_limit: int = 1) -> CoverageGraph:

@@ -74,12 +74,20 @@ class ScheduleReport:
 
 
 def validate_labeling(inst: ProblemInstance, labeling: Labeling) -> None:
-    """Reject label sets out of range or over the battery limit."""
+    """Reject label sets out of range or over the battery limit.
+
+    Each distinct label set is checked once; only when one fails are the
+    devices walked in order, so the error names the first bad device and
+    lists every offender.
+    """
     cov = inst.coverage
     if len(labeling.by_x) != cov.n_x:
         raise InputError(
             f"labeling covers {len(labeling.by_x)} devices, instance has {cov.n_x}"
         )
+    slots, sigma = frozenset(range(inst.k)), inst.sigma
+    if all(len(labels) <= sigma and labels <= slots for labels in set(labeling.by_x)):
+        return
     offenders = []
     for xi, labels in enumerate(labeling.by_x):
         for lab in labels:
@@ -127,18 +135,21 @@ def score(inst: ProblemInstance, labeling: Labeling) -> ScheduleReport:
     Computes the per-slot form (sum over slots of covered Y counts, the
     OR of the active devices' `cov.masks`) and, independently, the
     label-set form (sum over y of covered slot counts: walking
-    `cov.iter_adj()`, each device ORs its k-bit label mask into the entry
+    `cov.iter_adj()`, each device with a non-empty label set ORs that
+    set's k-bit value, looked up once per distinct set, into the entry
     of every y it covers); the two are always equal, and a mismatch
     raises VerificationError.
     """
     validate_labeling(inst, labeling)
     cov = inst.coverage
+    bits_of = {labels: sum(1 << lab for lab in labels) for labels in set(labeling.by_x)}
     slots_of_y = [0] * cov.n_y
     for ys, labels in zip(cov.iter_adj(), labeling.by_x):
-        bits = sum(1 << lab for lab in labels)
-        for y in ys:
-            slots_of_y[y] |= bits
-    potential = sum(s.bit_count() for s in slots_of_y)
+        if labels:
+            bits = bits_of[labels]
+            for y in ys:
+                slots_of_y[y] |= bits
+    potential = sum(map(int.bit_count, slots_of_y))
     covered = [0] * inst.k
     for mask, labels in zip(cov.masks, labeling.by_x):
         for lab in labels:

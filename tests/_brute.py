@@ -7,11 +7,15 @@ be checked against a second route. The one exception is the BLLL
 reference at the end: it drives GameState's counters (checked against
 brute_potential on their own) one method call at a time, and pins the
 random draws and the acceptance rule of the package's fused chain.
+Random label sets are drawn with rng.sample and random indices with
+rng.randrange throughout, never through seeds.label_sampler or
+seeds.randbelow.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
@@ -21,6 +25,7 @@ from sensched.coverage import TargetPair
 from sensched.game import BlllParams, BlllResult, GameState, PlacementResult
 from sensched.graph import NetworkGraph, target_key
 from sensched.greedy import GreedyPick, GreedyResult
+from sensched.randnet import RandomScheduleStats
 from sensched.schedule import Labeling
 from sensched.seeds import derive_rng
 
@@ -375,10 +380,15 @@ def _run_chain(state: GameState, params: BlllParams, rng: Random, propose):
     return trace, best_phi, accepted, _aligned(*best_snapshot)
 
 
+def _random_labels(rng: Random, k: int, sigma: int, count: int) -> list[frozenset[int]]:
+    return [frozenset(rng.sample(range(k), sigma)) for _ in range(count)]
+
+
 def brute_blll_schedule(inst, params: BlllParams) -> BlllResult:
     """blll_schedule with a fresh rng.sample per trial."""
     rng = derive_rng(params.seed, "blll-schedule")
-    state = game.random_state(inst.coverage, inst.k, inst.sigma, rng)
+    labels = _random_labels(rng, inst.k, inst.sigma, inst.coverage.n_x)
+    state = GameState(inst.coverage, inst.k, inst.sigma, labels)
 
     def propose(r, st, player):
         return st.sites[player], _propose_action(r, st.k, st.sigma, st.actions[player])
@@ -401,9 +411,9 @@ def brute_blll_place_and_schedule(
 ) -> PlacementResult:
     """blll_place_and_schedule with a fresh open-site list per trial."""
     rng = derive_rng(params.seed, "blll-placement")
-    state = game.random_placement_state(
-        inst.coverage, inst.k, inst.sigma, device_count, rng
-    )
+    sites = rng.sample(range(inst.coverage.n_x), device_count)
+    labels = _random_labels(rng, inst.k, inst.sigma, device_count)
+    state = GameState(inst.coverage, inst.k, inst.sigma, labels, sites=sites)
 
     def propose(r, st, player):
         candidates = _open_sites(st, player)
@@ -425,3 +435,44 @@ def brute_blll_place_and_schedule(
         trace=tuple(trace),
         accepted=accepted,
     )
+
+
+# --- Monte-Carlo reference: a fresh rng.sample per device and trial ----------
+
+
+def brute_sim_trial(inst, seed: int, trial: int) -> Fraction:
+    """One random-scheduling trial, each device drawing with rng.sample."""
+    rng = derive_rng(seed, "trial", trial)
+    k, sigma = inst.k, inst.sigma
+    labeling = Labeling(
+        tuple(
+            frozenset(rng.sample(range(k), sigma))
+            for _ in range(inst.coverage.n_x)
+        )
+    )
+    return brute_score(inst.coverage, labeling.by_x, k)
+
+
+def brute_simulate_random_schedule(inst, trials: int, seed: int) -> RandomScheduleStats:
+    """simulate_random_schedule on inst's coverage, trial by trial."""
+    samples = [brute_sim_trial(inst, seed, t) for t in range(trials)]
+    mean_fraction = sum(samples, Fraction(0)) / trials
+    floats = [float(s) for s in samples]
+    stderr = statistics.stdev(floats) / math.sqrt(trials) if trials > 1 else 0.0
+    return RandomScheduleStats(
+        mean=float(mean_fraction),
+        stderr=stderr,
+        trials=trials,
+        mean_fraction=mean_fraction,
+    )
+
+
+def brute_expected_random_score(inst) -> Fraction:
+    """The mean score over every labeling that gives each device sigma of k slots."""
+    cov, k = inst.coverage, inst.k
+    choices = [frozenset(c) for c in combinations(range(k), inst.sigma)]
+    total = sum(
+        (brute_score(cov, sets, k) for sets in product(choices, repeat=cov.n_x)),
+        Fraction(0),
+    )
+    return total / len(choices) ** cov.n_x

@@ -12,14 +12,22 @@ from sensched.randnet import (
     GeometricGraphSpec,
     closed_form_er,
     closed_form_geometric,
+    expected_random_score,
     gen_connected_gnm,
     gen_erdos_renyi,
     gen_geometric,
+    node_coverage,
     simulate_random_schedule,
 )
+from sensched.schedule import ProblemInstance
 from sensched.seeds import derive_rng
+from sensched.verify import random_instance
 
-from ._brute import brute_gen_geometric
+from ._brute import (
+    brute_expected_random_score,
+    brute_gen_geometric,
+    brute_simulate_random_schedule,
+)
 
 
 def test_closed_form_spot_values():
@@ -207,6 +215,54 @@ def test_simulation_deterministic_and_worker_independent():
     a = simulate_random_schedule(g, 5, 2, trials=12, seed=4, workers=1)
     b = simulate_random_schedule(g, 5, 2, trials=12, seed=4, workers=3)
     assert a == b
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulation_matches_reference_trials(workers):
+    er = gen_erdos_renyi(ErdosRenyiSpec(n=24, p=0.15, seed=11))
+    geo, _ = gen_geometric(GeometricGraphSpec(n=24, area_side=5.0, radius=1.3, seed=12))
+    rng = derive_rng(workers, "simulation-reference")
+    for g in (er, geo):
+        cov = node_coverage(g)
+        # a process pool per k: one sigma is enough to cross k = 21 there
+        for sigma in (1, 2, 3) if workers == 1 else (2,):
+            # k past 21 leaves the label table for random.sample
+            for k in range(sigma, 26):
+                trials, seed = rng.randint(1, 5), rng.randrange(1000)
+                got = simulate_random_schedule(
+                    g, k, sigma, trials=trials, seed=seed, workers=workers, coverage=cov
+                )
+                want = brute_simulate_random_schedule(
+                    ProblemInstance(cov, k, sigma), trials, seed
+                )
+                assert got == want, (k, sigma, trials, seed)
+
+
+def test_expected_random_score_is_the_mean_over_all_labelings():
+    rng = derive_rng(21, "expected-random-score")
+    checked = {"detection": 0, "isolation": 0}
+    while min(checked.values()) < 10:
+        inst = random_instance(rng, max_nodes=6, max_k=4)
+        if math.comb(inst.k, inst.sigma) ** inst.coverage.n_x > 5000:
+            continue
+        assert expected_random_score(inst) == brute_expected_random_score(inst)
+        checked[inst.objective] += 1
+
+
+def test_expected_random_score_spot_value():
+    g = gen_erdos_renyi(ErdosRenyiSpec(n=500, p=0.02, seed=106))
+    value = expected_random_score(ProblemInstance(node_coverage(g), 10, 2))
+    assert isinstance(value, Fraction)
+    assert round(float(value), 6) == 0.888365
+
+
+def test_simulation_mean_is_near_the_exact_expectation():
+    g = gen_erdos_renyi(ErdosRenyiSpec(n=150, p=0.03, seed=9))
+    cov = node_coverage(g)
+    stats = simulate_random_schedule(g, 10, 2, trials=200, seed=9, coverage=cov)
+    exact = expected_random_score(ProblemInstance(cov, 10, 2))
+    assert stats.stderr > 0
+    assert abs(stats.mean - float(exact)) <= 4 * stats.stderr
 
 
 def test_trial_without_context_raises(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensched.coverage import build_detection, build_isolation
-from sensched.errors import BatteryViolation, InputError, ModeError
+from sensched.errors import BatteryViolation, InputError, ModeError, VerificationError
 from sensched.graph import all_edge_targets
 from sensched.schedule import (
     Labeling,
@@ -112,6 +112,44 @@ def test_score_battery_violation(path4_instance):
 def test_score_label_out_of_range(path4_instance):
     with pytest.raises(InputError):
         score(path4_instance, Labeling((frozenset({5}), frozenset())))
+
+
+def test_score_errors_name_devices_in_order(petersen):
+    cov = build_detection(petersen, range(10), all_edge_targets(petersen), 1)
+    inst = ProblemInstance(cov, k=4, sigma=2)
+    ok, wide = frozenset({0, 1}), frozenset({0, 1, 2})
+    # an over-battery device comes first, and two different sets are out of range
+    sets = [ok, wide, ok, frozenset({1, 7}), ok, frozenset({9}), ok, ok, ok, ok]
+    with pytest.raises(InputError, match=f"device {cov.x_names[3]} has slot 8 outside 1..4"):
+        score(inst, Labeling(tuple(sets)))
+    sets = [wide, ok, frozenset({3, 2, 1}), ok, wide, ok, frozenset(range(4)), ok, ok, ok]
+    with pytest.raises(BatteryViolation) as err:
+        score(inst, Labeling(tuple(sets)))
+    assert err.value.offenders == [cov.x_names[i] for i in (0, 2, 4, 6)]
+
+
+def test_score_raises_on_corrupted_masks():
+    rng = derive_rng(14, "corrupt-masks")
+    raised = 0
+    for _ in range(40):
+        inst = random_instance(rng)
+        cov = inst.coverage
+        lab = random_labeling(rng, inst, exact=True)
+        masks = list(cov.masks)
+        x = rng.randrange(cov.n_x)
+        if not masks[x]:
+            continue
+        masks[x] &= masks[x] - 1  # drop its lowest Y element
+        vars(cov)["masks"] = tuple(masks)  # overrides the cached property
+        expect = brute_slot_potential(cov, lab.by_x, inst.k)
+        try:
+            report = score(inst, lab)
+        except VerificationError:
+            raised += 1
+        else:
+            # the dropped element was covered in every slot of x by another device
+            assert report.potential == expect
+    assert raised > 10
 
 
 def test_score_wrong_width(path4_instance):
