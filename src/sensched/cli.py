@@ -237,7 +237,10 @@ def place_and_schedule_cmd(
 @click.option("--sigma", type=int, required=True)
 @click.option("--mode", type=click.Choice(["disjoint", "config"]), required=True)
 @click.option("--k", "k_value", type=int, help="Lifetime to search for (config mode).")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Disjoint mode: 0 breaks partition ties to the lowest node "
+                   "index, any other value randomizes them. Config mode: seeds "
+                   "the stochastic search.")
 @click.option("--budget", type=int, default=200_000, show_default=True,
               help="Total stochastic-search iterations (config mode).")
 @click.option("--out", type=click.Path(dir_okay=False))

@@ -5,10 +5,17 @@ keeps the whole graph covered iff its active set is dominating. Disjoint
 dominating sets give a lifetime of sigma times the partition size;
 non-disjoint label assignments (every label present in every closed
 neighborhood) can do strictly better, and are searched for here.
+
+The disjoint sets come from a greedy domatic partition: closed
+neighborhoods as int bitsets, built once per partition, and one lazy
+max-heap of gain bounds per dominating set, so each pick re-scores only
+stale heap tops instead of every candidate. Ties go to the lowest node
+index, or with a seed to a uniform draw over the maximal-gain nodes.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Literal
@@ -25,10 +32,6 @@ from .seeds import derive_rng, derive_seed
 # at most EXHAUSTIVE_LIMIT, and gives it up after EXHAUSTIVE_NODE_CAP nodes
 EXHAUSTIVE_LIMIT = 64
 EXHAUSTIVE_NODE_CAP = 2_000_000
-
-
-def closed_neighborhood(g: NetworkGraph, v: int) -> frozenset[int]:
-    return frozenset(g.neighbors(v)) | {v}
 
 
 def is_dominating(g: NetworkGraph, nodes: Iterable[int]) -> bool:
@@ -52,46 +55,76 @@ class DomaticPartition:
 
 
 def _greedy_dominating_set(
-    g: NetworkGraph, candidates: set[int], rng
+    closed: list[int], candidates: Iterable[int], rng
 ) -> frozenset[int] | None:
-    """Greedy set cover over closed neighborhoods, or None if impossible."""
-    uncovered = set(range(g.node_count))
-    chosen: set[int] = set()
-    pool = set(candidates)
+    """Lazy greedy set cover by closed neighborhoods, or None if impossible.
+
+    closed[v] is the bitset of v's closed neighborhood, so the gain of v
+    is (closed[v] & uncovered).bit_count(). A max-heap holds (-gain
+    bound, v) per candidate; gains only fall as uncovered shrinks, so
+    stale tops are re-scored until the top is exact (Minoux's lazy
+    greedy). An exact top of gain 0 means the candidates cannot
+    dominate. Unseeded, the pick is that top: the lowest-index candidate
+    of maximal gain. Seeded, every candidate of maximal gain is
+    collected in index order and rng.randrange(len(ties)) picks one,
+    called even for a single tie.
+    """
+    uncovered = (1 << len(closed)) - 1
+    heap = [(-closed[v].bit_count(), v) for v in candidates]
+    heapq.heapify(heap)
+    chosen: list[int] = []
     while uncovered:
-        best_gain = 0
-        ties: list[int] = []
-        for v in sorted(pool):
-            gain = len(closed_neighborhood(g, v) & uncovered)
-            if gain > best_gain:
-                best_gain = gain
-                ties = [v]
-            elif gain == best_gain and gain > 0:
-                ties.append(v)
-        if not ties:
+        gain = 0
+        while heap:
+            bound, v = heap[0]
+            gain = (closed[v] & uncovered).bit_count()
+            if gain == -bound:
+                break
+            heapq.heapreplace(heap, (-gain, v))
+        if gain == 0:
             return None
-        pick = ties[0] if rng is None else ties[rng.randrange(len(ties))]
-        chosen.add(pick)
-        pool.discard(pick)
-        uncovered -= closed_neighborhood(g, pick)
+        if rng is None:
+            heapq.heappop(heap)
+        else:
+            ties: list[int] = []
+            while heap and heap[0][0] == bound:
+                w = heap[0][1]
+                w_gain = (closed[w] & uncovered).bit_count()
+                if w_gain == gain:
+                    ties.append(heapq.heappop(heap)[1])
+                else:
+                    heapq.heapreplace(heap, (-w_gain, w))
+            v = ties[rng.randrange(len(ties))]
+            for w in ties:
+                if w != v:
+                    heapq.heappush(heap, (bound, w))
+        chosen.append(v)
+        uncovered &= ~closed[v]
     return frozenset(chosen)
 
 
 def greedy_domatic_partition(g: NetworkGraph, seed: int | None = None) -> DomaticPartition:
     """Extract disjoint dominating sets greedily until the rest cannot dominate.
 
-    Leftover nodes that are not in any extracted set are merged into the
-    last set (which keeps it dominating and makes the partition total).
-    Returns at least one set on a non-empty graph; sizes are a lower
-    bound on the domatic number, not the exact value.
+    Each set is a lazy greedy cover (`_greedy_dominating_set`) over the
+    closed-neighborhood bitsets, built once here from g.neighbors, with
+    the nodes not yet in a set as candidates. With a seed, ties are drawn
+    from one `domatic-tiebreak` stream shared by all the sets. Leftover
+    nodes that are not in any extracted set are merged into the last set
+    (which keeps it dominating and makes the partition total). Returns
+    at least one set on a non-empty graph; sizes are a lower bound on
+    the domatic number, not the exact value.
     """
     if g.node_count == 0:
         return DomaticPartition(())
     rng = derive_rng(seed, "domatic-tiebreak") if seed is not None else None
+    closed = [
+        sum(1 << u for u in g.neighbors(v)) | 1 << v for v in range(g.node_count)
+    ]
     remaining = set(range(g.node_count))
     sets: list[frozenset[int]] = []
     while remaining:
-        dom = _greedy_dominating_set(g, remaining, rng)
+        dom = _greedy_dominating_set(closed, remaining, rng)
         if dom is None:
             break
         sets.append(dom)

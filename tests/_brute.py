@@ -22,6 +22,7 @@ from random import Random
 
 from sensched import game
 from sensched.coverage import TargetPair
+from sensched.domination import DomaticPartition
 from sensched.game import BlllParams, BlllResult, GameState, PlacementResult
 from sensched.graph import NetworkGraph, target_key
 from sensched.greedy import GreedyPick, GreedyResult
@@ -281,6 +282,60 @@ def _can_partition(g, t: int) -> bool:
         if all(brute_is_dominating(g, c) for c in classes):
             return True
     return False
+
+
+def closed_neighborhood(g, v: int) -> frozenset[int]:
+    return frozenset(g.neighbors(v)) | {v}
+
+
+def _greedy_dominating_set(g, candidates: set[int], rng) -> frozenset[int] | None:
+    """Greedy set cover over closed neighborhoods, or None if impossible."""
+    uncovered = set(range(g.node_count))
+    chosen: set[int] = set()
+    pool = set(candidates)
+    while uncovered:
+        best_gain = 0
+        ties: list[int] = []
+        for v in sorted(pool):
+            gain = len(closed_neighborhood(g, v) & uncovered)
+            if gain > best_gain:
+                best_gain = gain
+                ties = [v]
+            elif gain == best_gain and gain > 0:
+                ties.append(v)
+        if not ties:
+            return None
+        pick = ties[0] if rng is None else ties[rng.randrange(len(ties))]
+        chosen.add(pick)
+        pool.discard(pick)
+        uncovered -= closed_neighborhood(g, pick)
+    return frozenset(chosen)
+
+
+def brute_greedy_domatic_partition(g, seed=None) -> DomaticPartition:
+    """The eager greedy domatic partition: every pick rescans every candidate.
+
+    Same sets, same order and same seeded draws as
+    domination.greedy_domatic_partition, in quadratic time.
+    """
+    if g.node_count == 0:
+        return DomaticPartition(())
+    rng = derive_rng(seed, "domatic-tiebreak") if seed is not None else None
+    remaining = set(range(g.node_count))
+    sets: list[frozenset[int]] = []
+    while remaining:
+        dom = _greedy_dominating_set(g, remaining, rng)
+        if dom is None:
+            break
+        sets.append(dom)
+        remaining -= dom
+    if not sets:
+        # the full vertex set always dominates
+        sets = [frozenset(range(g.node_count))]
+        remaining = set()
+    if remaining:
+        sets[-1] = sets[-1] | remaining
+    return DomaticPartition(tuple(sets))
 
 
 def brute_first_config(g, k: int, sigma: int):

@@ -17,11 +17,16 @@ from sensched.domination import (
 )
 from sensched.errors import InputError
 from sensched.graph import NetworkGraph
+from sensched.randnet import GeometricGraphSpec, gen_geometric
 from sensched.schedule import score
 from sensched.seeds import derive_rng
 from sensched.verify import random_graph
 
-from ._brute import brute_first_config, brute_max_disjoint_dominating
+from ._brute import (
+    brute_first_config,
+    brute_greedy_domatic_partition,
+    brute_max_disjoint_dominating,
+)
 
 
 def test_is_dominating_cases(path4):
@@ -66,6 +71,31 @@ def test_greedy_never_beats_exact_on_tiny_graphs():
         g = random_graph(rng, rng.randint(3, 7), 0.5)
         dp = greedy_domatic_partition(g)
         assert len(dp.sets) <= brute_max_disjoint_dominating(g, upper=g.min_degree() + 1)
+
+
+def test_domatic_partition_matches_eager_reference(path4, star5, k4, c4, petersen):
+    # single ties (randrange(1)), many ties on vertex-transitive graphs,
+    # sets that cannot dominate (None), the leftover merge (isolated
+    # nodes), and empty and edgeless graphs
+    isolated = NetworkGraph(list("abcdef"), [("a", "b"), ("b", "c"), ("d", "e")])
+    graphs = [path4, star5, k4, c4, petersen, isolated]
+    rng = derive_rng(53, "domatic-eager")
+    for n in range(41):
+        for _ in range(2):
+            graphs.append(random_graph(rng, n, rng.uniform(0, 0.6)))
+    for g in graphs:
+        for seed in (None, 1, 2, 3):
+            assert (
+                greedy_domatic_partition(g, seed=seed).sets
+                == brute_greedy_domatic_partition(g, seed=seed).sets
+            ), (g, seed)
+    spec = GeometricGraphSpec(n=300, area_side=math.sqrt(150), radius=1.5958, seed=1, torus=True)
+    geo, _ = gen_geometric(spec)
+    for seed in (None, 7):
+        assert (
+            greedy_domatic_partition(geo, seed=seed).sets
+            == brute_greedy_domatic_partition(geo, seed=seed).sets
+        )
 
 
 def test_verify_config_saturated(path4):
