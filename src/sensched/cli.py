@@ -38,7 +38,7 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -46,7 +46,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         click.echo(text, nl=False)
 
@@ -382,7 +382,7 @@ def convert_edgelist_cmd(
     nodes: list[str] = []
     seen: set[str] = set()
     edges: list[str] = []
-    for line_no, raw in enumerate(Path(edgelist).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(instance.read_input_text(edgelist).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

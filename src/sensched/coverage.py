@@ -22,6 +22,10 @@ Solvers read only `masks`, `n_x` and `n_y`, and every count of covered
 (slot, Y-element) pairs they make reads `masks`: a slot's covered set is
 the OR of its active devices' masks, and its size is `int.bit_count()`.
 `schedule.score` also counts from `iter_adj`, as an independent check.
+`to_adjacency_text` writes its lines from `covers` and `target_keys`
+alone. `adj` and `rev` serve the from-definitions checks in `verify` and
+`schedule.covered_slots`; `y_items` and `y_keys` are read by no path in
+this package, only by tests and other callers.
 """
 
 from __future__ import annotations
@@ -300,9 +304,34 @@ def restrict_x(cov: CoverageGraph, x_indices: Iterable[int]) -> CoverageGraph:
 
 
 def to_adjacency_text(cov: CoverageGraph) -> str:
-    """Canonical one-line-per-device adjacency listing for golden files."""
+    """Canonical one-line-per-device adjacency listing for golden files.
+
+    Each line lists the keys of the device's Y elements in y order, written
+    straight from the detection rows and `target_keys`. Isolation: the
+    device's pairs in y order are the rows a = 0..m-1 of the pair triangle,
+    and row a is every b > a on the other side of the device's cover from
+    a, so it is a suffix of the device's covered or uncovered key list and
+    is written with one join.
+    """
+    keys = cov.target_keys
     lines = []
-    for name, ys in zip(cov.x_names, cov.iter_adj()):
-        keys = ",".join(cov.y_keys[y] for y in sorted(ys))
-        lines.append(f"{name}: {keys}".rstrip())
+    if cov.objective == "detection":
+        for name, cover in zip(cov.x_names, cov.covers):
+            lines.append(f"{name}: {','.join([keys[t] for t in sorted(cover)])}".rstrip())
+        return "\n".join(lines) + "\n"
+    heads = [k + "|" for k in keys]
+    seps = ["," + h for h in heads]
+    for name, cover in zip(cov.x_names, cov.covers):
+        inside = [t in cover for t in range(len(keys))]
+        sides: tuple[list[str], list[str]] = ([], [])  # uncovered, covered keys
+        for k, c in zip(keys, inside):
+            sides[c].append(k)
+        passed = [0, 0]  # targets of each side up to a
+        rows = []
+        for a, c in enumerate(inside):
+            passed[c] += 1
+            rest = sides[not c][passed[not c]:]
+            if rest:
+                rows.append(heads[a] + seps[a].join(rest))
+        lines.append(f"{name}: {','.join(rows)}".rstrip())
     return "\n".join(lines) + "\n"

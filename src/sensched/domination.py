@@ -129,10 +129,7 @@ def greedy_domatic_partition(g: NetworkGraph, seed: int | None = None) -> Domati
             break
         sets.append(dom)
         remaining -= dom
-    if not sets:
-        # the full vertex set always dominates
-        sets = [frozenset(range(g.node_count))]
-        remaining = set()
+    # sets is not empty: on the first call every node is uncovered and its own candidate
     if remaining:
         sets[-1] = sets[-1] | remaining
     partition = DomaticPartition(tuple(sets))

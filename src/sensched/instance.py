@@ -148,8 +148,16 @@ def parse_instance(text: str) -> InstanceSpec:
     return spec
 
 
+def read_input_text(path: str | Path) -> str:
+    """The text of an input file, decoded as UTF-8; a bad byte is an InputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (bad byte at offset {exc.start})") from None
+
+
 def load_instance(path: str | Path) -> InstanceSpec:
-    return parse_instance(Path(path).read_text())
+    return parse_instance(read_input_text(path))
 
 
 def build_graph(spec: InstanceSpec) -> NetworkGraph:

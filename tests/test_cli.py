@@ -45,6 +45,21 @@ def test_build_coverage_bad_edge_token(runner, tmp_path):
     assert "2*3" in result.output
 
 
+# a valid non-ASCII comment reads under any locale; a byte that is not UTF-8 is an input error
+@pytest.mark.parametrize("comment, exit_code", [(b"# \xce\xbb = range\n", 0), (b"# \xff\n", 1)])
+def test_build_coverage_reads_utf8(runner, tmp_path, comment, exit_code):
+    inst = tmp_path / "net.instance"
+    inst.write_bytes(comment + Path(PATH4).read_bytes())
+    result = runner.invoke(main, ["build-coverage", str(inst)])
+    assert (result.exit_code, type(result.exception)) == (
+        exit_code, SystemExit if exit_code else type(None)
+    )
+    if exit_code:
+        assert f"error: {inst}: not UTF-8 text (bad byte at offset 2)" in result.output
+    else:
+        assert "2: e:1-2,e:2-3\n3: e:2-3,e:3-4\n" in result.output
+
+
 def test_schedule_oracle_output(runner):
     result = runner.invoke(main, ["schedule", PATH4, "--solver", "oracle"])
     assert result.exit_code == 0
@@ -360,6 +375,22 @@ def test_convert_edgelist_rejects_garbage(runner, tmp_path):
     raw.write_text("a b c\n")
     result = runner.invoke(main, ["convert-edgelist", str(raw)])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("comment, exit_code", [(b"# \xce\xbb\n", 0), (b"# \xff\n", 1)])
+def test_convert_edgelist_reads_utf8(runner, tmp_path, comment, exit_code):
+    raw = tmp_path / "net.edges"
+    raw.write_bytes(comment + b"a b\n")
+    out = tmp_path / "net.instance"
+    result = runner.invoke(main, ["convert-edgelist", str(raw), "--out", str(out)])
+    assert (result.exit_code, type(result.exception)) == (
+        exit_code, SystemExit if exit_code else type(None)
+    )
+    if exit_code:
+        assert f"error: {raw}: not UTF-8 text (bad byte at offset 2)" in result.output
+        assert not out.exists()
+    else:
+        assert out.read_text().startswith("nodes: a, b\nedges: a-b\n")
 
 
 def test_verify_all_passes(runner):

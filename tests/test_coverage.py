@@ -22,7 +22,13 @@ from sensched.game import (
     blll_schedule,
     greedy_max_coverage_placement,
 )
-from sensched.graph import NetworkGraph, Target, all_edge_targets, all_node_targets
+from sensched.graph import (
+    NetworkGraph,
+    Target,
+    all_edge_targets,
+    all_node_targets,
+    target_key,
+)
 from sensched.greedy import greedy_schedule
 from sensched.oracle import exact_optimal_schedule
 from sensched.schedule import Labeling, ProblemInstance, score
@@ -153,15 +159,51 @@ def test_adjacency_text_isolation_golden(path4):
     )
 
 
+def _listing(names, adj, keys) -> str:
+    return "".join(
+        f"{name}: {','.join(keys[y] for y in sorted(ys))}".rstrip() + "\n"
+        for name, ys in zip(names, adj)
+    )
+
+
 def test_adjacency_text_keeps_no_isolation_adjacency(path4):
-    # each line is written from iter_adj, so no device's pair set outlives it
+    # each line is written from the detection rows and target_keys, so no pair view is built
     cov = build_isolation(path4, [0, 1, 2, 3], all_edge_targets(path4), 1)
     text = to_adjacency_text(cov)
-    assert "adj" not in vars(cov)
-    assert text.splitlines() == [
-        f"{cov.x_names[x]}: {','.join(cov.y_keys[y] for y in sorted(ys))}".rstrip()
-        for x, ys in enumerate(cov.adj)
-    ]
+    assert not {"adj", "y_keys"} & set(vars(cov))
+    assert text == _listing(cov.x_names, cov.adj, cov.y_keys)
+
+
+def test_adjacency_text_matches_brute_force():
+    rng = derive_rng(14, "adjacency-text")
+    cases = dict.fromkeys(("m2", "blind", "sees_all", "mixed_kinds", *"0123"), 0)
+    compared = 0
+    while compared < 120:
+        n = rng.randint(2, 7)
+        g = random_graph(rng, n, rng.random())
+        pool = all_node_targets(g) + all_edge_targets(g)
+        targets = rng.choices(pool, k=rng.randint(2, min(len(pool), 6) + 2))
+        if len(set(targets)) < 2:
+            continue
+        sensors = rng.sample(range(n), rng.randint(1, n))
+        r = rng.randint(0, 3)
+        adj, keys, _, names = brute_isolation(g, sensors, targets, r)
+        assert to_adjacency_text(build_isolation(g, sensors, targets, r)) == _listing(
+            names, adj, keys
+        )
+        ts = sorted(set(targets))
+        covered = [brute_covered(g, x, r, ts) for x in sorted(set(sensors))]
+        det = [frozenset(ts.index(t) for t in c) for c in covered]
+        assert to_adjacency_text(build_detection(g, sensors, targets, r)) == _listing(
+            names, det, [target_key(t, g) for t in ts]
+        )
+        compared += 1
+        cases["m2"] += len(ts) == 2
+        cases["blind"] += any(not c for c in covered)
+        cases["sees_all"] += any(len(c) == len(ts) for c in covered)
+        cases["mixed_kinds"] += len({t.kind for t in ts}) == 2
+        cases[str(r)] += 1
+    assert min(cases.values()) >= 10, cases
 
 
 def test_pair_canonicalization():
