@@ -14,18 +14,20 @@ targets, their keys and each device's set of covered target indices
 per coverage graph: `masks` (each device's Y neighbourhood as an int
 bitset), `adj` (the same as sets of y indices), `rev` (the transpose),
 `y_items` and `y_keys`; `iter_adj` computes the y indices without
-keeping them. For isolation, a mask is cut straight from the device's
-m-bit detection bitset, one slice per row of the pair triangle, so no
-per-pair work is done until the y indices or the keys are read.
+keeping them (it backs `adj`). For isolation, a mask is the XOR of the
+pair stars of the targets on the smaller side of the device's cover, a
+few big-int operations per such target, so no per-pair work is done
+until the y indices or the keys are read.
 
 Solvers read only `masks`, `n_x` and `n_y`, and every count of covered
 (slot, Y-element) pairs they make reads `masks`: a slot's covered set is
 the OR of its active devices' masks, and its size is `int.bit_count()`.
-`schedule.score` also counts from `iter_adj`, as an independent check.
-`to_adjacency_text` writes its lines from `covers` and `target_keys`
-alone. `adj` and `rev` serve the from-definitions checks in `verify` and
-`schedule.covered_slots`; `y_items` and `y_keys` are read by no path in
-this package, only by tests and other callers.
+`schedule.score` also counts from `covers` alone, as an independent
+check (for isolation over classes of targets with the same covering
+devices). `to_adjacency_text` writes its lines from `covers` and
+`target_keys` alone. `adj` and `rev` serve the from-definitions checks
+in `verify` and `schedule.covered_slots`; `y_items` and `y_keys` are
+read by no path in this package, only by tests and other callers.
 """
 
 from __future__ import annotations
@@ -142,32 +144,37 @@ class CoverageGraph:
     def masks(self) -> tuple[int, ...]:
         """Per device, its Y neighbourhood as an int bitset (bit y set iff x ~ y).
 
-        Isolation: with d the device's detection bitset, row a of the
-        pair triangle is the m - 1 - a bits of d above bit a (b covered),
-        inverted when bit a is set (then exactly one of a, b is covered
-        iff b is not), shifted to the row's start.
+        Isolation: a mask is the XOR of the stars of the targets on the
+        smaller side of the device's cover (the covered targets, or the
+        uncovered ones when those are fewer). The star of t is every pair
+        holding t: its row of the pair triangle, one run of bits, and its
+        column, the pairs (a, t) for a < t. A pair is flipped once per
+        starred endpoint, so it is set iff exactly one endpoint is on
+        that side, that is iff the device covers exactly one of the two.
+        Column t is read off one shared int with a bit at starts[a] - a
+        for every a < m - 1: the bits of a < t, shifted up by t - 1, land
+        on starts[a] + t - a - 1, the y of (a, t).
         """
         m = len(self.targets)
-        n_bytes = (m + 7) // 8
-        detected = []
-        for cover in self.covers:
-            buf = bytearray(n_bytes)
-            for t in cover:
-                buf[t >> 3] |= 1 << (t & 7)
-            detected.append(int.from_bytes(buf, "little"))
         if self.objective == "detection":
+            n_bytes = (m + 7) // 8
+            detected = []
+            for cover in self.covers:
+                buf = bytearray(n_bytes)
+                for t in cover:
+                    buf[t >> 3] |= 1 << (t & 7)
+                detected.append(int.from_bytes(buf, "little"))
             return tuple(detected)
-        starts = _pair_rows(m)
+        starts = _pair_rows(m) + [m * (m - 1) // 2]
+        column = sum(1 << (starts[a] - a) for a in range(m - 1))
         out = []
-        for d in detected:
+        for cover in self.covers:
+            side = cover if 2 * len(cover) <= m else set(range(m)).difference(cover)
             mask = 0
-            # rows past d's highest bit are empty: no b > a covered, a not covered
-            for a in range(min(m - 1, d.bit_length())):
-                ones = (1 << (m - 1 - a)) - 1
-                row = (d >> (a + 1)) & ones
-                if d >> a & 1:
-                    row ^= ones
-                mask |= row << starts[a]
+            for t in side:
+                mask ^= (1 << starts[t + 1]) - (1 << starts[t])  # row t
+                if t:  # column t: bits of a <= t - 1, the last at starts[t - 1] - t + 1
+                    mask ^= (column & ((2 << (starts[t - 1] - t + 1)) - 1)) << (t - 1)
             out.append(mask)
         return tuple(out)
 
@@ -197,7 +204,7 @@ def _canonical_targets(g: NetworkGraph, targets: Iterable[Target]) -> list[Targe
 
 def _device_cover_sets(
     g: NetworkGraph, sensors: Iterable[int], targets: Sequence[Target], range_limit: int
-) -> tuple[list[int], list[set[int]]]:
+) -> tuple[list[int], list[frozenset[int]]]:
     """Per device, the set of covered target indices (one ball per device).
 
     The targets are indexed once by node: a node target under its own
@@ -219,17 +226,13 @@ def _device_cover_sets(
         else:
             a, b = g.edges[t.id]
             edge_y.setdefault(a, []).append((b, y))
-    covers: list[set[int]] = []
+    covers: list[frozenset[int]] = []
     for x in xs:
         near = ball(g, x, range_limit)
-        cover = set()
-        for v in near:
-            if v in node_y:
-                cover.add(node_y[v])
-            for w, y in edge_y.get(v, ()):
-                if w in near:
-                    cover.add(y)
-        covers.append(cover)
+        covers.append(frozenset(
+            [node_y[v] for v in near if v in node_y]
+            + [y for v in near for w, y in edge_y.get(v, ()) if w in near]
+        ))
     return xs, covers
 
 
@@ -250,7 +253,7 @@ def build_detection(
         x_names=tuple(g.node_name(x) for x in xs),
         targets=tuple(y_targets),
         target_keys=tuple(target_key(t, g) for t in y_targets),
-        covers=tuple(frozenset(c) for c in covers),
+        covers=tuple(covers),
     )
 
 

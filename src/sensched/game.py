@@ -175,12 +175,16 @@ class GameState:
         self.sites = list(sites)
         self.free_sites = sorted(set(range(cov.n_x)).difference(sites))
         # a count never exceeds the players, nor the devices that cover y:
-        # ripple-add every mask once; len(totals) is the bit length of the
-        # largest provider count
+        # ripple-add the masks until len(totals), the bit length of the
+        # largest provider count so far, reaches the players' bit length
+        # (it only grows, so the min cannot change after that)
+        enough = self.n_players.bit_length()
         totals: list[int] = []
         for mask in cov.masks:
+            if len(totals) >= enough:
+                break
             _ripple_add(totals, mask)
-        self.n_planes = min(self.n_players.bit_length(), len(totals))
+        self.n_planes = min(enough, len(totals))
         self._rebuild()
 
     def _rebuild(self) -> None:

@@ -11,6 +11,7 @@ Slot labels are 0-based in memory and 1-based in all text output.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -129,27 +130,81 @@ def covered_slots(labeling: Labeling, cov: CoverageGraph, y: int) -> frozenset[i
     return frozenset(out)
 
 
+def _label_form_total(cov: CoverageGraph, labeling: Labeling, k: int) -> int:
+    """Sum over y of the slots in which y is covered, from `cov.covers` alone.
+
+    Detection: each device with a non-empty label set ORs that set's
+    k-bit value, looked up once per distinct set, into the entry of
+    every target it covers. Isolation groups the targets into classes
+    by their set of covering devices: no device separates two targets of
+    one class, and the devices separating a target of class A from one
+    of class B are those holding exactly one of A and B. So an entry is
+    kept per class pair {A, B}, standing for |A| * |B| pairs, as k-bit
+    field B of class A's row int and field A of B's. The devices active
+    in slot j separate A from B iff A and B differ in which of them they
+    hold: per slot, the classes are split by that, and each class sets
+    bit j in the fields of every class outside its part. That is one OR
+    per class and slot, however many devices and label sets there are.
+    """
+    if cov.objective == "detection":
+        bits_of = {labels: sum(1 << lab for lab in labels) for labels in set(labeling.by_x)}
+        slots_of_y = [0] * cov.n_y
+        for ys, labels in zip(cov.covers, labeling.by_x):
+            if labels:
+                bits = bits_of[labels]
+                for y in ys:
+                    slots_of_y[y] |= bits
+        return sum(map(int.bit_count, slots_of_y))
+    holders = [0] * len(cov.targets)
+    for xi, cover in enumerate(cov.covers):
+        bit = 1 << xi
+        for t in cover:
+            holders[t] |= bit
+    sizes = Counter(holders)
+    classes = list(sizes)
+    fields = [1 << (i * k) for i in range(len(classes))]
+    every = sum(fields)
+    active = [0] * k  # per slot, its active devices as a bitset
+    for xi, labels in enumerate(labeling.by_x):
+        for lab in labels:
+            active[lab] |= 1 << xi
+    rows = [0] * len(classes)
+    for lab, devices in enumerate(active):
+        parts: dict[int, list[int]] = {}
+        for i, holder in enumerate(classes):
+            parts.setdefault(holder & devices, []).append(i)
+        if len(parts) > 1:
+            for part in parts.values():
+                outside = (every - sum(fields[i] for i in part)) << lab
+                for i in part:
+                    rows[i] |= outside
+    # sum over ordered class pairs (A, B) of |A| * |B| * popcount(field B of row A),
+    # reading the fields of all classes B of one size with one AND
+    width = (1 << k) - 1
+    by_size: dict[int, int] = {}
+    for f, holder in zip(fields, classes):
+        by_size[sizes[holder]] = by_size.get(sizes[holder], 0) | f * width
+    ordered = sum(
+        sizes[holder] * size * (row & same_size).bit_count()
+        for row, holder in zip(rows, classes)
+        for size, same_size in by_size.items()
+    )
+    return ordered // 2
+
+
 def score(inst: ProblemInstance, labeling: Labeling) -> ScheduleReport:
     """Average coverage score of a labeling, as an exact fraction.
 
     Computes the per-slot form (sum over slots of covered Y counts, the
     OR of the active devices' `cov.masks`) and, independently, the
-    label-set form (sum over y of covered slot counts: walking
-    `cov.iter_adj()`, each device with a non-empty label set ORs that
-    set's k-bit value, looked up once per distinct set, into the entry
-    of every y it covers); the two are always equal, and a mismatch
+    label-set form (sum over y of covered slot counts, from the
+    detection rows `cov.covers` without reading `masks`; see
+    `_label_form_total`); the two are always equal, and a mismatch
     raises VerificationError.
     """
     validate_labeling(inst, labeling)
     cov = inst.coverage
-    bits_of = {labels: sum(1 << lab for lab in labels) for labels in set(labeling.by_x)}
-    slots_of_y = [0] * cov.n_y
-    for ys, labels in zip(cov.iter_adj(), labeling.by_x):
-        if labels:
-            bits = bits_of[labels]
-            for y in ys:
-                slots_of_y[y] |= bits
-    potential = sum(map(int.bit_count, slots_of_y))
+    potential = _label_form_total(cov, labeling, inst.k)
     covered = [0] * inst.k
     for mask, labels in zip(cov.masks, labeling.by_x):
         for lab in labels:

@@ -320,6 +320,38 @@ def test_isolation_views_match_brute_force():
     assert min(cases.values()) >= 10, cases
 
 
+def test_isolation_masks_match_brute_force():
+    """Masks built from either side of the cover against the definitions.
+
+    A cover larger than m/2 stars its uncovered targets instead; a cover
+    holding every target, or none, gives an empty mask.
+    """
+    rng = derive_rng(15, "isolation-masks")
+    cases = dict.fromkeys(("m2", "none", "all", "small_side", "complement"), 0)
+    compared = 0
+    while compared < 150:
+        n = rng.randint(2, 8)
+        g = random_graph(rng, n, rng.random())
+        pool = all_node_targets(g) + all_edge_targets(g)
+        targets = rng.sample(pool, rng.randint(min(2, len(pool)), len(pool)))
+        if len(targets) < 2:
+            continue
+        sensors = rng.sample(range(n), rng.randint(1, n))
+        r = rng.randint(0, 3)
+        adj, _, _, _ = brute_isolation(g, sensors, targets, r)
+        cov = build_isolation(g, sensors, targets, r)
+        assert cov.masks == tuple(sum(1 << y for y in ys) for ys in adj)
+        m = len(targets)
+        compared += 1
+        cases["m2"] += m == 2
+        for c in map(len, cov.covers):
+            cases["none"] += c == 0
+            cases["all"] += c == m
+            cases["small_side"] += 0 < c <= m / 2
+            cases["complement"] += m / 2 < c < m
+    assert min(cases.values()) >= 10, cases
+
+
 def test_detection_matches_brute_force():
     rng = derive_rng(12, "brute-detection")
     isolated = split = mixed = 0

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from sensched.coverage import build_detection, build_isolation
 from sensched.errors import BatteryViolation, InputError, ModeError, VerificationError
-from sensched.graph import all_edge_targets
+from sensched.graph import all_edge_targets, all_node_targets
 from sensched.schedule import (
     Labeling,
     ProblemInstance,
@@ -27,9 +28,9 @@ from sensched.schedule import (
     slot_sets,
 )
 from sensched.seeds import derive_rng
-from sensched.verify import random_instance, random_labeling
+from sensched.verify import random_graph, random_instance, random_labeling
 
-from ._brute import brute_potential, brute_score, brute_slot_potential
+from ._brute import brute_isolation, brute_potential, brute_score, brute_slot_potential
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -128,28 +129,99 @@ def test_score_errors_name_devices_in_order(petersen):
     assert err.value.offenders == [cov.x_names[i] for i in (0, 2, 4, 6)]
 
 
+def _drop_a_mask_bit_and_score(rng, inst) -> bool:
+    """Whether score raised with one Y element dropped from a random device's mask.
+
+    False when that mask is empty. When score does not raise, the dropped
+    element was covered in every slot of the device by another device,
+    and the label form must still be exact.
+    """
+    cov = inst.coverage
+    lab = random_labeling(rng, inst, exact=True)
+    masks = list(cov.masks)
+    x = rng.randrange(cov.n_x)
+    if not masks[x]:
+        return False
+    masks[x] &= masks[x] - 1  # drop its lowest Y element
+    vars(cov)["masks"] = tuple(masks)  # overrides the cached property
+    expect = brute_slot_potential(cov, lab.by_x, inst.k)
+    try:
+        report = score(inst, lab)
+    except VerificationError:
+        return True
+    assert report.potential == expect
+    return False
+
+
 def test_score_raises_on_corrupted_masks():
     rng = derive_rng(14, "corrupt-masks")
+    raised = sum(_drop_a_mask_bit_and_score(rng, random_instance(rng)) for _ in range(40))
+    assert raised > 10
+    # isolation: the label form counts over target classes from the covers
+    rng = derive_rng(14, "corrupt-isolation-masks")
     raised = 0
     for _ in range(40):
-        inst = random_instance(rng)
-        cov = inst.coverage
-        lab = random_labeling(rng, inst, exact=True)
-        masks = list(cov.masks)
-        x = rng.randrange(cov.n_x)
-        if not masks[x]:
-            continue
-        masks[x] &= masks[x] - 1  # drop its lowest Y element
-        vars(cov)["masks"] = tuple(masks)  # overrides the cached property
-        expect = brute_slot_potential(cov, lab.by_x, inst.k)
-        try:
-            report = score(inst, lab)
-        except VerificationError:
-            raised += 1
-        else:
-            # the dropped element was covered in every slot of x by another device
-            assert report.potential == expect
+        g = random_graph(rng, rng.randint(4, 9), rng.uniform(0.25, 0.7))
+        targets = all_node_targets(g) + all_edge_targets(g)
+        sensors = rng.sample(range(g.node_count), rng.randint(1, g.node_count))
+        k = rng.randint(2, 5)
+        cov = build_isolation(g, sensors, targets, rng.randint(0, 2))
+        inst = ProblemInstance(cov, k, rng.randint(1, k))
+        raised += _drop_a_mask_bit_and_score(rng, inst)
     assert raised > 10
+
+
+def _target_classes(cov) -> int:
+    """Distinct sets of covering devices among the targets."""
+    return len({frozenset(x for x, c in enumerate(cov.covers) if t in c)
+                for t in range(len(cov.targets))})
+
+
+def _isolation_potentials(inst, lab, adj) -> tuple[int, int]:
+    """score's potential and, from `brute_isolation`'s adjacency, the definition's."""
+    cov = inst.coverage
+    brute_cov = SimpleNamespace(n_x=cov.n_x, n_y=cov.n_y, adj=adj)
+    return score(inst, lab).potential, brute_potential(brute_cov, lab.by_x)
+
+
+def test_isolation_label_form_merges_target_classes():
+    """Few devices over many targets: most targets share their covering devices."""
+    rng = derive_rng(16, "isolation-classes-merge")
+    compared = merged = 0
+    while compared < 40:
+        g = random_graph(rng, rng.randint(5, 9), rng.uniform(0.3, 0.7))
+        targets = all_node_targets(g) + all_edge_targets(g)
+        if len(targets) < 12:
+            continue
+        sensors = rng.sample(range(g.node_count), rng.randint(1, 4))
+        r = rng.randint(0, 2)
+        cov = build_isolation(g, sensors, targets, r)
+        adj = brute_isolation(g, sensors, targets, r)[0]
+        k = rng.randint(1, 5)
+        inst = ProblemInstance(cov, k, rng.randint(1, k))
+        for _ in range(3):
+            got, want = _isolation_potentials(inst, random_labeling(rng, inst), adj)
+            assert got == want
+        compared += 1
+        merged += _target_classes(cov) < len(targets)
+    assert merged >= 30
+
+
+def test_isolation_label_form_with_distinct_target_classes():
+    """A device on every node and node targets at range 0: one target per class."""
+    rng = derive_rng(16, "isolation-classes-distinct")
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(2, 12), rng.random())
+        targets = all_node_targets(g)
+        sensors = range(g.node_count)
+        cov = build_isolation(g, sensors, targets, 0)
+        assert _target_classes(cov) == len(targets)
+        adj = brute_isolation(g, sensors, targets, 0)[0]
+        k = rng.randint(1, 6)
+        inst = ProblemInstance(cov, k, rng.randint(1, k))
+        for _ in range(3):
+            got, want = _isolation_potentials(inst, random_labeling(rng, inst), adj)
+            assert got == want
 
 
 def test_score_wrong_width(path4_instance):
