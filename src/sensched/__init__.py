@@ -1,6 +1,6 @@
 """Activation scheduling for battery-limited monitoring devices on graphs."""
 
-from .coverage import CoverageGraph, TargetPair, build_detection, build_isolation, restrict_x
+from .coverage import CoverageGraph, build_detection, build_isolation, restrict_x
 from .domination import (
     DomaticPartition,
     KSigmaConfig,
@@ -62,7 +62,6 @@ from .schedule import (
     Labeling,
     ProblemInstance,
     ScheduleReport,
-    covered_slots,
     expected_detection,
     labeling_from_slots,
     score,

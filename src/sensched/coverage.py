@@ -10,31 +10,30 @@ apart).
 
 A `CoverageGraph` stores the detection rows for both objectives: the
 targets, their keys and each device's set of covered target indices
-(`covers`). Everything over Y is a view built on first use and cached
-per coverage graph: `masks` (each device's Y neighbourhood as an int
-bitset), `adj` (the same as sets of y indices), `rev` (the transpose),
-`y_items` and `y_keys`; `iter_adj` computes the y indices without
-keeping them (it backs `adj`). For isolation, a mask is the XOR of the
-pair stars of the targets on the smaller side of the device's cover, a
-few big-int operations per such target, so no per-pair work is done
-until the y indices or the keys are read.
+(`covers`). Two views over Y are built on first use and cached per
+coverage graph:
 
-Solvers read only `masks`, `n_x` and `n_y`, and every count of covered
-(slot, Y-element) pairs they make reads `masks`: a slot's covered set is
-the OR of its active devices' masks, and its size is `int.bit_count()`.
+- `masks`, each device's Y neighbourhood as an int bitset, is what the
+  solvers read. Every count of covered (slot, Y-element) pairs they
+  make is an OR of the active devices' masks and its `int.bit_count()`.
+  For isolation, a mask is the XOR of the pair stars of the targets on
+  the smaller side of the device's cover, a few big-int operations per
+  such target, so no per-pair work is done.
+- `adj`, the same neighbourhoods as sets of y indices, serves the
+  from-definitions checks in `verify` and no solver.
+
 `schedule.score` also counts from `covers` alone, as an independent
-check (for isolation over classes of targets with the same covering
-devices). `to_adjacency_text` writes its lines from `covers` and
-`target_keys` alone. `adj` and `rev` serve the from-definitions checks
-in `verify` and `schedule.covered_slots`; `y_items` and `y_keys` are
-read by no path in this package, only by tests and other callers.
+check (for isolation over `target_classes`, the targets grouped by
+their covering devices). `to_adjacency_text` writes its lines from
+`covers` and `target_keys` alone.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .errors import InputError, SearchSpaceError
 from .graph import NetworkGraph, Target, ball, target_key
@@ -44,20 +43,6 @@ Objective = Literal["detection", "isolation"]
 PAIR_LIMIT = 5_000_000
 # coverage edges sum_x |c_x| * (m - |c_x|), counted before any pair is built
 EDGE_LIMIT = 2_000_000
-
-
-@dataclass(frozen=True, order=True)
-class TargetPair:
-    """Unordered pair of distinct targets, stored in canonical order."""
-
-    first: Target
-    second: Target
-
-    @staticmethod
-    def of(a: Target, b: Target) -> "TargetPair":
-        if a == b:
-            raise InputError("a target pair needs two distinct targets")
-        return TargetPair(min(a, b), max(a, b))
 
 
 def _pair_rows(m: int) -> list[int]:
@@ -77,8 +62,9 @@ class CoverageGraph:
     detection rows: the canonically sorted targets, their keys and, per
     x index, the set of target indices the device covers. Y is the
     target list (detection) or every target pair in lexicographic order
-    of the target indices (isolation); n_y, y_items, y_keys, adj, masks
-    and rev are derived from the rows.
+    of the target indices (isolation); n_y, `masks` (read by the
+    solvers) and `adj` (read by the checks in `verify`) are derived from
+    the rows.
     """
 
     objective: Objective
@@ -106,39 +92,26 @@ class CoverageGraph:
         return sum(len(c) * (m - len(c)) for c in self.covers)
 
     @cached_property
-    def y_items(self) -> tuple[Target | TargetPair, ...]:
-        t = self.targets
-        if self.objective == "detection":
-            return t
-        m = len(t)
-        return tuple(TargetPair(t[a], t[b]) for a in range(m) for b in range(a + 1, m))
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """Per device, the y indices it covers, as sets.
 
-    @cached_property
-    def y_keys(self) -> tuple[str, ...]:
-        keys = self.target_keys
+        No solver reads this view. Its readers are `verify._slot_form`,
+        `verify._label_form` (which transposes it in place) and the
+        benchmark tracer's `coverage.edges` count
+        (`perfbench/tracing.py::_coverage_counts`).
+        """
         if self.objective == "detection":
-            return keys
-        m = len(keys)
-        return tuple(f"{keys[a]}|{keys[b]}" for a in range(m) for b in range(a + 1, m))
-
-    def iter_adj(self) -> Iterator[Collection[int]]:
-        """Per device, the y indices it covers, computed from the rows and not kept."""
-        if self.objective == "detection":
-            yield from self.covers
-            return
+            return self.covers
         m = len(self.targets)
         # the y index of pair (a, b), a < b, is first[a] + b
         first = [start - a - 1 for a, start in enumerate(_pair_rows(m))]
+        out = []
         for covered in self.covers:
             uncovered = [b for b in range(m) if b not in covered]
-            yield [first[b] + a if b < a else first[a] + b for a in covered for b in uncovered]
-
-    @cached_property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        """Per device, the y indices it covers (`iter_adj`, kept)."""
-        if self.objective == "detection":
-            return self.covers
-        return tuple(frozenset(ys) for ys in self.iter_adj())
+            out.append(frozenset(
+                [first[b] + a if b < a else first[a] + b for a in covered for b in uncovered]
+            ))
+        return tuple(out)
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -178,14 +151,20 @@ class CoverageGraph:
             out.append(mask)
         return tuple(out)
 
-    @cached_property
-    def rev(self) -> tuple[frozenset[int], ...]:
-        """Per Y element, the devices covering it (the transpose of adj)."""
-        rev: list[set[int]] = [set() for _ in range(self.n_y)]
-        for xi, ys in enumerate(self.adj):
-            for y in ys:
-                rev[y].add(xi)
-        return tuple(frozenset(s) for s in rev)
+    def target_classes(self) -> Counter[int]:
+        """The targets grouped by the devices covering them: size per class.
+
+        A class is keyed by its holder bitset, bit x set iff device x
+        covers the class's targets, in order of first target. No device
+        separates two targets of one class, and the pairs between classes
+        A and B are separated by exactly the devices of A ^ B.
+        """
+        holders = [0] * len(self.targets)
+        for xi, cover in enumerate(self.covers):
+            bit = 1 << xi
+            for t in cover:
+                holders[t] |= bit
+        return Counter(holders)
 
     def __repr__(self) -> str:
         return (
@@ -298,12 +277,15 @@ def restrict_x(cov: CoverageGraph, x_indices: Iterable[int]) -> CoverageGraph:
             raise InputError(f"unknown device index: {xi}")
     if not keep:
         raise InputError("cannot restrict to an empty device set")
-    return replace(
+    sub = replace(
         cov,
         x_nodes=tuple(cov.x_nodes[xi] for xi in keep),
         x_names=tuple(cov.x_names[xi] for xi in keep),
         covers=tuple(cov.covers[xi] for xi in keep),
     )
+    if "masks" in vars(cov):  # same Y, so the kept devices keep their masks
+        vars(sub)["masks"] = tuple(cov.masks[xi] for xi in keep)
+    return sub
 
 
 def to_adjacency_text(cov: CoverageGraph) -> str:

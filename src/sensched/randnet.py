@@ -232,19 +232,15 @@ def expected_random_score(inst: ProblemInstance) -> Fraction:
     mean score is (1/|Y|) * sum over y of (1 - q^c_y). Detection counts
     c_y off the rows (`covers`). For the isolation pair (a, b), c_y is the
     popcount of N(a) ^ N(b), N(t) being the bitset of the devices that
-    cover target t; pairs are walked over distinct bitsets only, since
-    equal ones give c = 0. No rev and no pair list is built.
+    cover target t; pairs are walked over the target classes
+    (`cov.target_classes()`, one per distinct bitset) only, since equal
+    bitsets give c = 0. No pair list is built.
     """
     cov = inst.coverage
     if cov.objective == "detection":
         counts = Counter(Counter(t for cover in cov.covers for t in cover).values())
     else:
-        holders = [0] * len(cov.targets)
-        for x, cover in enumerate(cov.covers):
-            bit = 1 << x
-            for t in cover:
-                holders[t] |= bit
-        groups = list(Counter(holders).items())
+        groups = list(cov.target_classes().items())
         counts = Counter()
         for i, (a, size_a) in enumerate(groups):
             for b, size_b in groups[i + 1 :]:

@@ -11,7 +11,6 @@ Slot labels are 0-based in memory and 1-based in all text output.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -120,31 +119,22 @@ def labeling_from_slots(slots: Sequence[Iterable[int]], n_x: int) -> Labeling:
     return Labeling(tuple(frozenset(s) for s in sets))
 
 
-def covered_slots(labeling: Labeling, cov: CoverageGraph, y: int) -> frozenset[int]:
-    """Slots in which Y element y is covered: union of its neighbors' labels."""
-    if not 0 <= y < cov.n_y:
-        raise InputError(f"unknown y index: {y}")
-    out: set[int] = set()
-    for xi in cov.rev[y]:
-        out |= labeling.by_x[xi]
-    return frozenset(out)
-
-
 def _label_form_total(cov: CoverageGraph, labeling: Labeling, k: int) -> int:
     """Sum over y of the slots in which y is covered, from `cov.covers` alone.
 
     Detection: each device with a non-empty label set ORs that set's
     k-bit value, looked up once per distinct set, into the entry of
     every target it covers. Isolation groups the targets into classes
-    by their set of covering devices: no device separates two targets of
-    one class, and the devices separating a target of class A from one
-    of class B are those holding exactly one of A and B. So an entry is
-    kept per class pair {A, B}, standing for |A| * |B| pairs, as k-bit
-    field B of class A's row int and field A of B's. The devices active
-    in slot j separate A from B iff A and B differ in which of them they
-    hold: per slot, the classes are split by that, and each class sets
-    bit j in the fields of every class outside its part. That is one OR
-    per class and slot, however many devices and label sets there are.
+    by their set of covering devices (`cov.target_classes()`): no device
+    separates two targets of one class, and the devices separating a
+    target of class A from one of class B are those holding exactly one
+    of A and B. So an entry is kept per class pair {A, B}, standing for
+    |A| * |B| pairs, as k-bit field B of class A's row int and field A of
+    B's. The devices active in slot j separate A from B iff A and B
+    differ in which of them they hold: per slot, the classes are split
+    by that, and each class sets bit j in the fields of every class
+    outside its part. That is one OR per class and slot, however many
+    devices and label sets there are.
     """
     if cov.objective == "detection":
         bits_of = {labels: sum(1 << lab for lab in labels) for labels in set(labeling.by_x)}
@@ -155,12 +145,7 @@ def _label_form_total(cov: CoverageGraph, labeling: Labeling, k: int) -> int:
                 for y in ys:
                     slots_of_y[y] |= bits
         return sum(map(int.bit_count, slots_of_y))
-    holders = [0] * len(cov.targets)
-    for xi, cover in enumerate(cov.covers):
-        bit = 1 << xi
-        for t in cover:
-            holders[t] |= bit
-    sizes = Counter(holders)
+    sizes = cov.target_classes()
     classes = list(sizes)
     fields = [1 << (i * k) for i in range(len(classes))]
     every = sum(fields)

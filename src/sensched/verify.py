@@ -190,13 +190,12 @@ def check_dual_form(
 
 
 def _label_form(cov: CoverageGraph, labeling: Labeling) -> int:
-    total = 0
-    for y in range(cov.n_y):
-        slots: set[int] = set()
-        for xi in cov.rev[y]:
-            slots |= labeling.by_x[xi]
-        total += len(slots)
-    return total
+    # per y, the union of the label sets of the devices whose adj holds y
+    slots: list[set[int]] = [set() for _ in range(cov.n_y)]
+    for ys, labels in zip(cov.adj, labeling.by_x):
+        for y in ys:
+            slots[y] |= labels
+    return sum(map(len, slots))
 
 
 def _slot_form(cov: CoverageGraph, labeling: Labeling, k: int) -> int:

@@ -21,7 +21,6 @@ from itertools import combinations, product
 from random import Random
 
 from sensched import game
-from sensched.coverage import TargetPair
 from sensched.domination import DomaticPartition
 from sensched.game import BlllParams, BlllResult, GameState, PlacementResult
 from sensched.graph import NetworkGraph, target_key
@@ -67,10 +66,10 @@ def brute_covered(g, device: int, range_limit: int, targets) -> set:
 
 
 def brute_isolation(g, sensors, targets, range_limit) -> tuple:
-    """Isolation coverage as (adj, y_keys, y_items, x_names), from the definitions.
+    """Isolation coverage as (adj, pair keys, pairs, x_names), from the definitions.
 
-    Y is every pair of distinct targets in sorted order; x ~ (a, b) iff x
-    covers exactly one of a and b.
+    Y is every pair (a, b) of distinct targets in sorted order; x ~ (a, b)
+    iff x covers exactly one of a and b.
     """
     dist = floyd_warshall(g)
     pairs = list(combinations(sorted(set(targets)), 2))
@@ -86,7 +85,7 @@ def brute_isolation(g, sensors, targets, range_limit) -> tuple:
     return (
         tuple(adj),
         tuple(f"{target_key(a, g)}|{target_key(b, g)}" for a, b in pairs),
-        tuple(TargetPair(a, b) for a, b in pairs),
+        tuple(pairs),
         tuple(g.node_name(x) for x in xs),
     )
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,6 @@ from click.testing import CliRunner
 from sensched import coverage, instance
 from sensched.cli import main
 from sensched.coverage import (
-    TargetPair,
     build_detection,
     build_isolation,
     restrict_x,
@@ -45,7 +45,7 @@ def test_detection_path_fixture(path4):
     assert cov.x_names == ("2", "3")
     assert cov.adj[0] == frozenset({0, 1})
     assert cov.adj[1] == frozenset({1, 2})
-    assert cov.rev[1] == frozenset({0, 1})
+    assert {xi for xi, ys in enumerate(cov.adj) if 1 in ys} == {0, 1}
 
 
 def test_detection_zero_range_identity(path4):
@@ -113,21 +113,9 @@ def test_isolation_is_xor_of_detection():
         det = build_detection(g, sensors, targets, r)
         iso = build_isolation(g, sensors, targets, r)
         for xi in range(det.n_x):
-            for yi, item in enumerate(iso.y_items):
-                a = det.y_items.index(item.first)
-                b = det.y_items.index(item.second)
+            for yi, (a, b) in enumerate(combinations(range(len(det.targets)), 2)):
                 expected = (a in det.adj[xi]) != (b in det.adj[xi])
                 assert (yi in iso.adj[xi]) == expected
-
-
-def test_reverse_adjacency_consistent(path4):
-    cov = build_isolation(path4, [0, 1, 2, 3], all_edge_targets(path4), 1)
-    for xi in range(cov.n_x):
-        for y in cov.adj[xi]:
-            assert xi in cov.rev[y]
-    for y in range(cov.n_y):
-        for xi in cov.rev[y]:
-            assert y in cov.adj[xi]
 
 
 def test_build_deterministic(path4):
@@ -142,8 +130,8 @@ def test_cover_independent_of_node_insertion_order(path4):
     b = build_detection(
         reordered, [reordered.node_id("2")], all_edge_targets(reordered), 1
     )
-    covered_a = {a.y_keys[y] for y in a.adj[0]}
-    covered_b = {b.y_keys[y] for y in b.adj[0]}
+    covered_a = {a.target_keys[y] for y in a.adj[0]}
+    covered_b = {b.target_keys[y] for y in b.adj[0]}
     assert covered_a == covered_b
 
 
@@ -159,6 +147,14 @@ def test_adjacency_text_isolation_golden(path4):
     )
 
 
+def _pairs(cov) -> tuple:
+    """An isolation Y from the targets: (pair keys, pair items) in y order."""
+    return (
+        tuple(f"{a}|{b}" for a, b in combinations(cov.target_keys, 2)),
+        tuple(combinations(cov.targets, 2)),
+    )
+
+
 def _listing(names, adj, keys) -> str:
     return "".join(
         f"{name}: {','.join(keys[y] for y in sorted(ys))}".rstrip() + "\n"
@@ -170,8 +166,8 @@ def test_adjacency_text_keeps_no_isolation_adjacency(path4):
     # each line is written from the detection rows and target_keys, so no pair view is built
     cov = build_isolation(path4, [0, 1, 2, 3], all_edge_targets(path4), 1)
     text = to_adjacency_text(cov)
-    assert not {"adj", "y_keys"} & set(vars(cov))
-    assert text == _listing(cov.x_names, cov.adj, cov.y_keys)
+    assert "adj" not in vars(cov)
+    assert text == _listing(cov.x_names, cov.adj, _pairs(cov)[0])
 
 
 def test_adjacency_text_matches_brute_force():
@@ -204,13 +200,6 @@ def test_adjacency_text_matches_brute_force():
         cases["mixed_kinds"] += len({t.kind for t in ts}) == 2
         cases[str(r)] += 1
     assert min(cases.values()) >= 10, cases
-
-
-def test_pair_canonicalization():
-    a, b = Target("node", 2), Target("node", 1)
-    assert TargetPair.of(a, b) == TargetPair.of(b, a)
-    with pytest.raises(InputError):
-        TargetPair.of(a, a)
 
 
 def test_too_many_pairs_refused(path4, monkeypatch, tmp_path):
@@ -248,10 +237,12 @@ def test_restrict_x(path4):
     sub = restrict_x(cov, [1, 2])
     assert sub.x_names == ("2", "3")
     assert sub.adj == (cov.adj[1], cov.adj[2])
-    assert sub.y_keys == cov.y_keys
-    assert cov.rev and cov.masks  # cached on the parent now
-    sub = restrict_x(cov, [1, 2])
-    assert "rev" not in vars(sub) and "masks" not in vars(sub)
+    assert (sub.targets, sub.target_keys) == (cov.targets, cov.target_keys)
+    # the masks are inherited exactly when the parent had them cached
+    assert cov.masks  # cached on the parent now
+    assert "masks" not in vars(sub)
+    cached = restrict_x(cov, [1, 2])
+    assert vars(cached)["masks"] == (cov.masks[1], cov.masks[2])
     with pytest.raises(InputError):
         restrict_x(cov, [])
     with pytest.raises(InputError):
@@ -271,23 +262,27 @@ def test_isolation_and_restrict_x_match_brute_force():
         sensors = rng.sample(range(n), rng.randint(1, n))
         r = rng.randint(0, 3)
         cov = build_isolation(g, sensors, targets, r)
-        got = (cov.adj, cov.y_keys, cov.y_items, cov.x_names)
+        got = (cov.adj, *_pairs(cov), cov.x_names)
         assert got == brute_isolation(g, sensors, targets, r)
         compared += 1
         mixed += len({t.kind for t in targets}) == 2 and len(set(targets)) < len(targets)
 
         keep = rng.sample(range(cov.n_x), rng.randint(1, cov.n_x))
         kept_sensors = [cov.x_nodes[xi] for xi in keep]
-        for build in (build_detection, build_isolation):
-            sub = restrict_x(build(g, sensors, targets, r), keep)
+        for build, cached in product((build_detection, build_isolation), (False, True)):
+            parent = build(g, sensors, targets, r)
+            if cached:
+                assert len(parent.masks) == parent.n_x  # built before the restriction
+            sub = restrict_x(parent, keep)
             direct = build(g, kept_sensors, targets, r)
             assert sub == direct
-            assert sub.rev == direct.rev and sub.masks == direct.masks
+            assert ("masks" in vars(sub)) == cached
+            assert sub.adj == direct.adj and sub.masks == direct.masks
     assert mixed >= 10
 
 
 def test_isolation_views_match_brute_force():
-    """masks, adj, y_keys and y_items, derived from the rows, against the definitions."""
+    """masks, adj and the pair order of Y, derived from the rows, against the definitions."""
     rng = derive_rng(13, "isolation-views")
     cases = dict.fromkeys(("m2", "blind", "sees_all", "duplicates", "restricted"), 0)
     compared = 0
@@ -307,9 +302,8 @@ def test_isolation_views_match_brute_force():
         for view, want in views:
             assert view.masks == tuple(sum(1 << y for y in ys) for ys in want)
             assert view.n_y == len(items) and view.n_edges == sum(map(len, want))
-            assert not {"adj", "y_keys", "y_items"} & set(vars(view))
-            assert [frozenset(ys) for ys in view.iter_adj()] == list(want)
-            assert (view.adj, view.y_keys, view.y_items) == (want, keys, items)
+            assert "adj" not in vars(view)
+            assert (view.adj, *_pairs(view)) == (want, keys, items)
         m = len(set(targets))
         compared += 1
         cases["m2"] += m == 2
@@ -364,9 +358,9 @@ def test_detection_matches_brute_force():
         for r in (0, 1, 2, n + rng.randint(0, 2)):
             cov = build_detection(g, sensors, targets, r)
             assert cov.x_nodes == tuple(sorted(set(sensors)))
-            assert cov.y_items == tuple(sorted(set(targets)))
+            assert cov.targets == tuple(sorted(set(targets)))
             expected = tuple(
-                frozenset(cov.y_items.index(t) for t in brute_covered(g, x, r, targets))
+                frozenset(cov.targets.index(t) for t in brute_covered(g, x, r, targets))
                 for x in cov.x_nodes
             )
             assert cov.adj == expected
@@ -414,4 +408,4 @@ def test_solvers_never_build_rev(path4, build):
         call(shared)
         for cov in (inst.coverage, shared.coverage):
             assert "masks" in vars(cov)
-            assert not {"rev", "y_items", "y_keys", "adj"} & set(vars(cov))
+            assert "adj" not in vars(cov)  # adj serves the checks in verify only

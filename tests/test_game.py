@@ -53,7 +53,7 @@ def test_potential_path_fixture(path4_instance):
 def test_potential_saturated(path4_instance):
     cov = path4_instance.coverage
     state = GameState(cov, 2, 2, [frozenset({0, 1})] * 2)
-    coverable = sum(1 for y in range(cov.n_y) if cov.rev[y])
+    coverable = len(set().union(*cov.adj))
     assert potential(state) == 2 * coverable
 
 

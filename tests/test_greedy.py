@@ -33,7 +33,7 @@ def test_sigma_equals_k_saturates(path4):
     inst = ProblemInstance(cov, k=3, sigma=3)
     result = greedy_schedule(inst)
     assert all(labels == frozenset({0, 1, 2}) for labels in result.labeling.by_x)
-    coverable = sum(1 for y in range(cov.n_y) if cov.rev[y])
+    coverable = len(set().union(*cov.adj))
     assert score(inst, result.labeling).score == Fraction(coverable, cov.n_y)
 
 

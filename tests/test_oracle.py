@@ -44,7 +44,7 @@ def test_oracle_sigma_equals_k(path4):
     cov = build_detection(path4, [1], all_edge_targets(path4), 1)
     inst = ProblemInstance(cov, k=3, sigma=3)
     result = exact_optimal_schedule(inst)
-    coverable = sum(1 for y in range(cov.n_y) if cov.rev[y])
+    coverable = len(set().union(*cov.adj))
     assert result.best_score == Fraction(coverable, cov.n_y)
 
 

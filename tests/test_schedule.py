@@ -15,7 +15,6 @@ from sensched.graph import all_edge_targets, all_node_targets
 from sensched.schedule import (
     Labeling,
     ProblemInstance,
-    covered_slots,
     expected_detection,
     format_label_table,
     format_labeling,
@@ -66,22 +65,6 @@ def test_slot_sets_empty():
 def test_slot_sets_round_trip(sets):
     lab = Labeling(tuple(sets))
     assert labeling_from_slots(slot_sets(lab, 4), len(sets)) == lab
-
-
-def test_covered_slots_cases(path4_instance):
-    cov = path4_instance.coverage
-    lab = Labeling((frozenset({0}), frozenset({1})))
-    assert covered_slots(lab, cov, 0) == frozenset({0})
-    assert covered_slots(lab, cov, 1) == frozenset({0, 1})
-    assert covered_slots(lab, cov, 2) == frozenset({1})
-
-
-def test_covered_slots_no_neighbors(path4):
-    from sensched.graph import Target
-
-    cov = build_detection(path4, [0], [Target("node", 3)], 0)
-    lab = Labeling((frozenset({0}),))
-    assert covered_slots(lab, cov, 0) == frozenset()
 
 
 def test_score_path_fixture(path4_instance):
@@ -331,7 +314,7 @@ def test_score_bounds_and_perfect_requires_coverage():
         value = score(inst, lab).score
         assert 0 <= value <= 1
         if value == 1:
-            assert all(inst.coverage.rev[y] for y in range(inst.coverage.n_y))
+            assert len(set().union(*inst.coverage.adj)) == inst.coverage.n_y
 
 
 def test_format_score():
