@@ -141,7 +141,11 @@ def schedule_cmd(
                 ],
             )
     else:
-        params = game.BlllParams(epsilon=epsilon, iterations=iters, seed=seed)
+        # without --trace the chain records only its first and last points
+        stride = 1 if trace_path else max(1, iters)
+        params = game.BlllParams(
+            epsilon=epsilon, iterations=iters, seed=seed, trace_stride=stride
+        )
         b_result = game.blll_schedule(inst, params)
         labeling = b_result.best_labeling
         denom = inst.k * inst.coverage.n_y
@@ -197,7 +201,10 @@ def place_and_schedule_cmd(
         raise InputError("instance file needs both `k` and `sigma`")
     inst = ProblemInstance(cov, k=spec.k, sigma=spec.sigma)
     letter = SCORE_LETTER[inst.objective]
-    params = game.BlllParams(epsilon=epsilon, iterations=iters, seed=seed)
+    # no trace is read, so the chains record only their first and last points
+    params = game.BlllParams(
+        epsilon=epsilon, iterations=iters, seed=seed, trace_stride=max(1, iters)
+    )
 
     modes = {"blll-joint": ("joint",), "two-stage": ("two-stage",),
              "both": ("joint", "two-stage")}[solver]

@@ -16,11 +16,13 @@ b^U(trial) / (b^U(trial) + b^U(current)) where b = 1/epsilon > 1, so
 higher-utility actions are favored and the noise epsilon occasionally
 accepts downhill moves.
 
-One step is scored from the per-slot provider counts alone: the
-player's mask is borrowed out of its slots (the Y elements that lose
-their last provider are its current utility), the trial's utility is
-its gain against what stays covered, and whichever action wins is
-rippled back in. A trial label set makes exactly the random draws of
+One step is scored by reading the per-slot provider counts, not by
+changing them: the player's utility is the part of its mask that no
+other active device covers in its slots, and the trial's is what it
+would newly cover once the player's own sole coverage is taken away.
+Most trials are rejected and write nothing; an accepted one borrows
+the old action out of the counts and ripples the new one in. A trial
+label set makes exactly the random draws of
 `frozenset(rng.sample(range(k), sigma))`, and a joint-placement trial
 site those of `open_sites(player)[randrange(len)]`, but neither builds
 a list. Label sets, here as in randnet's Monte-Carlo trials, come from
@@ -414,13 +416,36 @@ class PlacementResult:
     accepted: int
 
 
+def _multi(planes: list[int]) -> int:
+    """Y elements with two or more providers: the OR of the planes above the first."""
+    out = 0
+    for plane in islice(planes, 1, None):
+        out |= plane
+    return out
+
+
 def _run_chain(
     state: GameState,
     params: BlllParams,
     rng: Random,
-    propose: Callable[[int], tuple[int, frozenset[int]]],
+    next_labels: Callable[[frozenset[int]], frozenset[int]],
+    next_site: Callable[[int], int] | None = None,
 ) -> tuple[list[tuple[int, int]], int, int, tuple[tuple[int, ...], Labeling]]:
-    """Shared BLLL loop; propose(player) returns a (site, labels) trial.
+    """Shared BLLL loop over a random player's trial actions.
+
+    A trial draws next_site(player) (the player's own site when
+    next_site is None), then next_labels(current labels). It is scored
+    off the planes without changing them. multi[lab], the OR of slot
+    lab's planes above the first, holds the Y elements with two or more
+    providers. The player's utility in a slot is its mask outside multi;
+    a trial's is its new mask outside covered[lab], plus, in a slot the
+    player holds now, the part of the new mask that only the player
+    covers. Each count is a mask size minus the popcount of an AND, so
+    no step negates a |Y|-bit int. Only an accepted trial writes: the
+    old action is borrowed out of its slots (a VerificationError on an
+    uncounted provider), the new one rippled in, and multi refreshed for
+    both label sets. The best state is an undo log of the accepted
+    moves since the last best, replayed backwards at the end.
 
     Returns the trace, the best potential, the accepted-move count and
     the best state seen as placement() gives it.
@@ -431,54 +456,63 @@ def _run_chain(
     audit_interval = AUDIT_INTERVAL
     below, random, exp = randbelow(rng), rng.random, math.exp
     masks = state.cov.masks
+    sizes = [mask.bit_count() for mask in masks]
     n_players, sites, actions = state.n_players, state.sites, state.actions
     planes, covered, phi = state.planes, state.covered, state.phi
+    multi = [_multi(p) for p in planes]
     trace: list[tuple[int, int]] = [(0, phi)]
     best_phi = phi
-    best_snapshot = (list(sites), list(actions))
+    # (player, site, labels) before each accepted move since the best state
+    undo: list[tuple[int, int, frozenset[int]]] = []
     accepted = 0
     for i in range(1, iterations + 1):
         player = below(n_players)
         site = sites[player]
+        new_site = site if next_site is None else next_site(player)
         labels = actions[player]
-        new_site, new_labels = propose(player)
+        new_labels = next_labels(labels)
 
-        # the Y elements that lose their last provider are the player's utility
-        mask = masks[site]
+        # the player alone provides the Y elements of its mask outside multi
+        mask, size = masks[site], sizes[site]
         u_cur = 0
         for lab in labels:
-            left = _borrow(planes[lab], mask, lab)
-            u_cur += (mask & ~left).bit_count()
-            covered[lab] = left
-        new_mask = masks[new_site]
+            u_cur += size - (mask & multi[lab]).bit_count()
+        # a trial gains what no one covers, plus what only the player covers
+        new_mask, new_size = masks[new_site], sizes[new_site]
         u_new = 0
         for lab in new_labels:
-            u_new += (new_mask & ~covered[lab]).bit_count()
+            u_new += new_size - (new_mask & covered[lab]).bit_count()
+            if lab in labels:
+                u_new += (new_mask & (mask ^ (mask & multi[lab]))).bit_count()
         x = (u_new - u_cur) * log_base
         if x >= 0:
             p = 1.0 / (1.0 + exp(-x))
         else:
             e = exp(x)
             p = e / (1.0 + e)
-        accept = random() < p
-        if accept:
+        if random() < p:
+            for lab in labels:
+                covered[lab] = _borrow(planes[lab], mask, lab)
+            for lab in new_labels:
+                _ripple_add(planes[lab], new_mask)
+                covered[lab] |= new_mask
+            for lab in labels | new_labels:
+                multi[lab] = _multi(planes[lab])
+            undo.append((player, site, labels))
             if new_site != site:
                 state._relocate(player, new_site)
-            actions[player] = labels = new_labels
-            mask = new_mask
+            actions[player] = new_labels
             phi += u_new - u_cur
             accepted += 1
-        for lab in labels:
-            _ripple_add(planes[lab], mask)
-            covered[lab] |= mask
-        if accept and accepted % audit_interval == 0:
-            state.phi = phi
-            state.recount()
-            planes, covered = state.planes, state.covered
+            if accepted % audit_interval == 0:
+                state.phi = phi
+                state.recount()
+                planes, covered = state.planes, state.covered
+                multi = [_multi(p) for p in planes]
+            if phi > best_phi:
+                best_phi = phi
+                undo.clear()
 
-        if phi > best_phi:
-            best_phi = phi
-            best_snapshot = (list(sites), list(actions))
         if i % stride == 0 or i == iterations:
             trace.append((i, phi))
         if stop is not None and phi >= stop:
@@ -486,7 +520,11 @@ def _run_chain(
                 trace.append((i, phi))
             break
     state.phi = phi
-    return trace, best_phi, accepted, _aligned(*best_snapshot)
+    best_sites, best_actions = list(sites), list(actions)
+    for player, site, labels in reversed(undo):
+        best_sites[player] = site
+        best_actions[player] = labels
+    return trace, best_phi, accepted, _aligned(best_sites, best_actions)
 
 
 def blll_schedule(inst: ProblemInstance, params: BlllParams | None = None) -> BlllResult:
@@ -500,14 +538,9 @@ def blll_schedule(inst: ProblemInstance, params: BlllParams | None = None) -> Bl
     cov = inst.coverage
     rng = derive_rng(params.seed, "blll-schedule")
     state = random_state(cov, inst.k, inst.sigma, rng)
-    next_action = _action_proposer(rng, inst.k, inst.sigma)
-    sites, actions = state.sites, state.actions
-
-    def propose(player: int) -> tuple[int, frozenset[int]]:
-        return sites[player], next_action(actions[player])
-
+    next_labels = _action_proposer(rng, inst.k, inst.sigma)
     trace, best_phi, accepted, (_, best_labeling) = _run_chain(
-        state, params, rng, propose
+        state, params, rng, next_labels
     )
     return BlllResult(
         labeling=state.labeling(),
@@ -536,11 +569,11 @@ def blll_place_and_schedule(
     below = randbelow(rng)
     n_open = len(state.free_sites) + 1
 
-    def propose(player: int) -> tuple[int, frozenset[int]]:
-        return state.open_site(player, below(n_open)), draw()
+    def next_site(player: int) -> int:
+        return state.open_site(player, below(n_open))
 
     trace, best_phi, accepted, (best_sites, best_labeling) = _run_chain(
-        state, params, rng, propose
+        state, params, rng, lambda _: draw(), next_site
     )
     sites, labeling = state.placement()
     return PlacementResult(

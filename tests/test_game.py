@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from sensched import game
-from sensched.coverage import build_detection, restrict_x
+from sensched.coverage import build_detection, build_isolation, restrict_x
 from sensched.errors import InputError, VerificationError
 from sensched.game import (
     BlllParams,
@@ -25,7 +25,7 @@ from sensched.graph import NetworkGraph, Target, all_node_targets
 from sensched.oracle import exact_optimal_schedule
 from sensched.schedule import Labeling, ProblemInstance, score
 from sensched.seeds import derive_rng
-from sensched.verify import random_instance
+from sensched.verify import random_graph, random_instance
 
 from ._brute import (
     brute_blll_place_and_schedule,
@@ -456,6 +456,49 @@ def test_blll_matches_reference_chain(monkeypatch, k, sigma, overrides, objectiv
         assert blll_place_and_schedule(inst, devices, params) == (
             brute_blll_place_and_schedule(inst, devices, params)
         )
+
+
+# (objective, k, sigma, BlllParams overrides). At epsilon = 0.9 most
+# trials are accepted, so the best state lies far behind the final one.
+DENSE_BLLL_CASES = [
+    ("detection", 6, 2, {}),
+    ("isolation", 5, 2, {}),
+    ("detection", 4, 1, {"epsilon": 0.9}),
+    ("isolation", 7, 3, {"epsilon": 0.9}),
+]
+
+
+def _dense_instances(objective, k, sigma, seed, count):
+    """Devices on all of 34-40 nodes; some Y element has 16 or more providers."""
+    rng = derive_rng(seed, "blll-dense", objective, k, sigma)
+    build = build_isolation if objective == "isolation" else build_detection
+    out = []
+    while len(out) < count:
+        n = rng.randint(34, 40)
+        g = random_graph(rng, n, rng.uniform(0.3, 0.5))
+        cov = build(g, range(n), all_node_targets(g), 1)
+        if GameState(cov, k, sigma, [frozenset(range(sigma))] * n).n_planes >= 5:
+            out.append(ProblemInstance(cov, k=k, sigma=sigma))
+    return out
+
+
+@pytest.mark.parametrize("objective,k,sigma,overrides", DENSE_BLLL_CASES)
+def test_blll_matches_reference_chain_on_dense_instances(objective, k, sigma, overrides):
+    rng = derive_rng(41, "blll-dense-draws", objective, k, sigma)
+    budgets = (2500, 700)
+    for iterations, inst in zip(budgets, _dense_instances(objective, k, sigma, 41, 2)):
+        params = BlllParams(**overrides, iterations=iterations, seed=rng.randrange(99))
+        fixed = blll_schedule(inst, params)
+        assert fixed == brute_blll_schedule(inst, params)
+        devices = rng.randint(30, inst.coverage.n_x - 2)
+        joint = blll_place_and_schedule(inst, devices, params)
+        assert joint == brute_blll_place_and_schedule(inst, devices, params)
+        if params.epsilon == 0.9 and iterations > game.AUDIT_INTERVAL:
+            # audited mid-chain, and the last new best is long past
+            for run in (fixed, joint):
+                assert run.accepted > game.AUDIT_INTERVAL
+                first_best = next(i for i, phi in run.trace if phi == run.best_potential)
+                assert iterations - first_best > 1000
 
 
 def test_blll_audits_every_accepted_move_when_asked(monkeypatch):
