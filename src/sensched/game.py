@@ -16,16 +16,14 @@ b^U(trial) / (b^U(trial) + b^U(current)) where b = 1/epsilon > 1, so
 higher-utility actions are favored and the noise epsilon occasionally
 accepts downhill moves.
 
-One step is scored by reading the per-slot provider counts, not by
-changing them: the player's utility is the part of its mask that no
-other active device covers in its slots, and the trial's is what it
-would newly cover once the player's own sole coverage is taken away.
-Most trials are rejected and write nothing; an accepted one borrows
-the old action out of the counts and ripples the new one in. A trial
-label set makes exactly the random draws of
-`frozenset(rng.sample(range(k), sigma))`, and a joint-placement trial
-site those of `open_sites(player)[randrange(len)]`, but neither builds
-a list. Label sets, here as in randnet's Monte-Carlo trials, come from
+GameState alone reads and writes the per-slot provider counts. The
+chain scores a trial with GameState.deviation, which changes nothing,
+and only an accepted trial writes, through the _apply that move() uses
+too. Most trials are rejected. A trial label set makes exactly the
+random draws of `frozenset(rng.sample(range(k), sigma))`, and a
+joint-placement trial site those of drawing from the player's own site
+plus the free ones, in increasing order, but neither builds a list.
+Label sets, here as in randnet's Monte-Carlo trials, come from
 `seeds.label_sampler`, which decodes sample's own draws
 (`getrandbits(r.bit_length())`, redrawn while >= r, for r = k, k - 1,
 ...) through a table filled on first use. The site is read off the
@@ -42,7 +40,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import islice
 from random import Random
-from typing import Callable
+from typing import Callable, Iterable
 
 from .coverage import CoverageGraph
 from .errors import InputError, VerificationError
@@ -60,18 +58,15 @@ UNIFORM_PROPOSAL_LIMIT = 1_000_000
 class BlllParams:
     """Knobs for a binary log-linear learning run.
 
-    raw_epsilon_rule selects the acceptance ratio with epsilon itself as
-    the base (which favors lower-utility actions for epsilon < 1);
-    the default uses 1/epsilon. stop_at_potential lets callers that
-    know the global maximum (the configuration search) end a chain as
-    soon as it is reached; the default is a fixed iteration budget.
+    stop_at_potential lets callers that know the global maximum (the
+    configuration search) end a chain as soon as it is reached; the
+    default is a fixed iteration budget.
     """
 
     epsilon: float = 0.015
     iterations: int = 20_000
     seed: int = 0
     trace_stride: int = 1
-    raw_epsilon_rule: bool = False
     stop_at_potential: int | None = None
 
     def __post_init__(self) -> None:
@@ -83,7 +78,7 @@ class BlllParams:
             raise InputError("trace_stride must be >= 1")
 
     def log_base(self) -> float:
-        return math.log(self.epsilon) if self.raw_epsilon_rule else -math.log(self.epsilon)
+        return -math.log(self.epsilon)
 
 
 def _ripple_add(planes: list[int], mask: int) -> None:
@@ -115,6 +110,14 @@ def _borrow(planes: list[int], mask: int, lab: int) -> int:
     return covered
 
 
+def _union(planes: Iterable[int]) -> int:
+    """The OR of the planes."""
+    out = 0
+    for plane in planes:
+        out |= plane
+    return out
+
+
 def _aligned(
     sites: list[int], actions: list[frozenset[int]]
 ) -> tuple[tuple[int, ...], Labeling]:
@@ -141,14 +144,18 @@ class GameState:
     and so no player can move. free_sites lists the untaken sites in
     increasing order, kept by bisection on every site move, so a move's
     occupancy check and open_site() cost a binary search, not a scan
-    over the players or the candidates. Per slot, the number of active
-    providers of each Y element is kept as bit planes over the Y bitsets
-    of `cov.masks`: bit y of planes[lab][i] is bit i of y's provider count
-    in slot lab. Adding a device is a ripple carry of its mask through
-    the planes, removing one is a borrow, and covered[lab] (the OR of
-    the planes) holds the Y elements with at least one provider. phi,
-    the number of covered (slot, y) pairs, is kept in lockstep with
-    every move.
+    over the players or the candidates.
+
+    Per slot, the number of active providers of each Y element is kept
+    as bit planes over the Y bitsets of `cov.masks`: bit y of
+    planes[lab][i] is bit i of y's provider count in slot lab. covered[lab]
+    (the OR of the planes) holds the Y elements with at least one
+    provider, multi[lab] (the OR of the planes above the first) those
+    with two or more, and phi the number of covered (slot, y) pairs.
+    Only this class reads or writes them: utility() and deviation() read
+    them without a change, _apply() (adding a device is a ripple carry of
+    its mask through the planes, removing one a borrow) writes them, and
+    recount() checks them against a rebuild from the actions.
     """
 
     def __init__(
@@ -176,13 +183,15 @@ class GameState:
         self.actions = list(actions)
         self.sites = list(sites)
         self.free_sites = sorted(set(range(cov.n_x)).difference(sites))
+        self.masks = cov.masks
+        self.sizes = [mask.bit_count() for mask in self.masks]
         # a count never exceeds the players, nor the devices that cover y:
         # ripple-add the masks until len(totals), the bit length of the
         # largest provider count so far, reaches the players' bit length
         # (it only grows, so the min cannot change after that)
         enough = self.n_players.bit_length()
         totals: list[int] = []
-        for mask in cov.masks:
+        for mask in self.masks:
             if len(totals) >= enough:
                 break
             _ripple_add(totals, mask)
@@ -190,11 +199,15 @@ class GameState:
         self._rebuild()
 
     def _rebuild(self) -> None:
-        self.planes = [[0] * self.n_planes for _ in range(self.k)]
-        self.covered = [0] * self.k
-        self.phi = 0
+        """Ripple every action into fresh planes and derive covered, multi and phi."""
+        masks = self.masks
+        self.planes = planes = [[0] * self.n_planes for _ in range(self.k)]
         for x, action in zip(self.sites, self.actions):
-            self._add(x, action)
+            for lab in action:
+                _ripple_add(planes[lab], masks[x])
+        self.covered = [_union(p) for p in planes]
+        self.multi = [_union(islice(p, 1, None)) for p in planes]
+        self.phi = sum(c.bit_count() for c in self.covered)
 
     def _check_action(self, action: frozenset[int]) -> None:
         if len(action) != self.sigma:
@@ -207,14 +220,8 @@ class GameState:
     def n_players(self) -> int:
         return len(self.actions)
 
-    def open_sites(self, player: int) -> list[int]:
-        """The player's own site plus the free ones, in increasing order."""
-        out = list(self.free_sites)
-        insort(out, self.sites[player])
-        return out
-
     def open_site(self, player: int, i: int) -> int:
-        """open_sites(player)[i] for 0 <= i <= len(free_sites), without the list."""
+        """Entry i of the player's own site plus the free ones, sorted; no list is built."""
         own = self.sites[player]
         at = bisect_left(self.free_sites, own)
         if i < at:
@@ -228,32 +235,62 @@ class GameState:
         insort(free, self.sites[player])
         self.sites[player] = site
 
-    def _add(self, x: int, labels: frozenset[int]) -> None:
-        mask = self.cov.masks[x]
-        for lab in labels:
-            _ripple_add(self.planes[lab], mask)
-            self.phi += (mask & ~self.covered[lab]).bit_count()
-            self.covered[lab] |= mask
-
-    def _remove(self, x: int, labels: frozenset[int]) -> None:
-        mask = self.cov.masks[x]
-        for lab in labels:
-            covered = _borrow(self.planes[lab], mask, lab)
-            self.phi -= (self.covered[lab] & ~covered).bit_count()
-            self.covered[lab] = covered
-
-    def gain(self, x: int, labels: frozenset[int]) -> int:
-        """Covered (slot, y) pairs that device x would add in the given slots."""
-        mask = self.cov.masks[x]
-        return sum((mask & ~self.covered[lab]).bit_count() for lab in labels)
-
     def utility(self, player: int) -> int:
-        """Covered (slot, y) pairs this player alone provides."""
-        x, action = self.sites[player], self.actions[player]
-        self._remove(x, action)
-        alone = self.gain(x, action)
-        self._add(x, action)
-        return alone
+        """Covered (slot, y) pairs this player alone provides.
+
+        That is what the player would lose by holding no labels at all.
+        """
+        return -self.deviation(player, frozenset(), self.sites[player])
+
+    def deviation(self, player: int, labels: frozenset[int], site: int) -> int:
+        """The player's change in utility (= in phi) on switching to labels at site.
+
+        Read off the counts without changing them. The player alone
+        provides, in each of its slots, its mask outside multi. The trial
+        would provide, in each of its slots, what its mask newly covers
+        plus, in a slot the player holds now, the part of the mask that
+        only the player covers. Each count is a mask size minus the
+        popcount of an AND, so no |Y|-bit int is negated.
+        """
+        x, held = self.sites[player], self.actions[player]
+        masks, sizes, multi, covered = self.masks, self.sizes, self.multi, self.covered
+        mask, size = masks[x], sizes[x]
+        new_mask, new_size = masks[site], sizes[site]
+        delta = 0
+        for lab in held:
+            delta -= size - (mask & multi[lab]).bit_count()
+        for lab in labels:
+            delta += new_size - (new_mask & covered[lab]).bit_count()
+            if lab in held:
+                delta += (new_mask & (mask ^ (mask & multi[lab]))).bit_count()
+        return delta
+
+    def _apply(self, player: int, labels: frozenset[int], site: int, delta: int) -> None:
+        """Write the player's switch to labels at a free or its own site.
+
+        delta is the switch's deviation(). The old action is borrowed out
+        of its slots (VerificationError on an uncounted provider) and the
+        new one rippled in; at the same site only the slots that change
+        are touched, since the kept ones end as they were.
+        """
+        planes, covered, multi = self.planes, self.covered, self.multi
+        held = self.actions[player]
+        mask = new_mask = self.masks[self.sites[player]]
+        if site == self.sites[player]:
+            out, into = held - labels, labels - held
+        else:
+            out, into = held, labels
+            new_mask = self.masks[site]
+            self._relocate(player, site)
+        for lab in out:
+            covered[lab] = _borrow(planes[lab], mask, lab)
+        for lab in into:
+            _ripple_add(planes[lab], new_mask)
+            covered[lab] |= new_mask
+        for lab in out | into:
+            multi[lab] = _union(islice(planes[lab], 1, None))
+        self.actions[player] = labels
+        self.phi += delta
 
     def move(
         self, player: int, labels: frozenset[int], site: int | None = None
@@ -269,24 +306,20 @@ class GameState:
             at = bisect_left(free, new_site)
             if at == len(free) or free[at] != new_site:
                 raise InputError(f"site {new_site} already occupied")
-        self._remove(old_site, self.actions[player])
-        if new_site != old_site:
-            self._relocate(player, new_site)
-        self.actions[player] = labels
-        self._add(new_site, labels)
+        self._apply(player, labels, new_site, self.deviation(player, labels, new_site))
 
     def recount(self) -> int:
         """Potential recomputed from scratch (audit path).
 
-        Rebuilds the planes from the players' actions and raises
+        Rebuilds the counts from the players' actions and raises
         VerificationError if the incrementally kept ones diverged.
         """
-        kept = (self.planes, self.covered, self.phi)
+        kept = (self.planes, self.covered, self.multi, self.phi)
         self._rebuild()
-        if kept != (self.planes, self.covered, self.phi):
+        if kept != (self.planes, self.covered, self.multi, self.phi):
             raise VerificationError(
                 f"incremental provider counts diverged from recount "
-                f"(potential {kept[2]} kept, {self.phi} recounted)"
+                f"(potential {kept[3]} kept, {self.phi} recounted)"
             )
         return self.phi
 
@@ -341,22 +374,30 @@ def check_potential_identity(
 ) -> tuple[int, int]:
     """Apply a unilateral deviation, measure (dU, dPhi), and revert.
 
-    Both deltas come from full recounts around the move, so this is an
-    executable check that utility changes track the potential exactly.
+    dPhi comes from full recounts around the move, and each utility is
+    read off freshly recounted provider counts, so this is an executable
+    check that utility changes track the potential exactly. The
+    deviation() the BLLL chain scores trials with must equal dPhi too.
     """
     if not 0 <= player < state.n_players:
         raise InputError(f"unknown player: {player}")
     old_labels = state.actions[player]
     old_site = state.sites[player]
-    u_before = state.utility(player)
     phi_before = state.recount()
+    u_before = state.utility(player)
+    predicted = state.deviation(player, labels, old_site if site is None else site)
     state.move(player, labels, site=site)
-    u_after = state.utility(player)
     phi_after = state.recount()
+    u_after = state.utility(player)
     state.move(player, old_labels, site=old_site)
     if state.phi != phi_before:
         raise VerificationError(
             f"reverting a deviation left potential {state.phi}, was {phi_before}"
+        )
+    if predicted != phi_after - phi_before:
+        raise VerificationError(
+            f"deviation read {predicted} off the counts, recounts gave dPhi="
+            f"{phi_after - phi_before}"
         )
     return u_after - u_before, phi_after - phi_before
 
@@ -416,14 +457,6 @@ class PlacementResult:
     accepted: int
 
 
-def _multi(planes: list[int]) -> int:
-    """Y elements with two or more providers: the OR of the planes above the first."""
-    out = 0
-    for plane in islice(planes, 1, None):
-        out |= plane
-    return out
-
-
 def _run_chain(
     state: GameState,
     params: BlllParams,
@@ -435,17 +468,10 @@ def _run_chain(
 
     A trial draws next_site(player) (the player's own site when
     next_site is None), then next_labels(current labels). It is scored
-    off the planes without changing them. multi[lab], the OR of slot
-    lab's planes above the first, holds the Y elements with two or more
-    providers. The player's utility in a slot is its mask outside multi;
-    a trial's is its new mask outside covered[lab], plus, in a slot the
-    player holds now, the part of the new mask that only the player
-    covers. Each count is a mask size minus the popcount of an AND, so
-    no step negates a |Y|-bit int. Only an accepted trial writes: the
-    old action is borrowed out of its slots (a VerificationError on an
-    uncounted provider), the new one rippled in, and multi refreshed for
-    both label sets. The best state is an undo log of the accepted
-    moves since the last best, replayed backwards at the end.
+    by state.deviation, which leaves the counts as they are; only an
+    accepted trial writes, through state._apply. The best state is an
+    undo log of the accepted moves since the last best, replayed
+    backwards at the end.
 
     Returns the trace, the best potential, the accepted-move count and
     the best state seen as placement() gives it.
@@ -455,11 +481,9 @@ def _run_chain(
     stop = params.stop_at_potential
     audit_interval = AUDIT_INTERVAL
     below, random, exp = randbelow(rng), rng.random, math.exp
-    masks = state.cov.masks
-    sizes = [mask.bit_count() for mask in masks]
+    deviation, apply = state.deviation, state._apply
     n_players, sites, actions = state.n_players, state.sites, state.actions
-    planes, covered, phi = state.planes, state.covered, state.phi
-    multi = [_multi(p) for p in planes]
+    phi = state.phi
     trace: list[tuple[int, int]] = [(0, phi)]
     best_phi = phi
     # (player, site, labels) before each accepted move since the best state
@@ -471,44 +495,20 @@ def _run_chain(
         new_site = site if next_site is None else next_site(player)
         labels = actions[player]
         new_labels = next_labels(labels)
-
-        # the player alone provides the Y elements of its mask outside multi
-        mask, size = masks[site], sizes[site]
-        u_cur = 0
-        for lab in labels:
-            u_cur += size - (mask & multi[lab]).bit_count()
-        # a trial gains what no one covers, plus what only the player covers
-        new_mask, new_size = masks[new_site], sizes[new_site]
-        u_new = 0
-        for lab in new_labels:
-            u_new += new_size - (new_mask & covered[lab]).bit_count()
-            if lab in labels:
-                u_new += (new_mask & (mask ^ (mask & multi[lab]))).bit_count()
-        x = (u_new - u_cur) * log_base
+        delta = deviation(player, new_labels, new_site)
+        x = delta * log_base
         if x >= 0:
             p = 1.0 / (1.0 + exp(-x))
         else:
             e = exp(x)
             p = e / (1.0 + e)
         if random() < p:
-            for lab in labels:
-                covered[lab] = _borrow(planes[lab], mask, lab)
-            for lab in new_labels:
-                _ripple_add(planes[lab], new_mask)
-                covered[lab] |= new_mask
-            for lab in labels | new_labels:
-                multi[lab] = _multi(planes[lab])
             undo.append((player, site, labels))
-            if new_site != site:
-                state._relocate(player, new_site)
-            actions[player] = new_labels
-            phi += u_new - u_cur
+            apply(player, new_labels, new_site, delta)
+            phi = state.phi
             accepted += 1
             if accepted % audit_interval == 0:
-                state.phi = phi
                 state.recount()
-                planes, covered = state.planes, state.covered
-                multi = [_multi(p) for p in planes]
             if phi > best_phi:
                 best_phi = phi
                 undo.clear()
@@ -519,7 +519,6 @@ def _run_chain(
             if trace[-1][0] != i:
                 trace.append((i, phi))
             break
-    state.phi = phi
     best_sites, best_actions = list(sites), list(actions)
     for player, site, labels in reversed(undo):
         best_sites[player] = site

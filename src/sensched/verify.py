@@ -150,8 +150,7 @@ def _deviate_many(
         labels = frozenset(rng.sample(range(state.k), state.sigma))
         site = None
         if placement:
-            free = state.open_sites(player)
-            site = free[rng.randrange(len(free))]
+            site = state.open_site(player, rng.randrange(len(state.free_sites) + 1))
         du, dphi = check_potential_identity(state, player, labels, site=site)
         report.checks += 1
         if du != dphi:

@@ -3,13 +3,12 @@
 Everything here is written straight from definitions with no shared
 code paths into the package (aside from plain data access, the result
 dataclasses and the seeded RNG derivation), so that package results can
-be checked against a second route. The one exception is the BLLL
-reference at the end: it drives GameState's counters (checked against
-brute_potential on their own) one method call at a time, and pins the
-random draws and the acceptance rule of the package's fused chain.
-Random label sets are drawn with rng.sample and random indices with
-rng.randrange throughout, never through seeds.label_sampler or
-seeds.randbelow.
+be checked against a second route. The BLLL reference at the end calls
+no GameState method: it scores every step from the definition of a
+player's utility, and pins the random draws and the acceptance rule of
+the package's chain. Random label sets are drawn with rng.sample and
+random indices with rng.randrange throughout, never through
+seeds.label_sampler or seeds.randbelow.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from random import Random
 
 from sensched import game
 from sensched.domination import DomaticPartition
-from sensched.game import BlllParams, BlllResult, GameState, PlacementResult
+from sensched.game import BlllParams, BlllResult, PlacementResult
 from sensched.graph import NetworkGraph, target_key
 from sensched.greedy import GreedyPick, GreedyResult
 from sensched.randnet import RandomScheduleStats
@@ -354,7 +353,7 @@ def brute_first_config(g, k: int, sigma: int):
     return None
 
 
-# --- BLLL reference: the chain one GameState call at a time ------------------
+# --- BLLL reference: each step scored from the definition of utility ---------
 
 
 def _accept_probability(u_new: int, u_cur: int, log_base: float) -> float:
@@ -384,11 +383,11 @@ def _propose_action(
     return (current - {drop}) | {add}
 
 
-def _open_sites(state: GameState, player: int) -> list[int]:
+def _open_sites(n_x: int, sites, player: int) -> list[int]:
     """The player's own site plus the free ones, in increasing order."""
-    occupied = set(state.sites)
-    occupied.discard(state.sites[player])
-    return [s for s in range(state.cov.n_x) if s not in occupied]
+    occupied = set(sites)
+    occupied.discard(sites[player])
+    return [s for s in range(n_x) if s not in occupied]
 
 
 def _aligned(sites, actions) -> tuple[tuple[int, ...], Labeling]:
@@ -396,41 +395,63 @@ def _aligned(sites, actions) -> tuple[tuple[int, ...], Labeling]:
     return tuple(s for s, _ in ordered), Labeling(tuple(a for _, a in ordered))
 
 
-def _run_chain(state: GameState, params: BlllParams, rng: Random, propose):
-    """BLLL loop; propose(rng, state, player) returns (site, labels) trials."""
+def _labels_by_x(n_x: int, sites, actions) -> list[frozenset[int]]:
+    """Label sets aligned with the coverage X order, empty where no player sits."""
+    sets = [frozenset()] * n_x
+    for site, action in zip(sites, actions):
+        sets[site] = action
+    return sets
+
+
+def _sole(masks, sites, actions, player: int, site: int, labels) -> int:
+    """(slot, y) pairs the player would alone provide with labels at site.
+
+    In each slot, the site's mask outside the OR of the masks of the
+    other players active in that slot.
+    """
+    others: dict[int, int] = {}
+    for p, (s, action) in enumerate(zip(sites, actions)):
+        if p != player:
+            for lab in action:
+                others[lab] = others.get(lab, 0) | masks[s]
+    return sum((masks[site] & ~others.get(lab, 0)).bit_count() for lab in labels)
+
+
+def _run_chain(cov, sites, actions, params: BlllParams, rng: Random, propose):
+    """BLLL loop; propose(rng, player) returns (site, labels) trials.
+
+    sites and actions are changed in place. phi starts at brute_potential
+    and moves by the accepted utility changes; the final one must equal
+    brute_potential again.
+    """
+    masks = cov.masks
     log_base = params.log_base()
-    trace: list[tuple[int, int]] = [(0, state.phi)]
-    best_phi = state.phi
-    best_snapshot = (list(state.sites), list(state.actions))
+    phi = brute_potential(cov, _labels_by_x(cov.n_x, sites, actions))
+    trace: list[tuple[int, int]] = [(0, phi)]
+    best_phi = phi
+    best_snapshot = (list(sites), list(actions))
     accepted = 0
     for i in range(1, params.iterations + 1):
-        player = rng.randrange(state.n_players)
-        old_labels = state.actions[player]
-        old_site = state.sites[player]
-        new_site, new_labels = propose(rng, state, player)
-
-        state._remove(old_site, old_labels)
-        u_cur = state.gain(old_site, old_labels)
-        u_new = state.gain(new_site, new_labels)
+        player = rng.randrange(len(actions))
+        new_site, new_labels = propose(rng, player)
+        u_cur = _sole(masks, sites, actions, player, sites[player], actions[player])
+        u_new = _sole(masks, sites, actions, player, new_site, new_labels)
         if rng.random() < _accept_probability(u_new, u_cur, log_base):
-            state.sites[player] = new_site
-            state.actions[player] = new_labels
-            state._add(new_site, new_labels)
+            sites[player] = new_site
+            actions[player] = new_labels
+            phi += u_new - u_cur
             accepted += 1
-            if accepted % game.AUDIT_INTERVAL == 0:
-                state.recount()
-        else:
-            state._add(old_site, old_labels)
 
-        if state.phi > best_phi:
-            best_phi = state.phi
-            best_snapshot = (list(state.sites), list(state.actions))
+        if phi > best_phi:
+            best_phi = phi
+            best_snapshot = (list(sites), list(actions))
         if i % params.trace_stride == 0 or i == params.iterations:
-            trace.append((i, state.phi))
-        if params.stop_at_potential is not None and state.phi >= params.stop_at_potential:
+            trace.append((i, phi))
+        if params.stop_at_potential is not None and phi >= params.stop_at_potential:
             if trace[-1][0] != i:
-                trace.append((i, state.phi))
+                trace.append((i, phi))
             break
+    assert phi == brute_potential(cov, _labels_by_x(cov.n_x, sites, actions))
     return trace, best_phi, accepted, _aligned(*best_snapshot)
 
 
@@ -441,19 +462,20 @@ def _random_labels(rng: Random, k: int, sigma: int, count: int) -> list[frozense
 def brute_blll_schedule(inst, params: BlllParams) -> BlllResult:
     """blll_schedule with a fresh rng.sample per trial."""
     rng = derive_rng(params.seed, "blll-schedule")
-    labels = _random_labels(rng, inst.k, inst.sigma, inst.coverage.n_x)
-    state = GameState(inst.coverage, inst.k, inst.sigma, labels)
+    cov = inst.coverage
+    sites = list(range(cov.n_x))
+    actions = _random_labels(rng, inst.k, inst.sigma, cov.n_x)
 
-    def propose(r, st, player):
-        return st.sites[player], _propose_action(r, st.k, st.sigma, st.actions[player])
+    def propose(r, player):
+        return sites[player], _propose_action(r, inst.k, inst.sigma, actions[player])
 
     trace, best_phi, accepted, (_, best_labeling) = _run_chain(
-        state, params, rng, propose
+        cov, sites, actions, params, rng, propose
     )
     return BlllResult(
-        labeling=_aligned(state.sites, state.actions)[1],
+        labeling=_aligned(sites, actions)[1],
         best_labeling=best_labeling,
-        final_potential=state.phi,
+        final_potential=trace[-1][1],
         best_potential=best_phi,
         trace=tuple(trace),
         accepted=accepted,
@@ -465,26 +487,26 @@ def brute_blll_place_and_schedule(
 ) -> PlacementResult:
     """blll_place_and_schedule with a fresh open-site list per trial."""
     rng = derive_rng(params.seed, "blll-placement")
-    sites = rng.sample(range(inst.coverage.n_x), device_count)
-    labels = _random_labels(rng, inst.k, inst.sigma, device_count)
-    state = GameState(inst.coverage, inst.k, inst.sigma, labels, sites=sites)
+    cov = inst.coverage
+    sites = rng.sample(range(cov.n_x), device_count)
+    actions = _random_labels(rng, inst.k, inst.sigma, device_count)
 
-    def propose(r, st, player):
-        candidates = _open_sites(st, player)
+    def propose(r, player):
+        candidates = _open_sites(cov.n_x, sites, player)
         new_site = candidates[r.randrange(len(candidates))]
-        new_labels = frozenset(r.sample(range(st.k), st.sigma))
+        new_labels = frozenset(r.sample(range(inst.k), inst.sigma))
         return new_site, new_labels
 
     trace, best_phi, accepted, (best_sites, best_labeling) = _run_chain(
-        state, params, rng, propose
+        cov, sites, actions, params, rng, propose
     )
-    sites, labeling = _aligned(state.sites, state.actions)
+    final_sites, labeling = _aligned(sites, actions)
     return PlacementResult(
-        sites=sites,
+        sites=final_sites,
         labeling=labeling,
         best_sites=best_sites,
         best_labeling=best_labeling,
-        final_potential=state.phi,
+        final_potential=trace[-1][1],
         best_potential=best_phi,
         trace=tuple(trace),
         accepted=accepted,

@@ -28,6 +28,8 @@ from sensched.seeds import derive_rng
 from sensched.verify import random_graph, random_instance
 
 from ._brute import (
+    _labels_by_x,
+    _open_sites,
     brute_blll_place_and_schedule,
     brute_blll_schedule,
     brute_max_coverage_placement,
@@ -120,19 +122,14 @@ def test_identity_placement_mode():
         )
         for _ in range(10):
             player = rng.randrange(devices)
-            free = state.open_sites(player)
-            site = free[rng.randrange(len(free))]
+            site = state.open_site(player, rng.randrange(len(state.free_sites) + 1))
             labels = frozenset(rng.sample(range(inst.k), inst.sigma))
             du, dphi = check_potential_identity(state, player, labels, site=site)
             assert du == dphi
 
 
-def _labels_by_site(state):
-    """Label sets aligned with the coverage X order, empty where no player sits."""
-    sets = [frozenset()] * state.cov.n_x
-    for player, action in enumerate(state.actions):
-        sets[state.sites[player]] = action
-    return sets
+def _counts(state):
+    return [list(p) for p in state.planes], list(state.covered), list(state.multi)
 
 
 @pytest.mark.parametrize("placement", [False, True])
@@ -150,12 +147,22 @@ def test_incremental_counts_match_brute_force(placement):
             state = random_state(cov, inst.k, inst.sigma, rng)
         for _ in range(12):
             player = rng.randrange(state.n_players)
-            site = None
+            site = state.sites[player]
             if placement:
-                free = state.open_sites(player)
-                site = free[rng.randrange(len(free))]
-            state.move(player, frozenset(rng.sample(range(inst.k), inst.sigma)), site=site)
-            label_sets = _labels_by_site(state)
+                site = state.open_site(player, rng.randrange(len(state.free_sites) + 1))
+            labels = frozenset(rng.sample(range(inst.k), inst.sigma))
+            before = _labels_by_x(cov.n_x, state.sites, state.actions)
+            after = list(before)
+            after[state.sites[player]] = frozenset()
+            after[site] = labels
+            counts = _counts(state)
+            state.utility(player)
+            delta = state.deviation(player, labels, site)
+            assert _counts(state) == counts  # the reads write nothing
+            assert delta == brute_potential(cov, after) - brute_potential(cov, before)
+            state.move(player, labels, site=site)
+            label_sets = _labels_by_x(cov.n_x, state.sites, state.actions)
+            assert label_sets == after
             assert state.phi == brute_potential(cov, label_sets)
             for other in range(state.n_players):
                 assert utility(state, other) == brute_utility(
@@ -172,7 +179,10 @@ def test_removing_an_uncounted_provider_raises(path4_instance):
         state.move(0, frozenset({1}))
 
 
-def test_corrupted_plane_fails_recount_under_optimize():
+@pytest.mark.parametrize(
+    "corrupt", ["state.planes[0][1] ^= 1", "state.multi[0] ^= 1"], ids=["plane", "multi"]
+)
+def test_corrupted_plane_fails_recount_under_optimize(corrupt):
     code = """
 from sensched.coverage import build_detection
 from sensched.errors import VerificationError
@@ -183,7 +193,7 @@ assert False, "asserts must be stripped in this interpreter"
 g = NetworkGraph(["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4")])
 cov = build_detection(g, [1, 2], all_edge_targets(g), 1)
 state = GameState(cov, 2, 1, [frozenset({0}), frozenset({0})])
-state.planes[0][1] ^= 1
+""" + corrupt + """
 try:
     state.recount()
 except VerificationError as exc:
@@ -233,21 +243,21 @@ def test_open_site_reads_open_sites_without_the_list():
         state = random_placement_state(cov, inst.k, inst.sigma, devices, rng)
         for _ in range(8):
             player = rng.randrange(devices)
-            free = state.open_sites(player)
+            free = _open_sites(cov.n_x, state.sites, player)
             state.move(player, state.actions[player], site=free[rng.randrange(len(free))])
             assert state.free_sites == sorted(set(range(cov.n_x)) - set(state.sites))
             for p in range(devices):
-                listed = state.open_sites(p)
+                listed = _open_sites(cov.n_x, state.sites, p)
                 assert [state.open_site(p, i) for i in range(len(listed))] == listed
 
 
 def test_open_sites(path4):
     cov = build_detection(path4, range(4), all_node_targets(path4), 1)
     fixed = GameState(cov, 2, 1, [frozenset({0})] * 4)
-    assert [fixed.open_sites(p) for p in range(4)] == [[0], [1], [2], [3]]
+    assert [fixed.open_site(p, 0) for p in range(4)] == [0, 1, 2, 3]
     placed = GameState(cov, 2, 1, [frozenset({0}), frozenset({1})], sites=[2, 0])
-    assert placed.open_sites(0) == [1, 2, 3]
-    assert placed.open_sites(1) == [0, 1, 3]
+    assert [placed.open_site(0, i) for i in range(3)] == [1, 2, 3]
+    assert [placed.open_site(1, i) for i in range(3)] == [0, 1, 3]
 
 
 def test_placement_labeling_is_aligned_to_sorted_sites(path4):
@@ -341,18 +351,6 @@ def test_placement_rejects_too_many_devices(path4):
         blll_place_and_schedule(inst, 3, BlllParams(iterations=10, seed=0))
 
 
-def test_raw_epsilon_rule_prefers_low_utility(path4):
-    # one device, two actions with utilities 3 (covers all) vs 0; the raw
-    # rule should mostly sit on the worse action
-    cov = build_detection(path4, [1], all_node_targets(path4), 1)
-    inst = ProblemInstance(cov, k=2, sigma=1)
-    raw = blll_schedule(
-        inst, BlllParams(iterations=400, seed=5, raw_epsilon_rule=True)
-    )
-    default = blll_schedule(inst, BlllParams(iterations=400, seed=5))
-    assert default.final_potential >= raw.final_potential
-
-
 def test_params_validation():
     with pytest.raises(InputError):
         BlllParams(epsilon=0.0)
@@ -414,7 +412,7 @@ def test_swap_proposals_for_large_action_spaces(monkeypatch):
 BLLL_CASES = [
     (4, 1, {}, "detection", False),
     (5, 2, {"trace_stride": 7}, "isolation", False),
-    (7, 3, {"raw_epsilon_rule": True}, "detection", False),
+    (7, 3, {"epsilon": 0.05}, "detection", False),
     (8, 4, {"epsilon": 0.3}, "isolation", False),
     (7, 6, {"trace_stride": 50}, "detection", False),
     (21, 2, {}, "detection", False),
