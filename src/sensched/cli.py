@@ -14,12 +14,12 @@ import dataclasses
 import functools
 import sys
 from fractions import Fraction
-from pathlib import Path
+from typing import Iterable
 
 import click
 
 from . import domination, game, greedy, instance, oracle, randnet, verify
-from .coverage import restrict_x, to_adjacency_text
+from .coverage import adjacency_lines, restrict_x
 from .errors import InputError, SearchSpaceError, VerificationError
 from .seeds import derive_seed
 from .schedule import (
@@ -44,11 +44,22 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write a command's main output, chunk by chunk, to `out` or to stdout.
+
+    The chunks are written as they come, so a generator is never held
+    whole. A single text is passed as a one-element tuple: a bare str
+    would be written one character at a time. The file is opened only
+    here, after every check of the command has passed, so a refused
+    command leaves no file behind.
+    """
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
     else:
-        click.echo(text, nl=False)
+        stream = click.get_text_stream("stdout")
+        stream.writelines(chunks)
+        stream.flush()
 
 
 def handle_errors(fn):
@@ -88,7 +99,7 @@ def build_coverage_cmd(instance_file: str, out: str | None) -> None:
         f"devices: {cov.n_x}  y-elements: {cov.n_y}  "
         f"coverage-edges: {cov.n_edges}"
     )
-    _emit(to_adjacency_text(cov), out)
+    _emit(adjacency_lines(cov), out)
 
 
 @main.command("schedule")
@@ -160,7 +171,7 @@ def schedule_cmd(
                 ["iteration", "phi", "score"],
                 [[i, phi, _fmt(phi / denom)] for i, phi in b_result.trace],
             )
-    _emit(format_labeling(inst, labeling, report), out)
+    _emit((format_labeling(inst, labeling, report),), out)
 
 
 @main.command("place-and-schedule")
@@ -236,7 +247,7 @@ def place_and_schedule_cmd(
             ["k", "D_joint", "D_twostage"],
             [[inst.k, _fmt(float(scores["joint"])), _fmt(float(scores["two-stage"]))]],
         )
-    _emit("\n".join(blocks), out)
+    _emit(("\n".join(blocks),), out)
 
 
 @main.command("lifetime")
@@ -276,7 +287,7 @@ def lifetime_cmd(
             ["mode: disjoint", f"k: {cfg.k}", f"sigma: {sigma}",
              f"sets: {len(dp.sets)}"],
         )
-        _emit(text, out)
+        _emit((text,), out)
         return
     if k_value is None:
         raise InputError("config mode needs --k")
@@ -288,7 +299,7 @@ def lifetime_cmd(
             ["mode: config", f"k: {k_value}", f"sigma: {sigma}",
              f"method: {result.method}"],
         )
-        _emit(text, out)
+        _emit((text,), out)
     elif result.status == "nonexistent":
         click.echo(f"nonexistent: {result.detail}")
     else:
@@ -356,12 +367,7 @@ def rand_experiment_cmd(
         rows.append(
             [k, sigma, _fmt(closed(k)), _fmt(stats.mean), _fmt(stats.stderr), trials]
         )
-    if out:
-        _write_csv(out, header, rows)
-    else:
-        click.echo(",".join(header))
-        for row in rows:
-            click.echo(",".join(str(cell) for cell in row))
+    _emit([",".join(map(str, row)) + "\n" for row in [header, *rows]], out)
 
 
 @main.command("convert-edgelist")
@@ -417,7 +423,7 @@ def convert_edgelist_cmd(
             f"objective: {objective}",
         ]
     ) + "\n"
-    _emit(text, out)
+    _emit((text,), out)
 
 
 @main.command("verify")

@@ -24,8 +24,10 @@ coverage graph:
 
 `schedule.score` also counts from `covers` alone, as an independent
 check (for isolation over `target_classes`, the targets grouped by
-their covering devices). `to_adjacency_text` writes its lines from
-`covers` and `target_keys` alone.
+their covering devices). `adjacency_lines` yields the canonical listing
+one device line at a time from `covers` and `target_keys` alone, so the
+CLI writes it without holding more than one line; `to_adjacency_text`
+is its join.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import InputError, SearchSpaceError
 from .graph import NetworkGraph, Target, ball, target_key
@@ -288,22 +290,23 @@ def restrict_x(cov: CoverageGraph, x_indices: Iterable[int]) -> CoverageGraph:
     return sub
 
 
-def to_adjacency_text(cov: CoverageGraph) -> str:
-    """Canonical one-line-per-device adjacency listing for golden files.
+def adjacency_lines(cov: CoverageGraph) -> Iterator[str]:
+    """The canonical adjacency listing, one device's line (with its newline) at a time.
 
     Each line lists the keys of the device's Y elements in y order, written
     straight from the detection rows and `target_keys`. Isolation: the
     device's pairs in y order are the rows a = 0..m-1 of the pair triangle,
     and row a is every b > a on the other side of the device's cover from
     a, so it is a suffix of the device's covered or uncovered key list and
-    is written with one join.
+    is written with one join. Only the line being yielded is held, so a
+    writer that consumes the lines as they come needs memory for the
+    longest line, not for the listing.
     """
     keys = cov.target_keys
-    lines = []
     if cov.objective == "detection":
         for name, cover in zip(cov.x_names, cov.covers):
-            lines.append(f"{name}: {','.join([keys[t] for t in sorted(cover)])}".rstrip())
-        return "\n".join(lines) + "\n"
+            yield f"{name}: {','.join([keys[t] for t in sorted(cover)])}".rstrip() + "\n"
+        return
     heads = [k + "|" for k in keys]
     seps = ["," + h for h in heads]
     for name, cover in zip(cov.x_names, cov.covers):
@@ -318,5 +321,13 @@ def to_adjacency_text(cov: CoverageGraph) -> str:
             rest = sides[not c][passed[not c]:]
             if rest:
                 rows.append(heads[a] + seps[a].join(rest))
-        lines.append(f"{name}: {','.join(rows)}".rstrip())
-    return "\n".join(lines) + "\n"
+        yield f"{name}: {','.join(rows)}".rstrip() + "\n"
+
+
+def to_adjacency_text(cov: CoverageGraph) -> str:
+    """The whole listing of `adjacency_lines` as one str, for golden files and tests.
+
+    The CLI streams `adjacency_lines` instead, so it never holds the
+    listing; this join is its only other form.
+    """
+    return "".join(adjacency_lines(cov))

@@ -25,7 +25,6 @@ import math
 import statistics
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -296,6 +295,9 @@ def simulate_random_schedule(
         _sim_init(inst, seed)
         samples = [_sim_trial(t) for t in range(trials)]
     else:
+        # the pool's modules (multiprocessing, pickle, socket, ...) load only here
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_sim_init, initargs=(inst, seed)
         ) as pool:

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from sensched import cli, domination, instance, oracle, randnet, schedule
+from sensched import cli, coverage, domination, instance, oracle, randnet, schedule
 from sensched.cli import main
+from sensched.coverage import to_adjacency_text
 from sensched.domination import ConfigCheck
 from sensched.seeds import derive_seed
 
@@ -13,6 +18,8 @@ INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 PATH4 = str(INSTANCES / "path4.instance")
 STAR5 = str(INSTANCES / "star5.instance")
 PETERSEN = str(INSTANCES / "petersen.instance")
+WATER1 = INSTANCES / "water1_standin.instance"
+SRC = INSTANCES.parent / "src"
 
 
 @pytest.fixture
@@ -58,6 +65,99 @@ def test_build_coverage_reads_utf8(runner, tmp_path, comment, exit_code):
         assert f"error: {inst}: not UTF-8 text (bad byte at offset 2)" in result.output
     else:
         assert "2: e:1-2,e:2-3\n3: e:2-3,e:3-4\n" in result.output
+
+
+# a six-node path with a device on every node and node targets 5 and 6: devices
+# 1-3 cover neither target, device 4 covers 5 only, devices 5 and 6 cover both
+PATH6 = """nodes: 1, 2, 3, 4, 5, 6
+edges: 1-2, 2-3, 3-4, 4-5, 5-6
+sensors: all
+targets: 5, 6
+lambda: 1
+objective: {objective}
+"""
+
+
+@pytest.mark.parametrize(
+    "source, objective, empty_lines",
+    [
+        ("path6", "detection", ["1:\n", "2:\n", "3:\n"]),  # no target covered
+        ("path6", "isolation", ["1:\n", "5:\n", "6:\n"]),  # neither target, or both
+        ("water1", "detection", []),
+        ("water1", "isolation", []),
+    ],
+)
+def test_build_coverage_writes_exactly_the_listing(runner, tmp_path, source, objective,
+                                                  empty_lines):
+    inst = tmp_path / "net.instance"
+    if source == "path6":
+        inst.write_text(PATH6.format(objective=objective))
+    else:
+        inst.write_text(WATER1.read_text().replace(
+            "objective: detection", f"objective: {objective}"))
+    spec = instance.load_instance(inst)
+    cov = instance.build_coverage(spec, instance.build_graph(spec))
+    assert cov.objective == objective
+    listing = to_adjacency_text(cov)
+    assert all(line in listing.splitlines(keepends=True) for line in empty_lines)
+    head = (f"devices: {cov.n_x}  y-elements: {cov.n_y}  "
+            f"coverage-edges: {cov.n_edges}\n")
+    out = tmp_path / "net.adj"
+    result = runner.invoke(main, ["build-coverage", str(inst), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert (result.stdout_bytes, out.read_bytes()) == (head.encode(), listing.encode())
+    result = runner.invoke(main, ["build-coverage", str(inst)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (head + listing).encode()
+
+
+def test_build_coverage_streams_its_listing(runner, tmp_path):
+    # the listing is written a device line at a time, so the command's peak
+    # heap stays far below the size of what it writes; holding the whole
+    # listing (as lines, one str and its bytes) would take about three times it
+    inst = tmp_path / "water1_isolation.instance"
+    inst.write_text(WATER1.read_text().replace("objective: detection", "objective: isolation"))
+    out = tmp_path / "water1_isolation.adj"
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["build-coverage", str(inst), "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    size = out.stat().st_size
+    assert size > 3_000_000
+    assert peak < size / 3
+
+
+@pytest.mark.parametrize("refusal, exit_code", [("edge-limit", 3), ("bad-edge", 1)])
+def test_refused_build_coverage_writes_no_file(runner, tmp_path, monkeypatch,
+                                               refusal, exit_code):
+    text = Path(PATH4).read_text()
+    if refusal == "edge-limit":
+        # path4 as isolation has 4 coverage edges
+        text = text.replace("objective: detection", "objective: isolation")
+        monkeypatch.setattr(coverage, "EDGE_LIMIT", 3)
+    else:
+        text = text.replace("edges: 1-2, 2-3, 3-4", "edges: 1-2, 2*3")
+    inst = tmp_path / "net.instance"
+    inst.write_text(text)
+    out = tmp_path / "net.adj"
+    result = runner.invoke(main, ["build-coverage", str(inst), "--out", str(out)])
+    assert result.exit_code == exit_code
+    assert not out.exists()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only rand-experiment --workers > 1 imports the pool and its modules
+    code = ("import sys, sensched.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_schedule_oracle_output(runner):
@@ -312,6 +412,20 @@ def test_rand_experiment_csv_and_determinism(runner, tmp_path):
     assert lines[0] == "k,sigma,closed_form,empirical_mean,stderr,trials"
     assert len(lines) == 4
     assert lines[1].startswith("2,2,1,1,0,")  # sigma == k row
+
+
+def test_rand_experiment_out_matches_stdout(runner, tmp_path):
+    args = [
+        "rand-experiment", "--family", "geometric", "--n", "60", "--area", "6",
+        "--k-range", "3..4", "--sigma", "1", "--trials", "5", "--seed", "2",
+    ]
+    out = tmp_path / "curve.csv"
+    to_file = runner.invoke(main, args + ["--out", str(out)])
+    to_stdout = runner.invoke(main, args)
+    assert to_file.exit_code == 0 and to_stdout.exit_code == 0
+    assert to_file.stdout_bytes == b""
+    assert out.read_bytes() == to_stdout.stdout_bytes
+    assert to_stdout.output.count("\n") == 3
 
 
 def test_rand_experiment_builds_coverage_once(runner, monkeypatch):
