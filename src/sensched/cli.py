@@ -131,10 +131,10 @@ def schedule_cmd(
     report = None
     if solver == "oracle":
         result = oracle.exact_optimal_schedule(inst)
-        labeling, report = result.optimal[0], result.report
+        labeling, report = result.optimum, result.report
         click.echo(
             f"{letter} = {format_score(result.best_score)}  "
-            f"optima: {len(result.optimal)}{'+' if result.truncated else ''}  "
+            f"optima: {result.n_optima}{'+' if result.truncated else ''}  "
             f"space: {result.space}"
         )
     elif solver == "greedy":

@@ -4,12 +4,13 @@
 Doig, 1960) over the canonical labelings, whose labels enter in order (a
 value-symmetry break for interchangeable values): the objective does not
 change when the k slots are permuted, so this finds the best potential
-and the first canonical optima. The optima of the whole space, in
-lexicographic order, are then listed as the slot permutations of those
-canonical optima, which needs no scoring. A subtree is cut only when it
-cannot change the result, so the optima, their lexicographic order and
-the truncation flag are those of enumerating every labeling. It is the
-reference every heuristic is measured against, and the same search
+of the whole space. No slot permutation is listed. The first optimum of
+the whole space in lexicographic order is canonical, so it is the first
+canonical optimum, and the number of optima is a sum of closed-form
+class sizes over the canonical optima (`_class_size`). A subtree is cut
+only when it cannot change the result, so the first optimum, the count
+and the truncation flag are those of enumerating every labeling. It is
+the reference every heuristic is measured against, and the same search
 proves or refutes (k, sigma) label configurations in
 `domination.search_config`. All comparisons are exact (integers and
 fractions); there is no floating point anywhere on this path.
@@ -34,10 +35,11 @@ DEFAULT_SPACE_LIMIT = 10_000_000
 class OracleResult:
     best_score: Fraction
     best_potential: int
-    optimal: tuple[Labeling, ...]
+    optimum: Labeling  # the first optimum in lexicographic order
+    n_optima: int  # the number of optima, capped at max_optima
     space: int
-    truncated: bool
-    report: ScheduleReport  # schedule.score of optimal[0]
+    truncated: bool  # more than max_optima optima
+    report: ScheduleReport  # schedule.score of optimum
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,10 @@ def _branch_and_bound(
     what devices x.. can still add, so no labeling that ties the best is
     cut while a tie can still change the result; once `truncated` is set
     only a strictly better labeling can, and the cut is one tighter.
+    A device that is not cut computes its gain |mask(x) & ~covered_j| in
+    each slot once, and a label set gains the sum of its sigma entries;
+    the last device's label sets are scored in its own loop, so a
+    complete labeling costs no call and no update of covered.
 
     With `first`, the walk stops at the first labeling that reaches the
     floor. With `canonical`, only labelings whose labels enter in order
@@ -77,8 +83,8 @@ def _branch_and_bound(
     labels of device x must be m, m+1, ... Every labeling is a slot
     permutation of such a canonical one with the same potential, so the
     best potential is that of the whole space, and the optima are the
-    first canonical optima in lexicographic order (`_slot_permutations`
-    lists the labelings they stand for).
+    first canonical optima in lexicographic order (`_class_size` counts
+    the labelings each stands for).
     Each label set tried counts one node; past node_cap the walk stops
     and `capped` is set.
     """
@@ -103,23 +109,11 @@ def _branch_and_bound(
     optima: list[tuple[tuple[int, ...], ...]] = []
     truncated = False
     nodes = 0
+    last = n - 1
 
     def walk(x: int, phi: int, used: int) -> bool:
         """Search below device x with labels 0..used-1 in use; True stops the walk."""
         nonlocal best, truncated, nodes
-        if x == n:
-            if phi > best:
-                best = phi
-                optima[:] = [tuple(current)]
-                truncated = False
-            elif phi < best:
-                return False
-            elif len(optima) < max_optima:
-                optima.append(tuple(current))
-            else:
-                truncated = True
-                return False
-            return first
         slack = best - phi + truncated
         if room[x] < slack:
             return False
@@ -127,21 +121,36 @@ def _branch_and_bound(
         if sum((rest & ~c).bit_count() for c in covered) < slack:
             return False
         mask = masks[x]
+        gains = [(mask & ~c).bit_count() for c in covered]
         for action, now_used in choices[used]:
             nodes += 1
             if nodes > node_cap:
                 return True
             current[x] = action
-            saved = [covered[lab] for lab in action]
-            gain = 0
+            value = phi
             for lab in action:
-                gain += (mask & ~covered[lab]).bit_count()
-                covered[lab] |= mask
-            stop = walk(x + 1, phi + gain, now_used)
-            for lab, before in zip(action, saved):
-                covered[lab] = before
-            if stop:
-                return True
+                value += gains[lab]
+            if x < last:
+                saved = [covered[lab] for lab in action]
+                for lab in action:
+                    covered[lab] |= mask
+                stop = walk(x + 1, value, now_used)
+                for lab, before in zip(action, saved):
+                    covered[lab] = before
+                if stop:
+                    return True
+            elif value > best:
+                best = value
+                optima[:] = [tuple(current)]
+                truncated = False
+                if first:
+                    return True
+            elif value == best and len(optima) < max_optima:
+                optima.append(tuple(current))
+                if first:
+                    return True
+            elif value == best:
+                truncated = True
         return False
 
     walk(0, 0, 0 if canonical else k)
@@ -149,48 +158,24 @@ def _branch_and_bound(
     return _SearchResult(best, labelings, truncated, nodes > node_cap, nodes)
 
 
-def _slot_permutations(
-    canonical: tuple[Labeling, ...], n: int, k: int, sigma: int, limit: int
-) -> list[Labeling]:
-    """The first `limit` labelings, in order, whose renaming is in `canonical`.
+def _class_size(canonical: Labeling, k: int) -> int:
+    """How many labelings rename by first use into this canonical labeling.
 
-    A labeling is renamed by first use: a label keeps its new name once
-    used, and the unused labels of a device take the next unused names in
-    increasing order. The walk tries the label sets of each device in
-    combinations(range(k), sigma) order and extends a prefix only while
-    its renaming is a prefix of a canonical labeling, so every prefix it
-    extends leads to a labeling it lists, and nothing is scored.
+    Renaming by first use keeps a label's new name once it is used and
+    gives the unused labels of a device the next unused names in
+    increasing order. In a canonical labeling, device x meets labels
+    0..u_x-1 in use and brings the j_x new labels u_x..u_x+j_x-1. A
+    labeling renames into it when each device holds the labels named like
+    the canonical device's old ones and any j_x of the k - u_x labels
+    still unused, so the class has prod_x C(k - u_x, j_x) labelings.
     """
-    trie: dict = {}
-    for labeling in canonical:
-        node = trie
-        for labels in labeling.by_x:
-            node = node.setdefault(labels, {})
-    actions = [(a, frozenset(a)) for a in combinations(range(k), sigma)]
-    name = [-1] * k  # each label's name, -1 while unused
-    current: list[frozenset[int]] = [frozenset()] * n
-    found: list[Labeling] = []
-
-    def walk(x: int, node: dict, used: int) -> bool:
-        """Extend below device x with names 0..used-1 taken; True stops the walk."""
-        if x == n:
-            found.append(Labeling(tuple(current)))
-            return len(found) == limit
-        for action, labels in actions:
-            new = [lab for lab in action if name[lab] < 0]
-            for i, lab in enumerate(new):
-                name[lab] = used + i
-            child = node.get(frozenset(name[lab] for lab in action))
-            if child is not None:
-                current[x] = labels
-                if walk(x + 1, child, used + len(new)):
-                    return True
-            for lab in new:
-                name[lab] = -1
-        return False
-
-    walk(0, trie, 0)
-    return found
+    size, used = 1, 0
+    for labels in canonical.by_x:
+        top = max(labels) + 1
+        if top > used:
+            size *= math.comb(k - used, top - used)
+            used = top
+    return size
 
 
 def exact_optimal_schedule(
@@ -198,7 +183,7 @@ def exact_optimal_schedule(
     limit: int = DEFAULT_SPACE_LIMIT,
     max_optima: int = 64,
 ) -> OracleResult:
-    """Best score and optimal labelings of the exactly-sigma labelings.
+    """Best score, first optimum and number of optima of the exactly-sigma labelings.
 
     The space has C(k, sigma)^|X| points; anything above `limit` is
     refused with the size in the message. One pass of the branch and
@@ -206,14 +191,17 @@ def exact_optimal_schedule(
     finds the best potential without its up to k! slot permutations and
     keeps the first max_optima canonical optima. Renaming a labeling's
     labels by first use gives its canonical form, which has the same
-    potential and is never later in lexicographic order, so each of the
-    first max_optima optima of the whole space is a slot permutation of a
-    kept canonical optimum; `_slot_permutations` lists them in order
-    without scoring. The result is that of full enumeration: optima in
-    lexicographic order over (device, label-set rank), those beyond
-    max_optima dropped and flagged via `truncated`. The first optimum is
-    re-scored with `schedule.score`; a different potential raises
-    VerificationError, and the result carries that report.
+    potential and is never later in lexicographic order over (device,
+    label-set rank). So the first optimum of the whole space renames into
+    an optimum no later than itself, which is itself: it is canonical,
+    and it is the first canonical optimum. The number of optima is
+    sum over the canonical optima of prod_x C(k - u_x, j_x), where u_x
+    labels are in use before device x and j_x are new at x
+    (`_class_size`). It is capped at max_optima, with `truncated` set
+    when the canonical pass overflowed or the sum exceeds max_optima.
+    The first optimum is re-scored with `schedule.score`; a different
+    potential raises VerificationError, and the result carries that
+    report.
     """
     cov = inst.coverage
     n_actions = math.comb(inst.k, inst.sigma)
@@ -224,15 +212,11 @@ def exact_optimal_schedule(
         )
 
     search = _branch_and_bound(inst, floor=-1, max_optima=max_optima, canonical=True)
-    # One labeling past max_optima sets `truncated`, and the walk alone
-    # decides it: if the canonical pass overflowed, swapping labels
-    # sigma-1 and sigma in each kept optimum gives another labeling that
-    # renames back into it (sigma < k whenever two labelings exist), so
-    # the walk finds twice as many.
-    optima = _slot_permutations(
-        search.optima, cov.n_x, inst.k, inst.sigma, max_optima + 1
-    )
-    report = score_labeling(inst, optima[0])
+    # an overflowed pass kept max_optima classes of at least one labeling
+    # each, so the sum reaches the cap either way
+    count = sum(_class_size(labeling, inst.k) for labeling in search.optima)
+    optimum = search.optima[0]
+    report = score_labeling(inst, optimum)
     if report.potential != search.best:
         raise VerificationError(
             f"oracle potential {search.best} differs from the re-scored "
@@ -241,9 +225,10 @@ def exact_optimal_schedule(
     return OracleResult(
         best_score=Fraction(search.best, inst.k * cov.n_y),
         best_potential=search.best,
-        optimal=tuple(optima[:max_optima]),
+        optimum=optimum,
+        n_optima=min(count, max_optima),
         space=space,
-        truncated=len(optima) > max_optima,
+        truncated=search.truncated or count > max_optima,
         report=report,
     )
 

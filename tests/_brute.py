@@ -145,6 +145,17 @@ def brute_best_labeling(cov, k, sigma) -> tuple[Fraction, list]:
     return Fraction(best, k * cov.n_y), winners
 
 
+def renamed_by_first_use(labeling) -> tuple[tuple[int, ...], ...]:
+    """Rename labels in order of first use, a device's new labels in increasing order."""
+    name: dict[int, int] = {}
+    renamed = []
+    for labels in labeling:
+        for lab in sorted(labels):
+            name.setdefault(lab, len(name))
+        renamed.append(tuple(sorted(name[lab] for lab in labels)))
+    return tuple(renamed)
+
+
 def brute_greedy(inst, seed=None) -> GreedyResult:
     """Eager greedy: rescan every open (device, slot) pair on every pick.
 
