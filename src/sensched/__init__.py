@@ -13,7 +13,6 @@ from .domination import (
 from .errors import (
     BatteryViolation,
     InputError,
-    ModeError,
     ParseError,
     SearchSpaceError,
     SenschedError,
@@ -28,18 +27,8 @@ from .game import (
     blll_schedule,
     check_potential_identity,
     greedy_max_coverage_placement,
-    potential,
-    utility,
 )
-from .graph import (
-    NetworkGraph,
-    Target,
-    all_edge_targets,
-    all_node_targets,
-    bfs_distances,
-    covered_targets,
-    node_edge_distance,
-)
+from .graph import NetworkGraph, Target, all_edge_targets, all_node_targets
 from .greedy import GreedyResult, greedy_schedule
 from .oracle import (
     OracleResult,
@@ -58,15 +47,7 @@ from .randnet import (
     gen_geometric,
     simulate_random_schedule,
 )
-from .schedule import (
-    Labeling,
-    ProblemInstance,
-    ScheduleReport,
-    expected_detection,
-    labeling_from_slots,
-    score,
-    slot_sets,
-)
+from .schedule import Labeling, ProblemInstance, ScheduleReport, score
 
 __version__ = "0.1.0"
 

@@ -25,7 +25,7 @@ from .errors import InputError, VerificationError
 from .game import BlllParams, blll_schedule
 from .graph import NetworkGraph, all_node_targets
 from .oracle import _branch_and_bound
-from .schedule import Labeling, ProblemInstance
+from .schedule import ProblemInstance
 from .seeds import derive_rng, derive_seed
 
 # search_config runs the exhaustive search only when n * C(k, sigma) is
@@ -132,9 +132,7 @@ def greedy_domatic_partition(g: NetworkGraph, seed: int | None = None) -> Domati
     # sets is not empty: on the first call every node is uncovered and its own candidate
     if remaining:
         sets[-1] = sets[-1] | remaining
-    partition = DomaticPartition(tuple(sets))
-    validate_partition(g, partition)
-    return partition
+    return DomaticPartition(tuple(sets))
 
 
 def validate_partition(g: NetworkGraph, dp: DomaticPartition) -> None:
@@ -271,10 +269,6 @@ def config_instance(g: NetworkGraph, k: int, sigma: int) -> ProblemInstance:
     """
     cov = build_detection(g, range(g.node_count), all_node_targets(g), 1)
     return ProblemInstance(cov, k=k, sigma=sigma)
-
-
-def config_as_labeling(cfg: KSigmaConfig) -> Labeling:
-    return Labeling(cfg.labels)
 
 
 def search_config(

@@ -32,10 +32,6 @@ class BatteryViolation(InputError):
         )
 
 
-class ModeError(InputError):
-    """Operation called on an instance with the wrong objective mode."""
-
-
 class VerificationError(SenschedError):
     """A run-time consistency check between two computations of one quantity failed."""
 

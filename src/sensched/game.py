@@ -240,6 +240,8 @@ class GameState:
 
         That is what the player would lose by holding no labels at all.
         """
+        if not 0 <= player < self.n_players:
+            raise InputError(f"unknown player: {player}")
         return -self.deviation(player, frozenset(), self.sites[player])
 
     def deviation(self, player: int, labels: frozenset[int], site: int) -> int:
@@ -348,22 +350,6 @@ def random_placement_state(
     draw = label_sampler(k, sigma)(rng)
     actions = [draw() for _ in range(device_count)]
     return GameState(cov, k, sigma, actions, sites=sites)
-
-
-def potential(state: GameState) -> int:
-    """Global objective: covered Y elements summed over slots.
-
-    Recounted from scratch and checked against the incrementally kept
-    value (see GameState.recount); the two are equal for every state.
-    """
-    return state.recount()
-
-
-def utility(state: GameState, player: int) -> int:
-    """Labels this player alone makes available to its covered Y elements."""
-    if not 0 <= player < state.n_players:
-        raise InputError(f"unknown player: {player}")
-    return state.utility(player)
 
 
 def check_potential_identity(

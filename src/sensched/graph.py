@@ -1,26 +1,21 @@
-"""Undirected network graphs with hop-count distance queries.
+"""Undirected network graphs and the range query that defines coverage.
 
 Nodes carry arbitrary string names mapped to dense integer ids in
 insertion order; edges get stable integer ids. Distances are unweighted
-hop counts; the distance from a node to an edge is the larger of the
-distances to the edge's two endpoints. Unreachable elements are at
-distance infinity.
-
-Range coverage reads one depth-limited BFS per device: `ball` stops
-expanding at the range, so a node is covered iff it is in the ball and
-an edge iff both its endpoints are. Its cost is the size of the ball
+hop counts, and the distance from a node to an edge is the larger of the
+distances to the edge's two endpoints. A device covers the targets
+within its range, and `ball` implements exactly that: a BFS that stops
+expanding at the range, so a node is within range iff it is in the ball
+and an edge iff both its endpoints are. Its cost is the size of the ball
 times the degree, whatever the size of the graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 from .errors import InputError
-
-INFINITY = float("inf")
 
 TargetKind = Literal["node", "edge"]
 
@@ -104,9 +99,6 @@ class NetworkGraph:
         self._check_node(node)
         return self._adj[node]
 
-    def degree(self, node: int) -> int:
-        return len(self.neighbors(node))
-
     def min_degree(self) -> int:
         return min((len(a) for a in self._adj), default=0)
 
@@ -126,9 +118,6 @@ class NetworkGraph:
                 f"no edge between {self._names[u]!r} and {self._names[v]!r}"
             ) from None
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edge_ids
-
     def edge_name(self, edge: int) -> tuple[str, str]:
         u, v = self.edge_endpoints(edge)
         return self._names[u], self._names[v]
@@ -147,29 +136,6 @@ class NetworkGraph:
 
     def __repr__(self) -> str:
         return f"NetworkGraph(n={self.node_count}, m={self.edge_count})"
-
-
-def bfs_distances(g: NetworkGraph, source: int) -> list[int | float]:
-    """Hop count from source to every node, INFINITY where unreachable."""
-    g._check_node(source)
-    dist: list[int | float] = [INFINITY] * g.node_count
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        for v in g.neighbors(u):
-            if dist[v] == INFINITY:
-                dist[v] = d
-                queue.append(v)
-    return dist
-
-
-def node_edge_distance(g: NetworkGraph, u: int, e: int) -> int | float:
-    """Distance from node u to edge e: max over the two endpoint distances."""
-    a, b = g.edge_endpoints(e)
-    dist = bfs_distances(g, u)
-    return max(dist[a], dist[b])
 
 
 def ball(g: NetworkGraph, source: int, radius: int) -> dict[int, int]:
@@ -192,22 +158,6 @@ def ball(g: NetworkGraph, source: int, radius: int) -> dict[int, int]:
             break
         frontier = reached
     return dist
-
-
-def covered_targets(
-    g: NetworkGraph, u: int, range_limit: int, targets: Iterable[Target]
-) -> set[Target]:
-    """Targets within graph distance range_limit of node u."""
-    if not isinstance(range_limit, int) or range_limit < 0:
-        raise InputError(f"range must be a non-negative integer, got {range_limit!r}")
-    for t in targets:
-        g.check_target(t)
-    near = ball(g, u, range_limit)
-    return {
-        t
-        for t in targets
-        if (t.id in near if t.kind == "node" else all(v in near for v in g.edges[t.id]))
-    }
 
 
 def all_node_targets(g: NetworkGraph) -> list[Target]:

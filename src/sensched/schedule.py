@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .coverage import CoverageGraph, Objective
-from .errors import BatteryViolation, InputError, ModeError, ParseError, VerificationError
+from .errors import BatteryViolation, InputError, ParseError, VerificationError
 
 
 @dataclass(frozen=True)
@@ -46,20 +46,6 @@ class Labeling:
     """Per-device slot label sets, aligned with the coverage X order."""
 
     by_x: tuple[frozenset[int], ...]
-
-    @staticmethod
-    def empty(n_x: int) -> "Labeling":
-        return Labeling(tuple(frozenset() for _ in range(n_x)))
-
-    @staticmethod
-    def uniform(n_x: int, labels: Iterable[int]) -> "Labeling":
-        full = frozenset(labels)
-        return Labeling(tuple(full for _ in range(n_x)))
-
-    def with_label(self, x: int, label: int) -> "Labeling":
-        sets = list(self.by_x)
-        sets[x] = sets[x] | {label}
-        return Labeling(tuple(sets))
 
 
 @dataclass(frozen=True)
@@ -99,24 +85,6 @@ def validate_labeling(inst: ProblemInstance, labeling: Labeling) -> None:
             offenders.append(cov.x_names[xi])
     if offenders:
         raise BatteryViolation(offenders, inst.sigma)
-
-
-def slot_sets(labeling: Labeling, k: int) -> tuple[frozenset[int], ...]:
-    """Active device indices per slot: S_j = {x : j in labels(x)}."""
-    sets: list[set[int]] = [set() for _ in range(k)]
-    for xi, labels in enumerate(labeling.by_x):
-        for lab in labels:
-            sets[lab].add(xi)
-    return tuple(frozenset(s) for s in sets)
-
-
-def labeling_from_slots(slots: Sequence[Iterable[int]], n_x: int) -> Labeling:
-    """Inverse of slot_sets."""
-    sets: list[set[int]] = [set() for _ in range(n_x)]
-    for j, active in enumerate(slots):
-        for xi in active:
-            sets[xi].add(j)
-    return Labeling(tuple(frozenset(s) for s in sets))
 
 
 def _label_form_total(cov: CoverageGraph, labeling: Labeling, k: int) -> int:
@@ -208,18 +176,6 @@ def score(inst: ProblemInstance, labeling: Labeling) -> ScheduleReport:
     )
 
 
-def expected_detection(inst: ProblemInstance, labeling: Labeling) -> Fraction:
-    """Mean over targets of the fraction of slots in which each is covered.
-
-    Detection mode only. Each target's fraction is its count of covered
-    slots over k, so the mean is the label-form total over k*|Y|, which
-    is score().score.
-    """
-    if inst.objective != "detection":
-        raise ModeError("expected_detection is defined for detection instances only")
-    return score(inst, labeling).score
-
-
 def format_score(value: Fraction) -> str:
     """Exact fraction plus 6-significant-digit decimal, e.g. `2/3 (0.666667)`."""
     return f"{value.numerator}/{value.denominator} ({float(value):.6g})"
@@ -300,14 +256,3 @@ def parse_labeling(text: str, cov: CoverageGraph) -> Labeling:
     return Labeling(
         tuple(table.get(name, frozenset()) for name in cov.x_names)
     )
-
-
-def labeling_from_names(
-    cov: CoverageGraph, table: Mapping[str, Iterable[int]]
-) -> Labeling:
-    """Build a labeling from {device name: 1-based slot numbers}."""
-    unknown = sorted(set(table) - set(cov.x_names))
-    if unknown:
-        raise InputError(f"unknown device names: {', '.join(unknown)}")
-    by_name = {name: frozenset(s - 1 for s in slots) for name, slots in table.items()}
-    return Labeling(tuple(by_name.get(name, frozenset()) for name in cov.x_names))

@@ -16,7 +16,6 @@ from click.testing import CliRunner
 from sensched.cli import main as cli_main
 from sensched.coverage import build_detection, restrict_x
 from sensched.domination import (
-    config_as_labeling,
     config_instance,
     greedy_domatic_partition,
     search_config,
@@ -41,7 +40,7 @@ from sensched.randnet import (
     gen_geometric,
     simulate_random_schedule,
 )
-from sensched.schedule import ProblemInstance, score
+from sensched.schedule import Labeling, ProblemInstance, score
 from sensched.seeds import derive_rng, derive_seed
 from sensched.verify import (
     check_dual_form,
@@ -192,7 +191,7 @@ def test_criterion_07_domination(path4, star5, k4, c4, petersen):
     # every found configuration yields full coverage in every slot
     for g, cfg in zip([petersen] + graphs, found_configs):
         inst = config_instance(g, cfg.k, cfg.sigma)
-        report = score(inst, config_as_labeling(cfg))
+        report = score(inst, Labeling(cfg.labels))
         assert report.score == 1
         assert all(c == g.node_count for c in report.per_slot_covered)
     elapsed = time.monotonic() - start

@@ -7,7 +7,6 @@ from sensched.domination import (
     EXHAUSTIVE_LIMIT,
     DomaticPartition,
     KSigmaConfig,
-    config_as_labeling,
     config_from_domatic,
     config_instance,
     greedy_domatic_partition,
@@ -18,7 +17,7 @@ from sensched.domination import (
 from sensched.errors import InputError
 from sensched.graph import NetworkGraph
 from sensched.randnet import GeometricGraphSpec, gen_geometric
-from sensched.schedule import score
+from sensched.schedule import Labeling, score
 from sensched.seeds import derive_rng
 from sensched.verify import random_graph
 
@@ -70,6 +69,7 @@ def test_greedy_never_beats_exact_on_tiny_graphs():
     for _ in range(10):
         g = random_graph(rng, rng.randint(3, 7), 0.5)
         dp = greedy_domatic_partition(g)
+        domination.validate_partition(g, dp)
         assert len(dp.sets) <= brute_max_disjoint_dominating(g, upper=g.min_degree() + 1)
 
 
@@ -238,7 +238,7 @@ def test_found_configs_give_complete_coverage(petersen):
     result = search_config(petersen, 5, 2, budget=200_000, seed=1)
     assert result.status == "found"
     inst = config_instance(petersen, 5, 2)
-    report = score(inst, config_as_labeling(result.config))
+    report = score(inst, Labeling(result.config.labels))
     assert report.score == 1
     assert all(c == petersen.node_count for c in report.per_slot_covered)
 

@@ -16,10 +16,8 @@ from sensched.game import (
     blll_schedule,
     check_potential_identity,
     greedy_max_coverage_placement,
-    potential,
     random_placement_state,
     random_state,
-    utility,
 )
 from sensched.graph import NetworkGraph, Target, all_node_targets
 from sensched.oracle import exact_optimal_schedule
@@ -48,7 +46,7 @@ def fixture_state(path4_instance):
 
 def test_potential_path_fixture(path4_instance):
     state = fixture_state(path4_instance)
-    assert potential(state) == 4
+    assert state.recount() == 4
     assert state.phi == brute_potential(path4_instance.coverage, state.actions)
 
 
@@ -56,13 +54,20 @@ def test_potential_saturated(path4_instance):
     cov = path4_instance.coverage
     state = GameState(cov, 2, 2, [frozenset({0, 1})] * 2)
     coverable = len(set().union(*cov.adj))
-    assert potential(state) == 2 * coverable
+    assert state.recount() == 2 * coverable
 
 
 def test_utility_path_fixture(path4_instance):
     state = fixture_state(path4_instance)
-    assert utility(state, 0) == 2
-    assert utility(state, 1) == 2
+    assert state.utility(0) == 2
+    assert state.utility(1) == 2
+
+
+def test_utility_rejects_unknown_players(path4_instance):
+    state = fixture_state(path4_instance)
+    for player in (-1, state.n_players):
+        with pytest.raises(InputError):
+            state.utility(player)
 
 
 def test_utility_sole_provider_counts():
@@ -71,20 +76,20 @@ def test_utility_sole_provider_counts():
     g = NetworkGraph(["a", "b", "y1", "y2"], [("a", "y1"), ("a", "y2"), ("b", "y2")])
     cov = build_detection(g, [0, 1], [Target("node", 2), Target("node", 3)], 1)
     state = GameState(cov, 5, 2, [frozenset({2, 4}), frozenset({2, 0})])
-    assert utility(state, 0) == 3
+    assert state.utility(0) == 3
 
 
 def test_utility_isolated_device(path4):
     cov = build_detection(path4, [0, 3], [Target("node", 1)], 0)
     state = GameState(cov, 3, 1, [frozenset({0}), frozenset({1})])
-    assert utility(state, 0) == 0 and utility(state, 1) == 0
+    assert state.utility(0) == 0 and state.utility(1) == 0
 
 
 def test_utility_single_device_sigma_times_degree(path4):
     cov = build_detection(path4, [1], all_node_targets(path4), 1)
     d = len(cov.adj[0])
     state = GameState(cov, 4, 2, [frozenset({0, 2})])
-    assert utility(state, 0) == 2 * d
+    assert state.utility(0) == 2 * d
 
 
 def test_identity_no_deviation_is_zero(path4_instance):
@@ -97,7 +102,7 @@ def test_identity_path_fixture_deviation(path4_instance):
     assert check_potential_identity(state, 0, frozenset({1})) == (-1, -1)
     # state restored afterwards
     assert state.actions == [frozenset({0}), frozenset({1})]
-    assert potential(state) == 4
+    assert state.recount() == 4
 
 
 def test_identity_random_deviations():
@@ -165,7 +170,7 @@ def test_incremental_counts_match_brute_force(placement):
             assert label_sets == after
             assert state.phi == brute_potential(cov, label_sets)
             for other in range(state.n_players):
-                assert utility(state, other) == brute_utility(
+                assert state.utility(other) == brute_utility(
                     cov, label_sets, state.sites[other]
                 )
         assert state.recount() == state.phi

@@ -2,81 +2,86 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sensched.coverage import build_detection
 from sensched.errors import InputError
 from sensched.graph import (
-    INFINITY,
     NetworkGraph,
     Target,
     all_edge_targets,
     all_node_targets,
     ball,
-    bfs_distances,
-    covered_targets,
-    node_edge_distance,
 )
 
-from ._brute import brute_covered, floyd_warshall
+from ._brute import INF, brute_covered, floyd_warshall
+
+
+def _covered(g, device, r, targets):
+    """The targets the production cover builder gives one device."""
+    cov = build_detection(g, [device], targets, r)
+    return {cov.targets[y] for y in cov.covers[0]}
 
 
 def test_bfs_on_path(path4):
-    dist = bfs_distances(path4, path4.node_id("2"))
-    assert dist == [1, 0, 1, 2]
+    assert ball(path4, path4.node_id("2"), path4.node_count) == {0: 1, 1: 0, 2: 1, 3: 2}
 
 
 def test_bfs_isolated_node():
     g = NetworkGraph(["solo"], [])
-    assert bfs_distances(g, 0) == [0]
+    assert ball(g, 0, 3) == {0: 0}
 
 
 def test_bfs_disconnected_components():
     g = NetworkGraph(["1", "2", "3", "4"], [("1", "2"), ("3", "4")])
-    dist = bfs_distances(g, 0)
-    assert dist[1] == 1
-    assert dist[2] == INFINITY and dist[3] == INFINITY
+    # the other component is out of every ball
+    assert ball(g, 0, g.node_count) == {0: 0, 1: 1}
 
 
 def test_bfs_unknown_source(path4):
     with pytest.raises(InputError):
-        bfs_distances(path4, 99)
+        ball(path4, 99, 1)
 
 
 def test_node_edge_distance_on_path(path4):
-    e12 = path4.edge_id(0, 1)
-    e34 = path4.edge_id(2, 3)
-    assert node_edge_distance(path4, 1, e12) == 1
-    assert node_edge_distance(path4, 1, e34) == 2
+    # d(2, 3-4) = max(d(2, 3), d(2, 4)) = 2: covered from node 2 at range 2, not 1
+    e34 = Target("edge", path4.edge_id(2, 3))
+    assert _covered(path4, 1, 2, [e34]) == {e34}
+    assert _covered(path4, 1, 1, [e34]) == set()
+    e12 = Target("edge", path4.edge_id(0, 1))
+    assert _covered(path4, 1, 1, [e12]) == {e12}
 
 
 def test_node_edge_distance_incident_edge(path4):
     # an endpoint is always at distance 1 from its own edge
-    assert node_edge_distance(path4, 0, path4.edge_id(0, 1)) == 1
+    e12 = Target("edge", path4.edge_id(0, 1))
+    assert _covered(path4, 0, 1, [e12]) == {e12}
+    assert _covered(path4, 0, 0, [e12]) == set()
 
 
 def test_node_edge_distance_unknown_edge(path4):
     with pytest.raises(InputError):
-        node_edge_distance(path4, 0, 42)
+        _covered(path4, 0, 1, [Target("edge", 42)])
 
 
 def test_covered_targets_path_fixture(path4):
-    got = covered_targets(path4, 1, 1, all_edge_targets(path4))
+    got = _covered(path4, 1, 1, all_edge_targets(path4))
     assert got == {Target("edge", 0), Target("edge", 1)}
 
 
 def test_covered_targets_zero_range(path4):
     nodes = all_node_targets(path4)
-    assert covered_targets(path4, 1, 0, nodes) == {Target("node", 1)}
-    assert covered_targets(path4, 1, 0, all_edge_targets(path4)) == set()
+    assert _covered(path4, 1, 0, nodes) == {Target("node", 1)}
+    assert _covered(path4, 1, 0, all_edge_targets(path4)) == set()
 
 
 def test_covered_targets_saturating_range(path4):
     targets = all_node_targets(path4) + all_edge_targets(path4)
-    got = covered_targets(path4, 0, path4.node_count, targets)
+    got = _covered(path4, 0, path4.node_count, targets)
     assert got == set(targets)
 
 
 def test_covered_targets_negative_range(path4):
     with pytest.raises(InputError):
-        covered_targets(path4, 0, -1, all_node_targets(path4))
+        _covered(path4, 0, -1, all_node_targets(path4))
 
 
 def test_graph_rejects_self_loop():
@@ -129,16 +134,17 @@ def test_bfs_matches_floyd_warshall(data):
     g = _build(*data)
     fw = floyd_warshall(g)
     for source in range(g.node_count):
-        assert bfs_distances(g, source) == fw[source]
+        reachable = {v: d for v, d in enumerate(fw[source]) if d != INF}
+        assert ball(g, source, g.node_count) == reachable
 
 
 @given(small_graphs, st.integers(0, 9))
 @settings(max_examples=60)
 def test_ball_is_bfs_cut_at_radius(data, r):
     g = _build(*data)
+    fw = floyd_warshall(g)
     for source in range(g.node_count):
-        dist = bfs_distances(g, source)
-        assert ball(g, source, r) == {v: d for v, d in enumerate(dist) if d <= r}
+        assert ball(g, source, r) == {v: d for v, d in enumerate(fw[source]) if d <= r}
 
 
 @given(small_graphs)
@@ -146,9 +152,9 @@ def test_ball_is_bfs_cut_at_radius(data, r):
 def test_bfs_neighbors_differ_by_at_most_one(data):
     g = _build(*data)
     for source in range(g.node_count):
-        dist = bfs_distances(g, source)
+        dist = ball(g, source, g.node_count)
         for u, v in g.edges:
-            if dist[u] != INFINITY:
+            if u in dist:
                 assert abs(dist[u] - dist[v]) <= 1
 
 
@@ -157,8 +163,8 @@ def test_bfs_neighbors_differ_by_at_most_one(data):
 def test_cover_monotone_in_range(data, r):
     g = _build(*data)
     targets = all_node_targets(g) + all_edge_targets(g)
-    narrow = covered_targets(g, 0, r, targets)
-    wide = covered_targets(g, 0, r + 1, targets)
+    narrow = _covered(g, 0, r, targets)
+    wide = _covered(g, 0, r + 1, targets)
     assert narrow <= wide
 
 
@@ -168,6 +174,4 @@ def test_cover_matches_brute_force(data, r):
     g = _build(*data)
     targets = all_node_targets(g) + all_edge_targets(g)
     for device in range(g.node_count):
-        assert covered_targets(g, device, r, targets) == brute_covered(
-            g, device, r, targets
-        )
+        assert _covered(g, device, r, targets) == brute_covered(g, device, r, targets)

@@ -1,12 +1,14 @@
 import math
 import statistics
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sensched import randnet
 from sensched.errors import InputError
-from sensched.graph import NetworkGraph
+from sensched.graph import NetworkGraph, ball
+from sensched.instance import load_instance
 from sensched.randnet import (
     ErdosRenyiSpec,
     GeometricGraphSpec,
@@ -28,6 +30,8 @@ from ._brute import (
     brute_gen_geometric,
     brute_simulate_random_schedule,
 )
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def test_closed_form_spot_values():
@@ -110,7 +114,7 @@ def test_er_degree_distribution_close_to_binomial():
     for s in range(seeds):
         g = gen_erdos_renyi(ErdosRenyiSpec(n=n, p=p, seed=s))
         for v in range(n):
-            counts[g.degree(v)] += 1
+            counts[len(g.neighbors(v))] += 1
     total = n * seeds
     pmf = [
         math.comb(n - 1, d) * p**d * (1 - p) ** (n - 1 - d) for d in range(n)
@@ -175,13 +179,21 @@ def test_geometric_matches_brute_force(torus):
 def test_gen_connected_gnm_shape():
     g = gen_connected_gnm(126, 168, seed=2026)
     assert g.node_count == 126 and g.edge_count == 168
-    from sensched.graph import bfs_distances, INFINITY
-
-    assert INFINITY not in bfs_distances(g, 0)
+    assert len(ball(g, 0, g.node_count)) == g.node_count
     with pytest.raises(InputError):
         gen_connected_gnm(5, 3, seed=1)
     with pytest.raises(InputError):
         gen_connected_gnm(4, 7, seed=1)
+
+
+@pytest.mark.parametrize(
+    "name, n, m", [("water1_standin", 126, 168), ("water2_standin", 270, 366)]
+)
+def test_gen_connected_gnm_regenerates_the_shipped_standins(name, n, m):
+    spec = load_instance(INSTANCES / f"{name}.instance")
+    g = gen_connected_gnm(n, m, seed=2026)
+    assert g.names == spec.nodes
+    assert tuple(g.edge_name(e) for e in range(g.edge_count)) == spec.edges
 
 
 def test_simulation_sigma_equals_k_is_exactly_one():

@@ -10,21 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensched.coverage import build_detection, build_isolation
-from sensched.errors import BatteryViolation, InputError, ModeError, VerificationError
+from sensched.errors import BatteryViolation, InputError, VerificationError
 from sensched.graph import all_edge_targets, all_node_targets
 from sensched.schedule import (
     Labeling,
     ProblemInstance,
-    expected_detection,
     format_label_table,
     format_labeling,
     format_score,
-    labeling_from_names,
-    labeling_from_slots,
     parse_label_table,
     parse_labeling,
     score,
-    slot_sets,
 )
 from sensched.seeds import derive_rng
 from sensched.verify import random_graph, random_instance, random_labeling
@@ -44,29 +40,6 @@ def test_instance_validation(path4_instance):
         ProblemInstance(cov, k=2, sigma=0)
 
 
-def test_slot_sets_fixture():
-    lab = Labeling((frozenset({0, 2}), frozenset({1, 2})))
-    assert slot_sets(lab, 3) == (
-        frozenset({0}),
-        frozenset({1}),
-        frozenset({0, 1}),
-    )
-
-
-def test_slot_sets_empty():
-    lab = Labeling.empty(3)
-    assert slot_sets(lab, 2) == (frozenset(), frozenset())
-
-
-@given(
-    st.lists(st.frozensets(st.integers(0, 3), max_size=4), min_size=1, max_size=6)
-)
-@settings(max_examples=100)
-def test_slot_sets_round_trip(sets):
-    lab = Labeling(tuple(sets))
-    assert labeling_from_slots(slot_sets(lab, 4), len(sets)) == lab
-
-
 def test_score_path_fixture(path4_instance):
     report = score(path4_instance, Labeling((frozenset({0}), frozenset({1}))))
     assert report.per_slot_covered == (2, 2)
@@ -76,12 +49,12 @@ def test_score_path_fixture(path4_instance):
 
 def test_score_saturation(path4_instance):
     inst = ProblemInstance(path4_instance.coverage, k=2, sigma=2)
-    report = score(inst, Labeling.uniform(2, {0, 1}))
+    report = score(inst, Labeling((frozenset({0, 1}),) * 2))
     assert report.score == 1
 
 
 def test_score_empty(path4_instance):
-    report = score(path4_instance, Labeling.empty(2))
+    report = score(path4_instance, Labeling((frozenset(),) * 2))
     assert report.score == 0
     assert report.per_slot_covered == (0, 0)
 
@@ -209,17 +182,19 @@ def test_isolation_label_form_with_distinct_target_classes():
 
 def test_score_wrong_width(path4_instance):
     with pytest.raises(InputError):
-        score(path4_instance, Labeling.empty(3))
+        score(path4_instance, Labeling((frozenset(),) * 3))
 
 
 def test_expected_detection_fixture(path4_instance):
-    q = expected_detection(path4_instance, Labeling((frozenset({0}), frozenset({1}))))
-    assert q == Fraction(2, 3)
+    # detection score is the mean over targets of the fraction of slots
+    # covering each: edges 1-2 and 3-4 in one of two slots, 2-3 in both
+    report = score(path4_instance, Labeling((frozenset({0}), frozenset({1}))))
+    assert report.score == (Fraction(1, 2) + 1 + Fraction(1, 2)) / 3
 
 
 def test_expected_detection_full_coverage(path4_instance):
     inst = ProblemInstance(path4_instance.coverage, k=2, sigma=2)
-    assert expected_detection(inst, Labeling.uniform(2, {0, 1})) == 1
+    assert score(inst, Labeling((frozenset({0, 1}),) * 2)).score == 1
 
 
 def test_expected_detection_half(path4):
@@ -227,14 +202,7 @@ def test_expected_detection_half(path4):
 
     cov = build_detection(path4, [1], [Target("edge", 0)], 1)
     inst = ProblemInstance(cov, k=2, sigma=1)
-    assert expected_detection(inst, Labeling((frozenset({0}),))) == Fraction(1, 2)
-
-
-def test_expected_detection_mode_error(path4):
-    cov = build_isolation(path4, [1, 2], all_edge_targets(path4), 1)
-    inst = ProblemInstance(cov, k=2, sigma=1)
-    with pytest.raises(ModeError):
-        expected_detection(inst, Labeling.empty(2))
+    assert score(inst, Labeling((frozenset({0}),))).score == Fraction(1, 2)
 
 
 def test_expected_detection_matches_per_target_mean():
@@ -243,7 +211,7 @@ def test_expected_detection_matches_per_target_mean():
         inst = random_instance(rng, allow_isolation=False)
         lab = random_labeling(rng, inst)
         cov = inst.coverage
-        assert expected_detection(inst, lab) == Fraction(
+        assert score(inst, lab).score == Fraction(
             brute_potential(cov, lab.by_x), inst.k * cov.n_y
         )
 
@@ -303,7 +271,9 @@ def test_score_monotone_in_labels():
         if not candidates:
             continue
         xi, lab_id = candidates[rng.randrange(len(candidates))]
-        assert score(inst, lab.with_label(xi, lab_id)).score >= base
+        grown = list(lab.by_x)
+        grown[xi] |= {lab_id}
+        assert score(inst, Labeling(tuple(grown))).score >= base
 
 
 def test_score_bounds_and_perfect_requires_coverage():
@@ -353,7 +323,8 @@ def test_parse_labeling_unknown_name(path4_instance):
 
 
 def test_labeling_from_names(path4_instance):
-    lab = labeling_from_names(path4_instance.coverage, {"2": [1], "3": [2]})
-    assert lab == Labeling((frozenset({0}), frozenset({1})))
+    # devices the table does not name get no labels
+    lab = parse_labeling("3: 2\n", path4_instance.coverage)
+    assert lab == Labeling((frozenset(), frozenset({1})))
     with pytest.raises(InputError):
-        labeling_from_names(path4_instance.coverage, {"9": [1]})
+        parse_labeling("9: 1\n", path4_instance.coverage)
