@@ -6,27 +6,27 @@ dominating sets give a lifetime of sigma times the partition size;
 non-disjoint label assignments (every label present in every closed
 neighborhood) can do strictly better, and are searched for here.
 
-The disjoint sets come from a greedy domatic partition: closed
-neighborhoods as int bitsets, built once per partition, and one lazy
-max-heap of gain bounds per dominating set, so each pick re-scores only
-stale heap tops instead of every candidate. Ties go to the lowest node
+The disjoint sets come from a greedy domatic partition. Each set is a
+run of the scheduling greedy (`greedy.greedy_picks`) at k = sigma = 1 on
+`config_instance`'s coverage, whose masks are the closed neighborhoods,
+restricted to the nodes not yet in a set. Ties go to the lowest node
 index, or with a seed to a uniform draw over the maximal-gain nodes.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .coverage import build_detection
+from .coverage import build_detection, restrict_x
 from .errors import InputError, VerificationError
 from .game import BlllParams, blll_schedule
 from .graph import NetworkGraph, all_node_targets
+from .greedy import greedy_picks
 from .oracle import _branch_and_bound
 from .schedule import ProblemInstance
-from .seeds import derive_rng, derive_seed
+from .seeds import derive_seed
 
 # search_config runs the exhaustive search only when n * C(k, sigma) is
 # at most EXHAUSTIVE_LIMIT, and gives it up after EXHAUSTIVE_NODE_CAP nodes
@@ -54,82 +54,44 @@ class DomaticPartition:
     sets: tuple[frozenset[int], ...]
 
 
-def _greedy_dominating_set(
-    closed: list[int], candidates: Iterable[int], rng
-) -> frozenset[int] | None:
-    """Lazy greedy set cover by closed neighborhoods, or None if impossible.
-
-    closed[v] is the bitset of v's closed neighborhood, so the gain of v
-    is (closed[v] & uncovered).bit_count(). A max-heap holds (-gain
-    bound, v) per candidate; gains only fall as uncovered shrinks, so
-    stale tops are re-scored until the top is exact (Minoux's lazy
-    greedy). An exact top of gain 0 means the candidates cannot
-    dominate. Unseeded, the pick is that top: the lowest-index candidate
-    of maximal gain. Seeded, every candidate of maximal gain is
-    collected in index order and rng.randrange(len(ties)) picks one,
-    called even for a single tie.
-    """
-    uncovered = (1 << len(closed)) - 1
-    heap = [(-closed[v].bit_count(), v) for v in candidates]
-    heapq.heapify(heap)
-    chosen: list[int] = []
-    while uncovered:
-        gain = 0
-        while heap:
-            bound, v = heap[0]
-            gain = (closed[v] & uncovered).bit_count()
-            if gain == -bound:
-                break
-            heapq.heapreplace(heap, (-gain, v))
-        if gain == 0:
-            return None
-        if rng is None:
-            heapq.heappop(heap)
-        else:
-            ties: list[int] = []
-            while heap and heap[0][0] == bound:
-                w = heap[0][1]
-                w_gain = (closed[w] & uncovered).bit_count()
-                if w_gain == gain:
-                    ties.append(heapq.heappop(heap)[1])
-                else:
-                    heapq.heapreplace(heap, (-w_gain, w))
-            v = ties[rng.randrange(len(ties))]
-            for w in ties:
-                if w != v:
-                    heapq.heappush(heap, (bound, w))
-        chosen.append(v)
-        uncovered &= ~closed[v]
-    return frozenset(chosen)
-
-
 def greedy_domatic_partition(g: NetworkGraph, seed: int | None = None) -> DomaticPartition:
     """Extract disjoint dominating sets greedily until the rest cannot dominate.
 
-    Each set is a lazy greedy cover (`_greedy_dominating_set`) over the
-    closed-neighborhood bitsets, built once here from g.neighbors, with
-    the nodes not yet in a set as candidates. With a seed, ties are drawn
-    from one `domatic-tiebreak` stream shared by all the sets. Leftover
+    Set i is a greedy cover of every node by the closed neighborhoods of
+    the nodes not yet in a set: `greedy_picks` on `config_instance(g, 1,
+    1)` restricted to those nodes, whose masks are built once here and
+    shared by every set. The set is complete at full coverage and fails
+    on a zero-gain pick or when the candidates run out. With a seed, set
+    i draws its ties from derive_seed(seed, "domatic-set", i). Leftover
     nodes that are not in any extracted set are merged into the last set
     (which keeps it dominating and makes the partition total). Returns
     at least one set on a non-empty graph; sizes are a lower bound on
     the domatic number, not the exact value.
     """
-    if g.node_count == 0:
+    n = g.node_count
+    if n == 0:
         return DomaticPartition(())
-    rng = derive_rng(seed, "domatic-tiebreak") if seed is not None else None
-    closed = [
-        sum(1 << u for u in g.neighbors(v)) | 1 << v for v in range(g.node_count)
-    ]
-    remaining = set(range(g.node_count))
+    cov = config_instance(g, 1, 1).coverage
+    cov.masks  # built before restrict_x, which hands each kept row's mask on
+    remaining = set(range(n))
     sets: list[frozenset[int]] = []
     while remaining:
-        dom = _greedy_dominating_set(closed, remaining, rng)
-        if dom is None:
+        sub = restrict_x(cov, remaining)
+        set_seed = None if seed is None else derive_seed(seed, "domatic-set", len(sets))
+        chosen: list[int] = []
+        covered = 0
+        for pick in greedy_picks(ProblemInstance(sub, k=1, sigma=1), set_seed):
+            if pick.gain == 0:
+                break
+            chosen.append(sub.x_nodes[pick.x])
+            covered = pick.objective
+            if covered == n:
+                break
+        if covered < n:
             break
-        sets.append(dom)
-        remaining -= dom
-    # sets is not empty: on the first call every node is uncovered and its own candidate
+        sets.append(frozenset(chosen))
+        remaining -= sets[-1]
+    # sets is not empty: on the first pass every node is uncovered and its own candidate
     if remaining:
         sets[-1] = sets[-1] | remaining
     return DomaticPartition(tuple(sets))

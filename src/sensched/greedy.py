@@ -7,25 +7,31 @@ lexicographic order so results stay deterministic.
 
 The greedy is lazy (Minoux's accelerated greedy). Each slot keeps the Y
 elements it already covers as an int bitset, and a pick's gain is the
-number of the device's Y elements not yet in that bitset. Slots only
-fill up, so a gain computed earlier is an upper bound on the gain now
-(the objective is monotone submodular over (device, slot) picks). A
-max-heap of those bounds therefore only has to recompute the entries
-that reach its top: a top entry whose gain is still current beats every
-other pair. The picks are exactly those of re-scanning every pair on
-every iteration, including both tie-break rules: the lowest
+device's Y count less the Y elements of its mask already in that bitset.
+Slots only fill up, so a gain computed earlier is an upper bound on the
+gain now (the objective is monotone submodular over (device, slot)
+picks). A max-heap of those bounds therefore only has to recompute the
+entries that reach its top: a top entry whose gain is still current
+beats every other pair. The picks are exactly those of re-scanning every
+pair on every iteration, including both tie-break rules: the lowest
 (device index, slot) by default, and a seeded uniform draw over all
-pairs of maximal gain, listed in (device index, slot) order. Once the
-best gain is 0, every open pair ties for the rest of the run, so the
-seeded draw then runs over a sorted list of the open pairs instead of
-emptying and refilling the heap on every pick.
+pairs of maximal gain, listed in (device index, slot) order.
+
+The pairs of maximal gain are kept in one list, in that order, across
+picks; the heap refills it only when it empties (unseeded, with just its
+exact top). A pick in slot s changes only slot s's covered set, so only
+s's entries in the list are re-scored, and those whose gain fell go back
+to the heap; a gain of 0 cannot fall, so a zero-gain pick re-scores
+nothing. Late in a run thousands of pairs tie, and no pick pops and
+re-pushes them. The greedy domatic partition in `domination` is this
+greedy at k = sigma = 1.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Iterator
 
 from .schedule import Labeling, ProblemInstance
@@ -77,66 +83,54 @@ def greedy_picks(inst: ProblemInstance, seed: int | None = None) -> Iterator[Gre
     rng = derive_rng(seed, "greedy-tiebreak") if seed is not None else None
 
     masks = cov.masks
+    sizes = [mask.bit_count() for mask in masks]
     covered = [0] * k  # per slot: bitset of the Y elements covered so far
     version = [0] * k  # bumped whenever covered[lab] grows
     labels: list[set[int]] = [set() for _ in range(cov.n_x)]
-    # (-gain bound, x, lab, version[lab] when the bound was computed);
-    # every (x, lab) still open sits in the heap exactly once.
-    heap = [
-        (-size, xi, lab, 0)
-        for xi, size in enumerate(mask.bit_count() for mask in masks)
-        for lab in range(k)
-    ]
-    heapify(heap)
 
-    def refresh(neg: int, xi: int, lab: int, ver: int) -> int:
-        if ver == version[lab]:
-            return -neg
-        return (masks[xi] & ~covered[lab]).bit_count()
+    def current(xi: int, lab: int) -> int:
+        return sizes[xi] - (masks[xi] & covered[lab]).bit_count()
+
+    # (-gain bound, x, lab, version[lab] when the bound was computed)
+    heap = [(-size, xi, lab, 0) for xi, size in enumerate(sizes) for lab in range(k)]
+    heapify(heap)
+    # open pairs of exact gain `gain` in (x, lab) order; an open pair sits
+    # in the heap or here, never both. Seeded, every pair of maximal gain
+    # is here and every gain left in the heap is lower.
+    ties: list[tuple[int, int]] = []
+    gain = 0
 
     objective = 0
-    # seeded only: every open (x, lab) pair in (x, lab) order, once the
-    # best gain is 0 and so every open pair ties for the rest of the run
-    tail: list[tuple[int, int]] | None = None
     total_picks = cov.n_x * sigma
     for iteration in range(1, total_picks + 1):
-        if tail is None:
-            while True:
-                neg, xi, lab, ver = heappop(heap)
-                if len(labels[xi]) >= sigma:
-                    continue
-                gain = refresh(neg, xi, lab, ver)
-                if gain == -neg:
-                    break
-                heappush(heap, (-gain, xi, lab, version[lab]))
-            if rng is not None and gain == 0:
-                tail = sorted(
-                    [(xi, lab)]
-                    + [(tx, tlab) for _, tx, tlab, _ in heap if len(labels[tx]) < sigma]
-                )
-        if tail is not None:  # gain stays 0
-            xi, lab = tail.pop(rng.randrange(len(tail)) if len(tail) > 1 else 0)
-            if len(labels[xi]) == sigma - 1:
-                del tail[bisect_left(tail, (xi,)):bisect_left(tail, (xi + 1,))]
-        elif rng is not None:
-            # Every other pair of maximal gain has a bound equal to it, so
-            # it is still in the heap and pops next, in (x, lab) order.
-            ties = [(xi, lab)]
-            while heap and -heap[0][0] >= gain:
-                neg, tx, tlab, ver = heappop(heap)
-                if len(labels[tx]) >= sigma:
-                    continue
-                other = refresh(neg, tx, tlab, ver)
-                if other == gain:
-                    ties.append((tx, tlab))
-                else:
-                    heappush(heap, (-other, tx, tlab, version[tlab]))
-            if len(ties) > 1:
-                xi, lab = ties.pop(rng.randrange(len(ties)))
-                for tx, tlab in ties:
-                    heappush(heap, (-gain, tx, tlab, version[tlab]))
+        # refill: pop to the exact top (its bound is its current gain, so it
+        # beats every bound below it), then, seeded, every pair that ties it
+        while heap:
+            neg, xi, lab, ver = heap[0]
+            if ties and (rng is None or -neg < gain):
+                break
+            if len(labels[xi]) >= sigma:
+                heappop(heap)
+                continue
+            fresh = -neg if ver == version[lab] else current(xi, lab)
+            if fresh == -neg:
+                heappop(heap)
+                ties.append((xi, lab))
+                gain = fresh
+            else:
+                heapreplace(heap, (-fresh, xi, lab, version[lab]))
+        draw = rng is not None and len(ties) > 1
+        xi, lab = ties.pop(rng.randrange(len(ties)) if draw else 0)
         labels[xi].add(lab)
         covered[lab] |= masks[xi]
         version[lab] += 1
         objective += gain
         yield GreedyPick(iteration, xi, lab, gain, objective)
+        if len(labels[xi]) == sigma:
+            del ties[bisect_left(ties, (xi,)):bisect_left(ties, (xi + 1,))]
+        if gain:  # only slot lab's ties can have lost gain, and a gain of 0 cannot
+            for tx in [tx for tx, tlab in ties if tlab == lab]:
+                fresh = current(tx, lab)
+                if fresh < gain:
+                    del ties[bisect_left(ties, (tx, lab))]
+                    heappush(heap, (-fresh, tx, lab, version[lab]))

@@ -18,6 +18,7 @@ import statistics
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
+from types import SimpleNamespace
 
 from sensched import game
 from sensched.domination import DomaticPartition
@@ -26,7 +27,7 @@ from sensched.graph import NetworkGraph, target_key
 from sensched.greedy import GreedyPick, GreedyResult
 from sensched.randnet import RandomScheduleStats
 from sensched.schedule import Labeling
-from sensched.seeds import derive_rng
+from sensched.seeds import derive_rng, derive_seed
 
 INF = float("inf")
 
@@ -297,50 +298,38 @@ def closed_neighborhood(g, v: int) -> frozenset[int]:
     return frozenset(g.neighbors(v)) | {v}
 
 
-def _greedy_dominating_set(g, candidates: set[int], rng) -> frozenset[int] | None:
-    """Greedy set cover over closed neighborhoods, or None if impossible."""
-    uncovered = set(range(g.node_count))
-    chosen: set[int] = set()
-    pool = set(candidates)
-    while uncovered:
-        best_gain = 0
-        ties: list[int] = []
-        for v in sorted(pool):
-            gain = len(closed_neighborhood(g, v) & uncovered)
-            if gain > best_gain:
-                best_gain = gain
-                ties = [v]
-            elif gain == best_gain and gain > 0:
-                ties.append(v)
-        if not ties:
-            return None
-        pick = ties[0] if rng is None else ties[rng.randrange(len(ties))]
-        chosen.add(pick)
-        pool.discard(pick)
-        uncovered -= closed_neighborhood(g, pick)
-    return frozenset(chosen)
-
-
 def brute_greedy_domatic_partition(g, seed=None) -> DomaticPartition:
-    """The eager greedy domatic partition: every pick rescans every candidate.
+    """The greedy domatic partition, each set from the eager brute_greedy.
 
+    Set i runs brute_greedy at k = sigma = 1 on the closed neighborhoods
+    of the nodes not yet in a set, with the seed
+    derive_seed(seed, "domatic-set", i), and keeps its picks up to full
+    coverage; a run that never covers every node ends the partition.
     Same sets, same order and same seeded draws as
     domination.greedy_domatic_partition, in quadratic time.
     """
-    if g.node_count == 0:
+    n = g.node_count
+    if n == 0:
         return DomaticPartition(())
-    rng = derive_rng(seed, "domatic-tiebreak") if seed is not None else None
-    remaining = set(range(g.node_count))
+    remaining = set(range(n))
     sets: list[frozenset[int]] = []
     while remaining:
-        dom = _greedy_dominating_set(g, remaining, rng)
-        if dom is None:
+        nodes = sorted(remaining)
+        cover = SimpleNamespace(
+            adj=[closed_neighborhood(g, v) for v in nodes], n_x=len(nodes), n_y=n
+        )
+        set_seed = None if seed is None else derive_seed(seed, "domatic-set", len(sets))
+        trace = brute_greedy(SimpleNamespace(coverage=cover, k=1, sigma=1), set_seed).trace
+        if trace[-1].objective < n:
             break
+        # the max gain never rises, so the picks before full coverage are
+        # those of positive gain
+        dom = frozenset(nodes[p.x] for p in trace if p.gain > 0)
         sets.append(dom)
         remaining -= dom
     if not sets:
         # the full vertex set always dominates
-        sets = [frozenset(range(g.node_count))]
+        sets = [frozenset(range(n))]
         remaining = set()
     if remaining:
         sets[-1] = sets[-1] | remaining

@@ -74,7 +74,7 @@ def test_greedy_never_beats_exact_on_tiny_graphs():
 
 
 def test_domatic_partition_matches_eager_reference(path4, star5, k4, c4, petersen):
-    # single ties (randrange(1)), many ties on vertex-transitive graphs,
+    # single ties (no draw), many ties on vertex-transitive graphs,
     # sets that cannot dominate (None), the leftover merge (isolated
     # nodes), and empty and edgeless graphs
     isolated = NetworkGraph(list("abcdef"), [("a", "b"), ("b", "c"), ("d", "e")])

@@ -12,7 +12,7 @@ from sensched.graph import (
     ball,
 )
 
-from ._brute import INF, brute_covered, floyd_warshall
+from ._brute import INF, floyd_warshall
 
 
 def _covered(g, device, r, targets):
@@ -166,12 +166,3 @@ def test_cover_monotone_in_range(data, r):
     narrow = _covered(g, 0, r, targets)
     wide = _covered(g, 0, r + 1, targets)
     assert narrow <= wide
-
-
-@given(small_graphs, st.integers(0, 3))
-@settings(max_examples=40)
-def test_cover_matches_brute_force(data, r):
-    g = _build(*data)
-    targets = all_node_targets(g) + all_edge_targets(g)
-    for device in range(g.node_count):
-        assert _covered(g, device, r, targets) == brute_covered(g, device, r, targets)

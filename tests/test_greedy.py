@@ -5,7 +5,7 @@ from sensched.coverage import build_detection
 from sensched.graph import all_edge_targets, all_node_targets
 from sensched.greedy import greedy_schedule
 from sensched.oracle import exact_optimal_schedule
-from sensched.randnet import gen_connected_gnm
+from sensched.randnet import GeometricGraphSpec, gen_connected_gnm, gen_geometric
 from sensched.schedule import ProblemInstance, score
 from sensched.seeds import derive_rng
 from sensched.verify import random_instance
@@ -116,6 +116,21 @@ def test_lazy_matches_brute_greedy():
         got = greedy_schedule(inst, seed=seed)
         assert got == brute_greedy(inst, seed=seed)
         assert sum(p.gain == 0 for p in got.trace) >= 100
+
+    # 300 nodes of mean degree 16: the positive-gain picks draw from 14
+    # tied pairs on average (up to 96), and once each slot covers every
+    # node the last 500 or so picks all gain 0
+    spec = GeometricGraphSpec(n=300, area_side=math.sqrt(150), radius=1.5958, seed=1, torus=True)
+    geo, _ = gen_geometric(spec)
+    cov = build_detection(geo, range(300), all_node_targets(geo), 1)
+    inst = ProblemInstance(cov, 3, 2)
+    traces = set()
+    for seed in (None, 3, 17):
+        got = greedy_schedule(inst, seed=seed)
+        assert got == brute_greedy(inst, seed=seed)
+        assert sum(p.gain == 0 for p in got.trace) >= 400
+        traces.add(got.trace)
+    assert len(traces) == 3
 
 
 def test_within_half_of_oracle():

@@ -192,11 +192,6 @@ def test_expected_detection_fixture(path4_instance):
     assert report.score == (Fraction(1, 2) + 1 + Fraction(1, 2)) / 3
 
 
-def test_expected_detection_full_coverage(path4_instance):
-    inst = ProblemInstance(path4_instance.coverage, k=2, sigma=2)
-    assert score(inst, Labeling((frozenset({0, 1}),) * 2)).score == 1
-
-
 def test_expected_detection_half(path4):
     from sensched.graph import Target
 
