@@ -1,12 +1,13 @@
 """Bipartite coverage graphs linking device locations to what they monitor.
 
 Detection mode: one Y vertex per target, adjacent to every device within
-range. Each device's targets are read off one depth-limited BFS (its
-`ball` of radius equal to the range), so the build never looks beyond a
-device's neighbourhood. Isolation mode: one Y vertex per unordered
-target pair, adjacent to a device iff the device covers exactly one of
-the two targets (a device seeing both, or neither, cannot tell them
-apart).
+range. Each device's row is read off one depth-limited BFS, its `ball`
+of radius equal to the range, which is a set of nodes: the node targets
+in the set, then the edge targets with both endpoints in it. The build
+never looks beyond a device's neighbourhood. Isolation mode: one Y
+vertex per unordered target pair, adjacent to a device iff the device
+covers exactly one of the two targets (a device seeing both, or
+neither, cannot tell them apart).
 
 A `CoverageGraph` stores the detection rows for both objectives: the
 targets, their keys and each device's set of covered target indices
@@ -176,10 +177,8 @@ class CoverageGraph:
 
 
 def _canonical_targets(g: NetworkGraph, targets: Iterable[Target]) -> list[Target]:
-    # Target's own order, (kind, id), without a generated __lt__ call per comparison
-    out = sorted(set(targets), key=lambda t: (t.kind, t.id))
-    for t in out:
-        g.check_target(t)
+    out = sorted(set(targets))
+    g.check_targets(out)
     return out
 
 
@@ -190,30 +189,30 @@ def _device_cover_sets(
 
     The targets are indexed once by node: a node target under its own
     node, an edge target under its lower endpoint together with the
-    other one. A device's cover is read off the nodes of its ball.
+    other one. A device's cover is read off the node set of its ball:
+    the node targets in it, then the edge targets whose endpoints are
+    both in it. Each device is checked by its own ball, in sorted order.
     """
     if not isinstance(range_limit, int) or range_limit < 0:
         raise InputError(f"range must be a non-negative integer, got {range_limit!r}")
     xs = sorted(set(sensors))
     if not xs:
         raise InputError("sensor set must not be empty")
-    for x in xs:
-        g._check_node(x)
     node_y: dict[int, int] = {}
-    edge_y: dict[int, list[tuple[int, int]]] = {}
-    for y, t in enumerate(targets):
-        if t.kind == "node":
-            node_y[t.id] = y
+    edge_y: list[list[tuple[int, int]]] = [[] for _ in range(g.node_count)]
+    edges = g.edges
+    for y, (kind, i) in enumerate(targets):
+        if kind == "node":
+            node_y[i] = y
         else:
-            a, b = g.edges[t.id]
-            edge_y.setdefault(a, []).append((b, y))
+            a, b = edges[i]
+            edge_y[a].append((b, y))
     covers: list[frozenset[int]] = []
     for x in xs:
         near = ball(g, x, range_limit)
-        covers.append(frozenset(
-            [node_y[v] for v in near if v in node_y]
-            + [y for v in near for w, y in edge_y.get(v, ()) if w in near]
-        ))
+        ys = [node_y[v] for v in near if v in node_y] if node_y else []
+        ys += [y for v in near for w, y in edge_y[v] if w in near]
+        covers.append(frozenset(ys))
     return xs, covers
 
 
@@ -228,12 +227,13 @@ def build_detection(
     if not y_targets:
         raise InputError("target set must not be empty")
     xs, covers = _device_cover_sets(g, sensors, y_targets, range_limit)
+    names = g.names  # each x was checked by its ball
     return CoverageGraph(
         objective="detection",
         x_nodes=tuple(xs),
-        x_names=tuple(g.node_name(x) for x in xs),
+        x_names=tuple([names[x] for x in xs]),
         targets=tuple(y_targets),
-        target_keys=tuple(target_key(t, g) for t in y_targets),
+        target_keys=tuple([target_key(t, g) for t in y_targets]),
         covers=tuple(covers),
     )
 

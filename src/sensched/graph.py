@@ -5,27 +5,29 @@ insertion order; edges get stable integer ids. Distances are unweighted
 hop counts, and the distance from a node to an edge is the larger of the
 distances to the edge's two endpoints. A device covers the targets
 within its range, and `ball` implements exactly that: a BFS that stops
-expanding at the range, so a node is within range iff it is in the ball
-and an edge iff both its endpoints are. Its cost is the size of the ball
-times the degree, whatever the size of the graph.
+expanding at the range and returns the set of nodes it reached, so a
+node is within range iff it is in the ball and an edge iff both its
+endpoints are. The ball keeps no hop counts, since coverage reads only
+membership. Its cost is the size of the ball times the degree, whatever
+the size of the graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .errors import InputError
 
 TargetKind = Literal["node", "edge"]
 
 
-@dataclass(frozen=True, order=True)
-class Target:
+class Target(NamedTuple):
     """A monitored element: a node or an edge of the network graph.
 
-    Targets order by (kind, id), which fixes the canonical indexing
-    used everywhere downstream.
+    A Target is the tuple (kind, id): it orders, hashes and compares as
+    that tuple, so edge targets sort before node targets and each kind by
+    id. That order fixes the canonical indexing used everywhere
+    downstream.
     """
 
     kind: TargetKind
@@ -44,29 +46,31 @@ class NetworkGraph:
 
     def __init__(self, names: Sequence[str], edges: Iterable[tuple[str, str]]):
         self._names: tuple[str, ...] = tuple(names)
-        self._ids: dict[str, int] = {}
-        for i, name in enumerate(self._names):
-            if name in self._ids:
-                raise InputError(f"duplicate node name: {name!r}")
-            self._ids[name] = i
+        self._ids: dict[str, int] = {name: i for i, name in enumerate(self._names)}
+        if len(self._ids) < len(self._names):
+            seen: set[str] = set()
+            for name in self._names:
+                if name in seen:
+                    raise InputError(f"duplicate node name: {name!r}")
+                seen.add(name)
+        ids = self._ids
         adj: list[list[int]] = [[] for _ in self._names]
-        edge_list: list[tuple[int, int]] = []
         edge_ids: dict[tuple[int, int], int] = {}
         for a, b in edges:
-            u, v = self.node_id(a), self.node_id(b)
+            try:
+                u, v = ids[a], ids[b]
+            except KeyError:
+                u, v = self.node_id(a), self.node_id(b)  # raises for the first unknown
             if u == v:
                 raise InputError(f"self-loop on node {a!r}")
-            key = (min(u, v), max(u, v))
+            key = (u, v) if u < v else (v, u)
             if key in edge_ids:
                 raise InputError(f"duplicate edge {a!r}-{b!r}")
-            edge_ids[key] = len(edge_list)
-            edge_list.append(key)
+            edge_ids[key] = len(edge_ids)
             adj[u].append(v)
             adj[v].append(u)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(nbrs)) for nbrs in adj
-        )
-        self._edges: tuple[tuple[int, int], ...] = tuple(edge_list)
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, map(sorted, adj)))
+        self._edges: tuple[tuple[int, int], ...] = tuple(edge_ids)  # in id order
         self._edge_ids = edge_ids
 
     @property
@@ -110,7 +114,7 @@ class NetworkGraph:
     def edge_id(self, u: int, v: int) -> int:
         self._check_node(u)
         self._check_node(v)
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         try:
             return self._edge_ids[key]
         except KeyError:
@@ -126,38 +130,43 @@ class NetworkGraph:
         if not 0 <= node < len(self._names):
             raise InputError(f"unknown node id: {node}")
 
-    def check_target(self, target: Target) -> None:
-        if target.kind == "node":
-            self._check_node(target.id)
-        elif target.kind == "edge":
-            self.edge_endpoints(target.id)
-        else:
-            raise InputError(f"unknown target kind: {target.kind!r}")
+    def check_targets(self, targets: Iterable[Target]) -> None:
+        """Raise InputError for the first target, in the given order, not in the graph."""
+        limits = {"node": len(self._names), "edge": len(self._edges)}
+        for kind, i in targets:
+            if not 0 <= i < limits.get(kind, 0):
+                if kind not in limits:
+                    raise InputError(f"unknown target kind: {kind!r}")
+                raise InputError(f"unknown {kind} id: {i}")
 
     def __repr__(self) -> str:
         return f"NetworkGraph(n={self.node_count}, m={self.edge_count})"
 
 
-def ball(g: NetworkGraph, source: int, radius: int) -> dict[int, int]:
-    """Hop count from source to every node at most radius hops away.
+def ball(g: NetworkGraph, source: int, radius: int) -> set[int]:
+    """The set of nodes at most radius hops from source (source included).
 
     A breadth-first search that stops expanding at depth radius, so it
-    never visits nodes beyond the ball.
+    never visits nodes beyond the ball. The last level is never expanded,
+    so its nodes are added in one set update, without a frontier.
     """
     g._check_node(source)
-    dist = {source: 0}
+    adj = g._adj
+    seen = {source}
     frontier = [source]
-    for d in range(1, radius + 1):
+    for _ in range(radius - 1):
         reached = []
         for u in frontier:
-            for v in g._adj[u]:
-                if v not in dist:
-                    dist[v] = d
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
                     reached.append(v)
         if not reached:
-            break
+            return seen
         frontier = reached
-    return dist
+    if radius > 0:
+        seen.update(*[adj[u] for u in frontier])
+    return seen
 
 
 def all_node_targets(g: NetworkGraph) -> list[Target]:
@@ -176,5 +185,5 @@ def target_key(target: Target, g: NetworkGraph) -> str:
     """
     if target.kind == "node":
         return f"n:{g.node_name(target.id)}"
-    a, b = sorted(g.edge_name(target.id))
-    return f"e:{a}-{b}"
+    a, b = g.edge_name(target.id)
+    return f"e:{a}-{b}" if a < b else f"e:{b}-{a}"

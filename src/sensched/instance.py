@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .coverage import CoverageGraph, build_detection, build_isolation
@@ -82,7 +83,7 @@ def parse_instance(text: str) -> InstanceSpec:
         return entries[key]
 
     def split_list(value: str) -> list[str]:
-        return [tok.strip() for tok in value.split(",") if tok.strip()]
+        return [tok for tok in map(str.strip, value.split(",")) if tok]
 
     line_no, nodes_val = require("nodes")
     nodes = split_list(nodes_val)
@@ -95,10 +96,10 @@ def parse_instance(text: str) -> InstanceSpec:
     line_no, edges_val = require("edges")
     edges: list[tuple[str, str]] = []
     for tok in split_list(edges_val):
-        if tok.count("-") != 1:
+        a, dash, b = tok.partition("-")
+        if not dash or "-" in b:
             raise ParseError(line_no, f"bad edge token {tok!r} (expected a-b)")
-        a, b = (part.strip() for part in tok.split("-"))
-        edges.append((a, b))
+        edges.append((a.strip(), b.strip()))
 
     def parse_int(key: str, minimum: int) -> int | None:
         entry = get(key)
@@ -161,14 +162,9 @@ def load_instance(path: str | Path) -> InstanceSpec:
 
 
 def build_graph(spec: InstanceSpec) -> NetworkGraph:
-    unresolved = []
-    known = set(spec.nodes)
-    for a, b in spec.edges:
-        unresolved += [name for name in (a, b) if name not in known]
+    unresolved = set(chain.from_iterable(spec.edges)).difference(spec.nodes)
     if unresolved:
-        raise InputError(
-            "edge endpoints not in node list: " + ", ".join(sorted(set(unresolved)))
-        )
+        raise InputError("edge endpoints not in node list: " + ", ".join(sorted(unresolved)))
     return NetworkGraph(spec.nodes, spec.edges)
 
 

@@ -22,18 +22,21 @@ def _covered(g, device, r, targets):
 
 
 def test_bfs_on_path(path4):
-    assert ball(path4, path4.node_id("2"), path4.node_count) == {0: 1, 1: 0, 2: 1, 3: 2}
+    source = path4.node_id("2")
+    assert ball(path4, source, 0) == {1}
+    assert ball(path4, source, 1) == {0, 1, 2}
+    assert ball(path4, source, 2) == ball(path4, source, path4.node_count) == {0, 1, 2, 3}
 
 
 def test_bfs_isolated_node():
     g = NetworkGraph(["solo"], [])
-    assert ball(g, 0, 3) == {0: 0}
+    assert ball(g, 0, 3) == {0}
 
 
 def test_bfs_disconnected_components():
     g = NetworkGraph(["1", "2", "3", "4"], [("1", "2"), ("3", "4")])
     # the other component is out of every ball
-    assert ball(g, 0, g.node_count) == {0: 0, 1: 1}
+    assert ball(g, 0, g.node_count) == {0, 1}
 
 
 def test_bfs_unknown_source(path4):
@@ -84,19 +87,47 @@ def test_covered_targets_negative_range(path4):
         _covered(path4, 0, -1, all_node_targets(path4))
 
 
+def _graph_error(names, edges):
+    with pytest.raises(InputError) as err:
+        NetworkGraph(names, edges)
+    return str(err.value)
+
+
 def test_graph_rejects_self_loop():
-    with pytest.raises(InputError):
-        NetworkGraph(["a", "b"], [("a", "a")])
+    assert _graph_error(["a", "b"], [("a", "b"), ("b", "b")]) == "self-loop on node 'b'"
 
 
 def test_graph_rejects_duplicate_edge():
-    with pytest.raises(InputError):
-        NetworkGraph(["a", "b"], [("a", "b"), ("b", "a")])
+    # either orientation repeats the edge; the message echoes the repeat as written
+    assert _graph_error(["a", "b"], [("a", "b"), ("b", "a")]) == "duplicate edge 'b'-'a'"
+    assert _graph_error(["a", "b"], [("a", "b"), ("a", "b")]) == "duplicate edge 'a'-'b'"
 
 
 def test_graph_rejects_duplicate_name():
-    with pytest.raises(InputError):
-        NetworkGraph(["a", "a"], [])
+    # the first name seen twice in list order, not the first name that repeats
+    assert _graph_error(["a", "b", "b", "a"], []) == "duplicate node name: 'b'"
+    # names are checked before any edge
+    assert _graph_error(["a", "a"], [("a", "x")]) == "duplicate node name: 'a'"
+
+
+def test_graph_rejects_first_unknown_endpoint():
+    # edges in order, and within an edge its first endpoint before its second
+    names = ["a", "b", "c"]
+    assert _graph_error(names, [("a", "b"), ("x", "y")]) == "unknown node name: 'x'"
+    assert _graph_error(names, [("a", "y"), ("x", "b")]) == "unknown node name: 'y'"
+    assert _graph_error(names, [("a", "b"), ("c", "c"), ("x", "a")]) == "self-loop on node 'c'"
+    assert _graph_error(names, [("a", "b"), ("x", "a"), ("b", "a")]) == "unknown node name: 'x'"
+
+
+def test_target_contract():
+    t = Target("edge", 3)
+    assert (t.kind, t.id) == ("edge", 3)
+    assert repr(t) == "Target(kind='edge', id=3)"
+    assert hash(t) == hash(("edge", 3))
+    # every edge target orders before every node target, then by id
+    assert sorted([Target("node", 0), Target("edge", 5), Target("edge", 1)]) == [
+        Target("edge", 1), Target("edge", 5), Target("node", 0)
+    ]
 
 
 def test_adjacency_symmetric(petersen):
@@ -134,7 +165,7 @@ def test_bfs_matches_floyd_warshall(data):
     g = _build(*data)
     fw = floyd_warshall(g)
     for source in range(g.node_count):
-        reachable = {v: d for v, d in enumerate(fw[source]) if d != INF}
+        reachable = {v for v, d in enumerate(fw[source]) if d != INF}
         assert ball(g, source, g.node_count) == reachable
 
 
@@ -144,18 +175,7 @@ def test_ball_is_bfs_cut_at_radius(data, r):
     g = _build(*data)
     fw = floyd_warshall(g)
     for source in range(g.node_count):
-        assert ball(g, source, r) == {v: d for v, d in enumerate(fw[source]) if d <= r}
-
-
-@given(small_graphs)
-@settings(max_examples=60)
-def test_bfs_neighbors_differ_by_at_most_one(data):
-    g = _build(*data)
-    for source in range(g.node_count):
-        dist = ball(g, source, g.node_count)
-        for u, v in g.edges:
-            if u in dist:
-                assert abs(dist[u] - dist[v]) <= 1
+        assert ball(g, source, r) == {v for v, d in enumerate(fw[source]) if d <= r}
 
 
 @given(small_graphs, st.integers(0, 3))

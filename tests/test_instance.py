@@ -105,10 +105,11 @@ def test_missing_required_key():
 
 
 def test_unresolved_edge_endpoints_listed():
-    text = GOOD.replace("edges: 1-2, 2-3, 3-4", "edges: 1-2, 2-9, 8-4")
+    # each unknown name once, sorted, whatever its position in the edge list
+    text = GOOD.replace("edges: 1-2, 2-3, 3-4", "edges: z9-1, 2-9, 8-4, 2-z9, 9-8")
     with pytest.raises(InputError) as err:
         build_graph(parse_instance(text))
-    assert "9" in str(err.value) and "8" in str(err.value)
+    assert str(err.value) == "edge endpoints not in node list: 8, 9, z9"
 
 
 def test_unresolved_sensor_and_target_names():
