@@ -22,7 +22,6 @@ from .game import (
     BlllParams,
     BlllResult,
     GameState,
-    PlacementResult,
     blll_place_and_schedule,
     blll_schedule,
     check_potential_identity,

@@ -23,7 +23,6 @@ from .coverage import adjacency_lines, restrict_x
 from .errors import InputError, SearchSpaceError, VerificationError
 from .seeds import derive_seed
 from .schedule import (
-    ProblemInstance,
     format_label_table,
     format_labeling,
     format_score,
@@ -201,16 +200,12 @@ def place_and_schedule_cmd(
 ) -> None:
     """Choose device sites and schedules, jointly or in two stages."""
     spec = instance.load_instance(instance_file)
-    g = instance.build_graph(spec)
     if sites.strip().lower() == "all":
         site_names: tuple[str, ...] = ("all",)
     else:
         site_names = tuple(tok.strip() for tok in sites.split(",") if tok.strip())
-    site_spec = dataclasses.replace(spec, sensors=site_names)
-    cov = instance.build_coverage(site_spec, g)
-    if spec.k is None or spec.sigma is None:
-        raise InputError("instance file needs both `k` and `sigma`")
-    inst = ProblemInstance(cov, k=spec.k, sigma=spec.sigma)
+    _, inst = instance.build_problem(dataclasses.replace(spec, sensors=site_names))
+    cov = inst.coverage
     letter = SCORE_LETTER[inst.objective]
     # no trace is read, so the chains record only their first and last points
     params = game.BlllParams(

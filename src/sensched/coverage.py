@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import InputError, SearchSpaceError
-from .graph import NetworkGraph, Target, ball, target_key
+from .graph import NetworkGraph, Target, ball
 
 Objective = Literal["detection", "isolation"]
 
@@ -222,18 +222,30 @@ def build_detection(
     targets: Iterable[Target],
     range_limit: int,
 ) -> CoverageGraph:
-    """Coverage graph for the detection objective: x ~ y iff x covers y."""
+    """Coverage graph for the detection objective: x ~ y iff x covers y.
+
+    A target's key echoes the original names, `n:a` or `e:a-b`, with an
+    edge's endpoint names in lexicographic order, so the key does not
+    depend on node insertion order.
+    """
     y_targets = _canonical_targets(g, targets)
     if not y_targets:
         raise InputError("target set must not be empty")
     xs, covers = _device_cover_sets(g, sensors, y_targets, range_limit)
-    names = g.names  # each x was checked by its ball
+    names, edges = g.names, g.edges  # x ids checked by ball, target ids by _canonical_targets
+    keys = []
+    for kind, i in y_targets:
+        if kind == "node":
+            keys.append(f"n:{names[i]}")
+        else:
+            a, b = names[edges[i][0]], names[edges[i][1]]
+            keys.append(f"e:{a}-{b}" if a < b else f"e:{b}-{a}")
     return CoverageGraph(
         objective="detection",
         x_nodes=tuple(xs),
         x_names=tuple([names[x] for x in xs]),
         targets=tuple(y_targets),
-        target_keys=tuple([target_key(t, g) for t in y_targets]),
+        target_keys=tuple(keys),
         covers=tuple(covers),
     )
 

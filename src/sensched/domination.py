@@ -306,11 +306,13 @@ def search_config(
     chain = 0
     while used < budget:
         iters = min(chain_iters, budget - used)
+        # only the stopping iteration, trace[-1][0], is read, so the chain
+        # records its first and last points
         params = BlllParams(
             epsilon=epsilon,
             iterations=iters,
             seed=derive_seed(seed, "config-search", chain),
-            trace_stride=max(1, iters // 100),
+            trace_stride=max(1, iters),
             stop_at_potential=target,
         )
         result = blll_schedule(inst, params)

@@ -325,10 +325,6 @@ class GameState:
             )
         return self.phi
 
-    def labeling(self) -> Labeling:
-        """Label sets in site order (a fixed game's device order)."""
-        return self.placement()[1]
-
     def placement(self) -> tuple[tuple[int, ...], Labeling]:
         """Sorted occupied sites and the labeling aligned to that order."""
         return _aligned(self.sites, self.actions)
@@ -423,16 +419,11 @@ def _action_proposer(
 
 @dataclass(frozen=True)
 class BlllResult:
-    labeling: Labeling
-    best_labeling: Labeling
-    final_potential: int
-    best_potential: int
-    trace: tuple[tuple[int, int], ...]
-    accepted: int
+    """A BLLL run's final and best states, each as GameState.placement() gives it.
 
+    A fixed-location run holds every site, in order.
+    """
 
-@dataclass(frozen=True)
-class PlacementResult:
     sites: tuple[int, ...]
     labeling: Labeling
     best_sites: tuple[int, ...]
@@ -449,7 +440,7 @@ def _run_chain(
     rng: Random,
     next_labels: Callable[[frozenset[int]], frozenset[int]],
     next_site: Callable[[int], int] | None = None,
-) -> tuple[list[tuple[int, int]], int, int, tuple[tuple[int, ...], Labeling]]:
+) -> BlllResult:
     """Shared BLLL loop over a random player's trial actions.
 
     A trial draws next_site(player) (the player's own site when
@@ -459,8 +450,8 @@ def _run_chain(
     undo log of the accepted moves since the last best, replayed
     backwards at the end.
 
-    Returns the trace, the best potential, the accepted-move count and
-    the best state seen as placement() gives it.
+    Returns the final state, the best state seen, the trace and the
+    accepted-move count.
     """
     log_base = params.log_base()
     iterations, stride = params.iterations, params.trace_stride
@@ -509,7 +500,18 @@ def _run_chain(
     for player, site, labels in reversed(undo):
         best_sites[player] = site
         best_actions[player] = labels
-    return trace, best_phi, accepted, _aligned(best_sites, best_actions)
+    final_sites, labeling = state.placement()
+    best_sites, best_labeling = _aligned(best_sites, best_actions)
+    return BlllResult(
+        sites=final_sites,
+        labeling=labeling,
+        best_sites=best_sites,
+        best_labeling=best_labeling,
+        final_potential=phi,
+        best_potential=best_phi,
+        trace=tuple(trace),
+        accepted=accepted,
+    )
 
 
 def blll_schedule(inst: ProblemInstance, params: BlllParams | None = None) -> BlllResult:
@@ -523,23 +525,12 @@ def blll_schedule(inst: ProblemInstance, params: BlllParams | None = None) -> Bl
     cov = inst.coverage
     rng = derive_rng(params.seed, "blll-schedule")
     state = random_state(cov, inst.k, inst.sigma, rng)
-    next_labels = _action_proposer(rng, inst.k, inst.sigma)
-    trace, best_phi, accepted, (_, best_labeling) = _run_chain(
-        state, params, rng, next_labels
-    )
-    return BlllResult(
-        labeling=state.labeling(),
-        best_labeling=best_labeling,
-        final_potential=state.phi,
-        best_potential=best_phi,
-        trace=tuple(trace),
-        accepted=accepted,
-    )
+    return _run_chain(state, params, rng, _action_proposer(rng, inst.k, inst.sigma))
 
 
 def blll_place_and_schedule(
     inst: ProblemInstance, device_count: int, params: BlllParams | None = None
-) -> PlacementResult:
+) -> BlllResult:
     """Joint site selection and scheduling for a fixed device count.
 
     inst.coverage must span every candidate site. A trial move draws a
@@ -557,20 +548,7 @@ def blll_place_and_schedule(
     def next_site(player: int) -> int:
         return state.open_site(player, below(n_open))
 
-    trace, best_phi, accepted, (best_sites, best_labeling) = _run_chain(
-        state, params, rng, lambda _: draw(), next_site
-    )
-    sites, labeling = state.placement()
-    return PlacementResult(
-        sites=sites,
-        labeling=labeling,
-        best_sites=best_sites,
-        best_labeling=best_labeling,
-        final_potential=state.phi,
-        best_potential=best_phi,
-        trace=tuple(trace),
-        accepted=accepted,
-    )
+    return _run_chain(state, params, rng, lambda _: draw(), next_site)
 
 
 def greedy_max_coverage_placement(cov: CoverageGraph, device_count: int) -> tuple[int, ...]:

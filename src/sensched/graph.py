@@ -106,11 +106,6 @@ class NetworkGraph:
     def min_degree(self) -> int:
         return min((len(a) for a in self._adj), default=0)
 
-    def edge_endpoints(self, edge: int) -> tuple[int, int]:
-        if not 0 <= edge < len(self._edges):
-            raise InputError(f"unknown edge id: {edge}")
-        return self._edges[edge]
-
     def edge_id(self, u: int, v: int) -> int:
         self._check_node(u)
         self._check_node(v)
@@ -121,10 +116,6 @@ class NetworkGraph:
             raise InputError(
                 f"no edge between {self._names[u]!r} and {self._names[v]!r}"
             ) from None
-
-    def edge_name(self, edge: int) -> tuple[str, str]:
-        u, v = self.edge_endpoints(edge)
-        return self._names[u], self._names[v]
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < len(self._names):
@@ -175,15 +166,3 @@ def all_node_targets(g: NetworkGraph) -> list[Target]:
 
 def all_edge_targets(g: NetworkGraph) -> list[Target]:
     return [Target("edge", i) for i in range(g.edge_count)]
-
-
-def target_key(target: Target, g: NetworkGraph) -> str:
-    """Stable text key echoing original names: `n:a` or `e:a-b`.
-
-    Edge endpoint names are ordered lexicographically so the key does
-    not depend on node insertion order.
-    """
-    if target.kind == "node":
-        return f"n:{g.node_name(target.id)}"
-    a, b = g.edge_name(target.id)
-    return f"e:{a}-{b}" if a < b else f"e:{b}-{a}"

@@ -22,8 +22,8 @@ from types import SimpleNamespace
 
 from sensched import game
 from sensched.domination import DomaticPartition
-from sensched.game import BlllParams, BlllResult, PlacementResult
-from sensched.graph import NetworkGraph, target_key
+from sensched.game import BlllParams, BlllResult
+from sensched.graph import NetworkGraph
 from sensched.greedy import GreedyPick, GreedyResult
 from sensched.randnet import RandomScheduleStats
 from sensched.schedule import Labeling
@@ -56,8 +56,16 @@ def floyd_warshall(g) -> list[list[float]]:
 def brute_target_distance(g, dist_row, target) -> float:
     if target.kind == "node":
         return dist_row[target.id]
-    u, v = g.edge_endpoints(target.id)
+    u, v = g.edges[target.id]
     return max(dist_row[u], dist_row[v])
+
+
+def brute_target_key(target, g) -> str:
+    """`n:a` for a node, `e:a-b` for an edge with its endpoint names sorted."""
+    if target.kind == "node":
+        return f"n:{g.node_name(target.id)}"
+    a, b = sorted(g.node_name(v) for v in g.edges[target.id])
+    return f"e:{a}-{b}"
 
 
 def brute_covered(g, device: int, range_limit: int, targets) -> set:
@@ -84,7 +92,7 @@ def brute_isolation(g, sensors, targets, range_limit) -> tuple:
         )
     return (
         tuple(adj),
-        tuple(f"{target_key(a, g)}|{target_key(b, g)}" for a, b in pairs),
+        tuple(f"{brute_target_key(a, g)}|{brute_target_key(b, g)}" for a, b in pairs),
         tuple(pairs),
         tuple(g.node_name(x) for x in xs),
     )
@@ -469,11 +477,14 @@ def brute_blll_schedule(inst, params: BlllParams) -> BlllResult:
     def propose(r, player):
         return sites[player], _propose_action(r, inst.k, inst.sigma, actions[player])
 
-    trace, best_phi, accepted, (_, best_labeling) = _run_chain(
+    trace, best_phi, accepted, (best_sites, best_labeling) = _run_chain(
         cov, sites, actions, params, rng, propose
     )
+    final_sites, labeling = _aligned(sites, actions)
     return BlllResult(
-        labeling=_aligned(sites, actions)[1],
+        sites=final_sites,
+        labeling=labeling,
+        best_sites=best_sites,
         best_labeling=best_labeling,
         final_potential=trace[-1][1],
         best_potential=best_phi,
@@ -484,7 +495,7 @@ def brute_blll_schedule(inst, params: BlllParams) -> BlllResult:
 
 def brute_blll_place_and_schedule(
     inst, device_count: int, params: BlllParams
-) -> PlacementResult:
+) -> BlllResult:
     """blll_place_and_schedule with a fresh open-site list per trial."""
     rng = derive_rng(params.seed, "blll-placement")
     cov = inst.coverage
@@ -501,7 +512,7 @@ def brute_blll_place_and_schedule(
         cov, sites, actions, params, rng, propose
     )
     final_sites, labeling = _aligned(sites, actions)
-    return PlacementResult(
+    return BlllResult(
         sites=final_sites,
         labeling=labeling,
         best_sites=best_sites,

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
 
@@ -27,15 +28,14 @@ from sensched.graph import (
     Target,
     all_edge_targets,
     all_node_targets,
-    target_key,
 )
 from sensched.greedy import greedy_schedule
 from sensched.oracle import exact_optimal_schedule
-from sensched.schedule import Labeling, ProblemInstance, score
+from sensched.schedule import Labeling, ProblemInstance, format_labeling, score
 from sensched.seeds import derive_rng
-from sensched.verify import random_graph
+from sensched.verify import random_graph, random_instance
 
-from ._brute import brute_covered, brute_isolation
+from ._brute import brute_covered, brute_isolation, brute_target_key
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -191,7 +191,7 @@ def test_adjacency_text_matches_brute_force():
         covered = [brute_covered(g, x, r, ts) for x in sorted(set(sensors))]
         det = [frozenset(ts.index(t) for t in c) for c in covered]
         assert to_adjacency_text(build_detection(g, sensors, targets, r)) == _listing(
-            names, det, [target_key(t, g) for t in ts]
+            names, det, [brute_target_key(t, g) for t in ts]
         )
         compared += 1
         cases["m2"] += len(ts) == 2
@@ -409,3 +409,52 @@ def test_solvers_never_build_rev(path4, build):
         for cov in (inst.coverage, shared.coverage):
             assert "masks" in vars(cov)
             assert "adj" not in vars(cov)  # adj serves the checks in verify only
+
+
+def _y_permuted(cov, rng):
+    """A copy of cov whose masks carry one random permutation of the Y bits.
+
+    The masks are stored in the cache the way restrict_x hands them on,
+    so nothing rebuilds them from the rows in Y order.
+    """
+    perm = list(range(cov.n_y))
+    rng.shuffle(perm)
+    out = dataclasses.replace(cov)
+    vars(out)["masks"] = tuple(
+        sum(1 << perm[y] for y in range(cov.n_y) if mask >> y & 1) for mask in cov.masks
+    )
+    return out
+
+
+def test_solvers_ignore_y_order():
+    """The solvers read Y only as popcounts of masks, so relabelling Y changes nothing.
+
+    A Y layout other than the pair triangle (a locality order, say) is
+    free as long as this holds: greedy, BLLL, the oracle, score and the
+    printed labeling agree with the run on the masks in Y order.
+    """
+    rng = derive_rng(24, "y-order")
+    seen = Counter()
+    while min(seen["detection"], seen["isolation"]) < 12:
+        inst = random_instance(rng, max_nodes=6, max_k=3)
+        cov = inst.coverage
+        permuted = dataclasses.replace(inst, coverage=_y_permuted(cov, rng))
+        seen[inst.objective] += 1
+        seen["moved"] += permuted.coverage.masks != cov.masks
+        seed = rng.randrange(99)
+        params = BlllParams(iterations=300, seed=seed, epsilon=0.2)
+        devices = rng.randint(1, cov.n_x)
+        runs = []
+        for run in (inst, permuted):
+            first = greedy_schedule(run)
+            runs.append((
+                first,
+                greedy_schedule(run, seed=seed),
+                blll_schedule(run, params),
+                blll_place_and_schedule(run, devices, params),
+                exact_optimal_schedule(run),
+                score(run, first.labeling),
+                format_labeling(run, first.labeling),
+            ))
+        assert runs[0] == runs[1]
+    assert seen["moved"] >= 18, seen

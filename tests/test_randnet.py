@@ -193,7 +193,7 @@ def test_gen_connected_gnm_regenerates_the_shipped_standins(name, n, m):
     spec = load_instance(INSTANCES / f"{name}.instance")
     g = gen_connected_gnm(n, m, seed=2026)
     assert g.names == spec.nodes
-    assert tuple(g.edge_name(e) for e in range(g.edge_count)) == spec.edges
+    assert tuple((g.node_name(u), g.node_name(v)) for u, v in g.edges) == spec.edges
 
 
 def test_simulation_sigma_equals_k_is_exactly_one():
