@@ -184,7 +184,8 @@ def schedule_cmd(
 @click.option("--iters", type=int, default=20_000, show_default=True)
 @click.option("--epsilon", type=float, default=0.015, show_default=True)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False),
-              help="Write a (k, D_joint, D_twostage) comparison row.")
+              help="Write a (k, D_joint, D_twostage) comparison row "
+                   "(needs --solver both).")
 @click.option("--out", type=click.Path(dir_okay=False))
 @handle_errors
 def place_and_schedule_cmd(
@@ -199,6 +200,8 @@ def place_and_schedule_cmd(
     out: str | None,
 ) -> None:
     """Choose device sites and schedules, jointly or in two stages."""
+    if csv_path and solver != "both":
+        raise InputError("--csv needs --solver both")
     spec = instance.load_instance(instance_file)
     if sites.strip().lower() == "all":
         site_names: tuple[str, ...] = ("all",)
@@ -236,7 +239,7 @@ def place_and_schedule_cmd(
                 [f"mode: {mode}", f"sites: {','.join(names)}", f"score: {shown}"],
             )
         )
-    if csv_path and len(scores) == 2:
+    if csv_path:
         _write_csv(
             csv_path,
             ["k", "D_joint", "D_twostage"],

@@ -18,8 +18,10 @@ coverage graph:
   solvers read. Every count of covered (slot, Y-element) pairs they
   make is an OR of the active devices' masks and its `int.bit_count()`.
   For isolation, a mask is the XOR of the pair stars of the targets on
-  the smaller side of the device's cover, a few big-int operations per
-  such target, so no per-pair work is done.
+  the smaller side of the device's cover. The build is target-major:
+  each target's star is made once, a few big-int operations, and XORed
+  into every device holding that target on its smaller side, so no
+  per-pair work is done.
 - `adj`, the same neighbourhoods as sets of y indices, serves the
   from-definitions checks in `verify` and no solver.
 
@@ -130,6 +132,14 @@ class CoverageGraph:
         Column t is read off one shared int with a bit at starts[a] - a
         for every a < m - 1: the bits of a < t, shifted up by t - 1, land
         on starts[a] + t - a - 1, the y of (a, t).
+
+        The build is target-major. The rows are first inverted into the
+        holders of each target, the devices with it on their smaller
+        side. Then each star is built once (8 big-int operations),
+        XORed into each holder's mask (one XOR per device and side
+        target) and replaced by the next one. No star table is kept (it
+        would hold about m^3/24 bytes), so memory peaks at the output
+        masks plus a star.
         """
         m = len(self.targets)
         if self.objective == "detection":
@@ -141,17 +151,21 @@ class CoverageGraph:
                     buf[t >> 3] |= 1 << (t & 7)
                 detected.append(int.from_bytes(buf, "little"))
             return tuple(detected)
+        holders: list[list[int]] = [[] for _ in range(m)]
+        for xi, cover in enumerate(self.covers):
+            for t in cover if 2 * len(cover) <= m else set(range(m)).difference(cover):
+                holders[t].append(xi)
         starts = _pair_rows(m) + [m * (m - 1) // 2]
         column = sum(1 << (starts[a] - a) for a in range(m - 1))
-        out = []
-        for cover in self.covers:
-            side = cover if 2 * len(cover) <= m else set(range(m)).difference(cover)
-            mask = 0
-            for t in side:
-                mask ^= (1 << starts[t + 1]) - (1 << starts[t])  # row t
-                if t:  # column t: bits of a <= t - 1, the last at starts[t - 1] - t + 1
-                    mask ^= (column & ((2 << (starts[t - 1] - t + 1)) - 1)) << (t - 1)
-            out.append(mask)
+        out = [0] * len(self.covers)
+        for t, xis in enumerate(holders):
+            if not xis:
+                continue
+            star = (1 << starts[t + 1]) - (1 << starts[t])  # row t
+            if t:  # column t: bits of a <= t - 1, the last at starts[t - 1] - t + 1
+                star ^= (column & ((2 << (starts[t - 1] - t + 1)) - 1)) << (t - 1)
+            for xi in xis:
+                out[xi] ^= star
         return tuple(out)
 
     def target_classes(self) -> Counter[int]:

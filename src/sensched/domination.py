@@ -257,6 +257,8 @@ def search_config(
         raise InputError("empty graph")
     if not 1 <= sigma <= k:
         raise InputError(f"need 1 <= sigma <= k, got sigma={sigma}, k={k}")
+    if budget < 0:
+        raise InputError(f"budget must be at least 0, got {budget}")
 
     # every label must appear in the closed neighborhood of a
     # minimum-degree node, which holds at most sigma * (deg + 1) labels

@@ -98,6 +98,29 @@ def brute_isolation(g, sensors, targets, range_limit) -> tuple:
     )
 
 
+def brute_star_masks(cov) -> tuple[int, ...]:
+    """Isolation masks built device-major: per device, the XOR of its side targets' stars.
+
+    The former `CoverageGraph.masks` loop, kept as the reference for the
+    target-major build: the star of t (row t of the pair triangle plus
+    column t) is rebuilt for every device that has t on the smaller side
+    of its cover.
+    """
+    m = len(cov.targets)
+    starts = [a * (2 * m - a - 1) // 2 for a in range(m + 1)]
+    column = sum(1 << (starts[a] - a) for a in range(m - 1))
+    out = []
+    for cover in cov.covers:
+        side = cover if 2 * len(cover) <= m else set(range(m)).difference(cover)
+        mask = 0
+        for t in side:
+            mask ^= (1 << starts[t + 1]) - (1 << starts[t])  # row t
+            if t:  # column t: bits of a <= t - 1, the last at starts[t - 1] - t + 1
+                mask ^= (column & ((2 << (starts[t - 1] - t + 1)) - 1)) << (t - 1)
+        out.append(mask)
+    return tuple(out)
+
+
 def brute_potential(cov, label_sets) -> int:
     """Sum over y of the number of distinct labels among its neighbors."""
     total = 0

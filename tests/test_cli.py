@@ -333,6 +333,22 @@ def test_place_and_schedule_paired_csv(runner, tmp_path):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("solver", ["blll-joint", "two-stage"])
+def test_place_and_schedule_csv_needs_both(runner, tmp_path, solver):
+    csv_path = tmp_path / "pair.csv"
+    garbage = tmp_path / "garbage.instance"
+    garbage.write_text("not an instance\n")
+    for inst in (STAR5, str(garbage)):  # refused before the instance is read
+        result = runner.invoke(
+            main,
+            ["place-and-schedule", inst, "--devices", "1", "--solver", solver,
+             "--iters", "300", "--seed", "3", "--csv", str(csv_path)],
+        )
+        assert result.exit_code == 1
+        assert "error: --csv needs --solver both" in result.output
+        assert not csv_path.exists()
+
+
 def test_place_and_schedule_too_many_devices(runner):
     result = runner.invoke(
         main, ["place-and-schedule", STAR5, "--devices", "9", "--solver", "blll-joint"]
@@ -391,6 +407,16 @@ def test_lifetime_config_nonexistent(runner):
     )
     assert result.exit_code == 0
     assert "nonexistent" in result.output
+
+
+def test_lifetime_config_rejects_negative_budget(runner):
+    args = ["lifetime", PETERSEN, "--sigma", "2", "--mode", "config", "--k", "5"]
+    result = runner.invoke(main, [*args, "--budget", "-1"])
+    assert result.exit_code == 1
+    assert "budget must be at least 0, got -1" in result.output
+    result = runner.invoke(main, [*args, "--budget", "0"])
+    assert result.exit_code == 3
+    assert "no configuration within 0 iterations" in result.output
 
 
 def test_lifetime_config_requires_k(runner):

@@ -30,12 +30,13 @@ from sensched.graph import (
     all_node_targets,
 )
 from sensched.greedy import greedy_schedule
+from sensched.randnet import GeometricGraphSpec, gen_geometric
 from sensched.oracle import exact_optimal_schedule
 from sensched.schedule import Labeling, ProblemInstance, format_labeling, score
 from sensched.seeds import derive_rng
 from sensched.verify import random_graph, random_instance
 
-from ._brute import brute_covered, brute_isolation, brute_target_key
+from ._brute import brute_covered, brute_isolation, brute_star_masks, brute_target_key
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -344,6 +345,76 @@ def test_isolation_masks_match_brute_force():
             cases["small_side"] += 0 < c <= m / 2
             cases["complement"] += m / 2 < c < m
     assert min(cases.values()) >= 10, cases
+
+
+def test_isolation_masks_match_device_major_build():
+    """The target-major mask build against the device-major reference loop.
+
+    On both water stand-ins as isolation instances, with every sensor and
+    with every third device restricted from a parent whose masks are not
+    built yet (so the restriction builds its own), and on random
+    geometric instances where targets have several holders and covers
+    fall on both sides of m/2.
+    """
+    for name in ("water1", "water2"):
+        spec = instance.load_instance(INSTANCES / f"{name}_standin.instance")
+        spec = dataclasses.replace(spec, objective="isolation")
+        cov = instance.build_coverage(spec, instance.build_graph(spec))
+        sub = restrict_x(cov, range(0, cov.n_x, 3))
+        assert "masks" not in vars(cov) and "masks" not in vars(sub)
+        assert sub.masks == brute_star_masks(sub)
+        assert cov.masks == brute_star_masks(cov)
+
+    rng = derive_rng(25, "target-major-masks")
+    cases = dict.fromkeys(("shared", "small_side", "complement"), 0)
+    for seed in range(80):
+        n = rng.randint(6, 30)
+        spec = GeometricGraphSpec(
+            n=n, area_side=rng.uniform(1.0, 4.0), radius=rng.uniform(0.8, 2.0), seed=seed
+        )
+        g, _ = gen_geometric(spec)
+        pool = all_node_targets(g) + all_edge_targets(g)
+        targets = rng.sample(pool, rng.randint(2, len(pool)))  # n >= 6 node targets
+        sensors = rng.sample(range(n), rng.randint(1, n))
+        cov = build_isolation(g, sensors, targets, rng.randint(0, 3))
+        assert cov.masks == brute_star_masks(cov)
+        m = len(cov.targets)
+        sides = Counter(
+            t
+            for c in cov.covers
+            for t in (c if 2 * len(c) <= m else set(range(m)) - c)
+        )
+        cases["shared"] += max(sides.values(), default=0) >= 3
+        cases["small_side"] += any(0 < 2 * len(c) <= m for c in cov.covers)
+        cases["complement"] += any(m < 2 * len(c) < 2 * m for c in cov.covers)
+    assert min(cases.values()) >= 15, cases
+
+
+class _CountedWalks(frozenset):
+    """A cover that counts how often Python code walks it."""
+
+    walks = 0
+
+    def __iter__(self):
+        type(self).walks += 1
+        return super().__iter__()
+
+
+def test_isolation_masks_walk_only_the_smaller_side():
+    """A cover larger than m/2 is never walked: its uncovered targets are starred.
+
+    Starring the cover itself gives the same masks (the XOR of every
+    star is empty) at a cost of |cover| stars instead of m - |cover|.
+    """
+    g = NetworkGraph([str(v) for v in range(8)], [(str(v), str(v + 1)) for v in range(7)])
+    cov = build_isolation(g, range(8), all_node_targets(g), 2)
+    m = len(cov.targets)
+    small = sum(2 * len(c) <= m for c in cov.covers)
+    assert 0 < small < cov.n_x  # covers on both sides of m/2
+    counted = dataclasses.replace(cov, covers=tuple(map(_CountedWalks, cov.covers)))
+    _CountedWalks.walks = 0
+    assert counted.masks == brute_star_masks(cov)
+    assert _CountedWalks.walks == small
 
 
 def test_detection_matches_brute_force():

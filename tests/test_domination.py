@@ -234,6 +234,13 @@ def test_search_validates_args(path4):
         search_config(path4, 2, 3)
 
 
+def test_search_rejects_negative_budget(path4, petersen):
+    with pytest.raises(InputError, match="budget must be at least 0"):
+        search_config(path4, 2, 1, budget=-1)  # before the constructive path finds it
+    result = search_config(petersen, 5, 2, budget=0)
+    assert (result.status, result.method) == ("exhausted", "stochastic")
+
+
 def test_found_configs_give_complete_coverage(petersen):
     result = search_config(petersen, 5, 2, budget=200_000, seed=1)
     assert result.status == "found"
