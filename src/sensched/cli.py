@@ -21,8 +21,10 @@ import click
 from . import domination, game, greedy, instance, oracle, randnet, verify
 from .coverage import adjacency_lines, restrict_x
 from .errors import InputError, SearchSpaceError, VerificationError
+from .graph import NetworkGraph
 from .seeds import derive_seed
 from .schedule import (
+    ProblemInstance,
     format_label_table,
     format_labeling,
     format_score,
@@ -359,8 +361,7 @@ def rand_experiment_cmd(
     cov = randnet.node_coverage(g)
     for k in range(lo, hi + 1):
         stats = randnet.simulate_random_schedule(
-            g, k, sigma, trials=trials,
-            seed=derive_seed(seed, "row", k), workers=workers, coverage=cov,
+            ProblemInstance(cov, k, sigma), trials, derive_seed(seed, "row", k), workers
         )
         rows.append(
             [k, sigma, _fmt(closed(k)), _fmt(stats.mean), _fmt(stats.stderr), trials]
@@ -388,11 +389,13 @@ def convert_edgelist_cmd(
     """Convert a plain `u v` edge-list file into an instance file.
 
     Comment lines starting with `#` are skipped. The result puts a
-    sensor on every node and targets every edge; edit to taste.
+    sensor on every node and targets every edge; edit to taste. The
+    graph is built before anything is written, so a self-loop or a
+    repeated edge is refused as the instance loader would refuse it.
     """
     nodes: list[str] = []
     seen: set[str] = set()
-    edges: list[str] = []
+    edges: list[tuple[str, str]] = []
     for line_no, raw in enumerate(instance.read_input_text(edgelist).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -406,13 +409,14 @@ def convert_edgelist_cmd(
             if name not in seen:
                 seen.add(name)
                 nodes.append(name)
-        edges.append(f"{parts[0]}-{parts[1]}")
+        edges.append((parts[0], parts[1]))
     if not nodes:
         raise InputError("edge list is empty")
+    NetworkGraph(nodes, edges)
     text = "\n".join(
         [
             f"nodes: {', '.join(nodes)}",
-            f"edges: {', '.join(edges)}",
+            f"edges: {', '.join(f'{a}-{b}' for a, b in edges)}",
             "sensors: all",
             "targets: all-edges",
             f"lambda: {range_limit}",

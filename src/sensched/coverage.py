@@ -26,11 +26,13 @@ coverage graph:
   from-definitions checks in `verify` and no solver.
 
 `schedule.score` also counts from `covers` alone, as an independent
-check (for isolation over `target_classes`, the targets grouped by
-their covering devices). `adjacency_lines` yields the canonical listing
-one device line at a time from `covers` and `target_keys` alone, so the
-CLI writes it without holding more than one line; `to_adjacency_text`
-is its join.
+check. For isolation it groups the targets by their covering devices
+(`target_classes`); in each slot, the pairs inside the groups that the
+active devices cannot tell apart are the uncovered ones, so a slot
+covers C(m, 2) - sum of C(|group|, 2). `adjacency_lines` yields the
+canonical listing one device line at a time from `covers` and
+`target_keys` alone, so the CLI writes it without holding more than one
+line; `to_adjacency_text` is its join.
 """
 
 from __future__ import annotations
@@ -174,7 +176,12 @@ class CoverageGraph:
         A class is keyed by its holder bitset, bit x set iff device x
         covers the class's targets, in order of first target. No device
         separates two targets of one class, and the pairs between classes
-        A and B are separated by exactly the devices of A ^ B.
+        A and B are separated by exactly the devices of A ^ B. So for a
+        set S of active devices, two targets are told apart iff their
+        classes differ on S: the classes with equal `holder & S` merge
+        into one group, and the pairs inside the groups are the ones S
+        leaves uncovered (`schedule.score`'s count). `expected_random_score`
+        walks the class pairs instead.
         """
         holders = [0] * len(self.targets)
         for xi, cover in enumerate(self.covers):

@@ -239,7 +239,6 @@ def search_config(
     sigma: int,
     budget: int = 200_000,
     seed: int = 0,
-    epsilon: float = 0.015,
 ) -> ConfigSearchResult:
     """Find a (k, sigma)-configuration or report why none was found.
 
@@ -311,7 +310,6 @@ def search_config(
         # only the stopping iteration, trace[-1][0], is read, so the chain
         # records its first and last points
         params = BlllParams(
-            epsilon=epsilon,
             iterations=iters,
             seed=derive_seed(seed, "config-search", chain),
             trace_stride=max(1, iters),

@@ -8,9 +8,11 @@ has a closed form on random geometric and Erdos-Renyi graphs:
     Erdos-Renyi: 1 - ((k - sigma) / k) * exp(-sigma * n * p / k)
 
 Both treat neighbor counts as Poisson and activations as independent,
-so on finite graphs they are approximations; simulate_random_schedule
-measures the actual value for comparison, and expected_random_score
-gives its exact mean on the instance at hand.
+so on finite graphs they are approximations. The model's instance is
+`node_coverage(g)` with the lifetime k and battery sigma; on it,
+simulate_random_schedule measures the actual value for comparison, and
+expected_random_score gives its exact mean. Both take the
+ProblemInstance alone, which has already checked k and sigma.
 
 A trial's label sets are the draws of frozenset(rng.sample(range(k),
 sigma)) per device, taken through seeds.label_sampler: one decode table
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import math
 import statistics
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -250,46 +251,26 @@ def expected_random_score(inst: ProblemInstance) -> Fraction:
     return Fraction(covered, k**top * cov.n_y)
 
 
-def node_coverage(g: NetworkGraph, range_limit: int = 1) -> CoverageGraph:
+def node_coverage(g: NetworkGraph) -> CoverageGraph:
     """Detection coverage of the random-scheduling model: every node hosts
-    a device and is a target."""
-    return build_detection(g, range(g.node_count), all_node_targets(g), range_limit)
+    a device and is a target, and a device covers the nodes within range 1."""
+    return build_detection(g, range(g.node_count), all_node_targets(g), 1)
 
 
 def simulate_random_schedule(
-    g: NetworkGraph,
-    k: int,
-    sigma: int,
-    range_limit: int = 1,
-    trials: int = 100,
-    seed: int = 0,
-    workers: int = 1,
-    *,
-    coverage: CoverageGraph | None = None,
+    inst: ProblemInstance, trials: int = 100, seed: int = 0, workers: int = 1
 ) -> RandomScheduleStats:
-    """Empirical score of uniform random sigma-of-k activation.
+    """Empirical score of uniform random sigma-of-k activation on inst.
 
-    Every node hosts a device and is a target. Each trial draws an
-    independent uniform sigma-subset per node; trial seeds derive from
-    (seed, trial index), so results do not depend on worker count. The
-    closed forms assume range 1; other ranges run but are flagged.
-    `coverage`, when given, must be `node_coverage(g, range_limit)`: a
-    caller simulating several k on one graph builds it (and its masks)
-    once.
+    Each trial draws an independent uniform sigma-subset of the k slots
+    per device; trial seeds derive from (seed, trial index), so results
+    do not depend on worker count. The closed forms describe
+    `node_coverage(g)` (every node a device and a target, range 1); a
+    caller simulating several k on one graph builds that coverage (and
+    its masks) once and makes one instance per k.
     """
-    _check_k_sigma(k, sigma)
     if trials < 1:
         raise InputError("trials must be >= 1")
-    if range_limit != 1:
-        warnings.warn(
-            "closed-form predictions assume range 1; "
-            f"simulating with range {range_limit} anyway",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if coverage is None:
-        coverage = node_coverage(g, range_limit)
-    inst = ProblemInstance(coverage, k=k, sigma=sigma)
 
     if workers <= 1:
         _sim_init(inst, seed)

@@ -87,22 +87,18 @@ def validate_labeling(inst: ProblemInstance, labeling: Labeling) -> None:
         raise BatteryViolation(offenders, inst.sigma)
 
 
-def _label_form_total(cov: CoverageGraph, labeling: Labeling, k: int) -> int:
-    """Sum over y of the slots in which y is covered, from `cov.covers` alone.
+def _covers_total(cov: CoverageGraph, labeling: Labeling, k: int) -> int:
+    """Covered (slot, Y-element) pairs, counted from `cov.covers` alone.
 
     Detection: each device with a non-empty label set ORs that set's
     k-bit value, looked up once per distinct set, into the entry of
-    every target it covers. Isolation groups the targets into classes
-    by their set of covering devices (`cov.target_classes()`): no device
-    separates two targets of one class, and the devices separating a
-    target of class A from one of class B are those holding exactly one
-    of A and B. So an entry is kept per class pair {A, B}, standing for
-    |A| * |B| pairs, as k-bit field B of class A's row int and field A of
-    B's. The devices active in slot j separate A from B iff A and B
-    differ in which of them they hold: per slot, the classes are split
-    by that, and each class sets bit j in the fields of every class
-    outside its part. That is one OR per class and slot, however many
-    devices and label sets there are.
+    every target it covers, and the entries' popcounts are summed.
+    Isolation: a pair is covered in slot j iff some device active in j
+    covers exactly one of its targets. So the pairs left uncovered are
+    those inside the groups of targets that the active devices cannot
+    tell apart, the target classes (`cov.target_classes()`) merged by
+    which of their holders are active, and the slot covers
+    C(m, 2) - sum over groups of C(|group|, 2).
     """
     if cov.objective == "detection":
         bits_of = {labels: sum(1 << lab for lab in labels) for labels in set(labeling.by_x)}
@@ -114,50 +110,32 @@ def _label_form_total(cov: CoverageGraph, labeling: Labeling, k: int) -> int:
                     slots_of_y[y] |= bits
         return sum(map(int.bit_count, slots_of_y))
     sizes = cov.target_classes()
-    classes = list(sizes)
-    fields = [1 << (i * k) for i in range(len(classes))]
-    every = sum(fields)
     active = [0] * k  # per slot, its active devices as a bitset
     for xi, labels in enumerate(labeling.by_x):
         for lab in labels:
             active[lab] |= 1 << xi
-    rows = [0] * len(classes)
-    for lab, devices in enumerate(active):
-        parts: dict[int, list[int]] = {}
-        for i, holder in enumerate(classes):
-            parts.setdefault(holder & devices, []).append(i)
-        if len(parts) > 1:
-            for part in parts.values():
-                outside = (every - sum(fields[i] for i in part)) << lab
-                for i in part:
-                    rows[i] |= outside
-    # sum over ordered class pairs (A, B) of |A| * |B| * popcount(field B of row A),
-    # reading the fields of all classes B of one size with one AND
-    width = (1 << k) - 1
-    by_size: dict[int, int] = {}
-    for f, holder in zip(fields, classes):
-        by_size[sizes[holder]] = by_size.get(sizes[holder], 0) | f * width
-    ordered = sum(
-        sizes[holder] * size * (row & same_size).bit_count()
-        for row, holder in zip(rows, classes)
-        for size, same_size in by_size.items()
-    )
-    return ordered // 2
+    total = 0
+    for devices in active:
+        groups: dict[int, int] = {}
+        for holder, size in sizes.items():
+            seen = holder & devices
+            groups[seen] = groups.get(seen, 0) + size
+        total += cov.n_y - sum(n * (n - 1) // 2 for n in groups.values())
+    return total
 
 
 def score(inst: ProblemInstance, labeling: Labeling) -> ScheduleReport:
     """Average coverage score of a labeling, as an exact fraction.
 
     Computes the per-slot form (sum over slots of covered Y counts, the
-    OR of the active devices' `cov.masks`) and, independently, the
-    label-set form (sum over y of covered slot counts, from the
-    detection rows `cov.covers` without reading `masks`; see
-    `_label_form_total`); the two are always equal, and a mismatch
+    OR of the active devices' `cov.masks`) and, independently, the same
+    total from the detection rows `cov.covers` without reading `masks`
+    (see `_covers_total`); the two are always equal, and a mismatch
     raises VerificationError.
     """
     validate_labeling(inst, labeling)
     cov = inst.coverage
-    potential = _label_form_total(cov, labeling, inst.k)
+    potential = _covers_total(cov, labeling, inst.k)
     covered = [0] * inst.k
     for mask, labels in zip(cov.masks, labeling.by_x):
         for lab in labels:
@@ -165,7 +143,7 @@ def score(inst: ProblemInstance, labeling: Labeling) -> ScheduleReport:
     per_slot = [c.bit_count() for c in covered]
     if sum(per_slot) != potential:
         raise VerificationError(
-            f"slot-form total {sum(per_slot)} and label-form total {potential} diverged"
+            f"slot-form total {sum(per_slot)} and covers total {potential} diverged"
         )
     return ScheduleReport(
         k=inst.k,

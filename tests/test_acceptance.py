@@ -38,6 +38,7 @@ from sensched.randnet import (
     closed_form_geometric,
     gen_erdos_renyi,
     gen_geometric,
+    node_coverage,
     simulate_random_schedule,
 )
 from sensched.schedule import Labeling, ProblemInstance, score
@@ -139,7 +140,7 @@ def test_criterion_05_closed_form_spot_values():
 def test_criterion_06_random_scheduling_validation():
     start = time.monotonic()
     g = gen_erdos_renyi(ErdosRenyiSpec(n=500, p=0.02, seed=106))
-    stats = simulate_random_schedule(g, 10, 2, range_limit=1, trials=200, seed=106)
+    stats = simulate_random_schedule(ProblemInstance(node_coverage(g), 10, 2), 200, seed=106)
     predicted = closed_form_er(10, 2, 500, 0.02)
     er_rel = abs(stats.mean - predicted) / predicted
     assert er_rel <= 0.02
@@ -151,7 +152,7 @@ def test_criterion_06_random_scheduling_validation():
     radius = math.sqrt(12.5 / math.pi)  # mean degree ~ 12.5
     spec = GeometricGraphSpec(n=1000, area_side=side, radius=radius, seed=106, torus=True)
     gg, _ = gen_geometric(spec)
-    gstats = simulate_random_schedule(gg, 10, 2, range_limit=1, trials=100, seed=107)
+    gstats = simulate_random_schedule(ProblemInstance(node_coverage(gg), 10, 2), 100, seed=107)
     gpred = closed_form_geometric(10, 2, spec.density, radius)
     geo_rel = abs(gstats.mean - gpred) / gpred
     assert geo_rel <= 0.03

@@ -475,24 +475,29 @@ def test_rand_experiment_builds_coverage_once(runner, monkeypatch):
     assert [row[0] for row in rows] == ["3", "4", "5"]
     for row in rows:
         k = int(row[0])
-        stats = randnet.simulate_random_schedule(
-            g, k, 2, trials=6, seed=derive_seed(9, "row", k)
-        )
+        inst = schedule.ProblemInstance(randnet.node_coverage(g), k, 2)
+        stats = randnet.simulate_random_schedule(inst, 6, derive_seed(9, "row", k))
         assert row[3:5] == [cli._fmt(stats.mean), cli._fmt(stats.stderr)]
     assert len(builds) == 4
 
 
-def test_rand_experiment_validates_range(runner):
-    result = runner.invoke(
-        main,
-        ["rand-experiment", "--family", "er", "--k-range", "5..3", "--sigma", "2"],
-    )
-    assert result.exit_code == 1
-    result = runner.invoke(
-        main,
-        ["rand-experiment", "--family", "er", "--k-range", "2..4", "--sigma", "3"],
-    )
-    assert result.exit_code == 1
+def test_rand_experiment_validates_range(runner, tmp_path):
+    out = tmp_path / "rand.csv"
+    for args, message in [
+        (["--k-range", "5..3", "--sigma", "2"], "empty k range '5..3'"),
+        (["--k-range", "2..4", "--sigma", "3"], "sigma (3) exceeds the smallest k (2)"),
+        (["--k-range", "2..4", "--sigma", "0"],
+         "battery sigma must satisfy 1 <= sigma <= k, got sigma=0, k=2"),
+        (["--k-range", "0..2", "--sigma", "0"], "lifetime k must be >= 1, got 0"),
+        (["--k-range", "0..2", "--sigma", "1"], "sigma (1) exceeds the smallest k (0)"),
+        (["--k-range", "2..4", "--sigma", "1", "--trials", "0"], "trials must be >= 1"),
+    ]:
+        result = runner.invoke(main, [
+            "rand-experiment", "--family", "er", "--n", "20", *args, "--out", str(out),
+        ])
+        assert result.exit_code == 1, args
+        assert f"error: {message}" in result.output
+        assert not out.exists()
 
 
 def test_convert_edgelist_round_trip(runner, tmp_path):
@@ -510,11 +515,20 @@ def test_convert_edgelist_round_trip(runner, tmp_path):
     assert inst.k == 3
 
 
-def test_convert_edgelist_rejects_garbage(runner, tmp_path):
+@pytest.mark.parametrize("text, message", [
+    pytest.param("a b c\n", "line 1: expected two node names", id="three-names"),
+    pytest.param("a b\nc c\n", "self-loop on node 'c'", id="self-loop"),
+    pytest.param("a b\na b\n", "duplicate edge 'a'-'b'", id="repeated-edge"),
+    pytest.param("a b\nb a\n", "duplicate edge 'b'-'a'", id="reversed-edge"),
+])
+def test_convert_edgelist_rejects_garbage(runner, tmp_path, text, message):
     raw = tmp_path / "net.edges"
-    raw.write_text("a b c\n")
-    result = runner.invoke(main, ["convert-edgelist", str(raw)])
+    raw.write_text(text)
+    out = tmp_path / "net.instance"
+    result = runner.invoke(main, ["convert-edgelist", str(raw), "--out", str(out)])
     assert result.exit_code == 1
+    assert f"error: {message}" in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("comment, exit_code", [(b"# \xce\xbb\n", 0), (b"# \xff\n", 1)])

@@ -198,34 +198,29 @@ def test_gen_connected_gnm_regenerates_the_shipped_standins(name, n, m):
 
 def test_simulation_sigma_equals_k_is_exactly_one():
     g = gen_erdos_renyi(ErdosRenyiSpec(n=30, p=0.1, seed=2))
-    stats = simulate_random_schedule(g, 4, 4, trials=5, seed=0)
+    stats = simulate_random_schedule(ProblemInstance(node_coverage(g), 4, 4), 5, seed=0)
     assert stats.mean_fraction == 1
     assert stats.stderr == 0.0
 
 
 def test_simulation_isolated_nodes_hit_sigma_over_k():
     g = NetworkGraph([f"v{i}" for i in range(12)], [])
-    stats = simulate_random_schedule(g, 6, 2, trials=8, seed=3)
+    stats = simulate_random_schedule(ProblemInstance(node_coverage(g), 6, 2), 8, seed=3)
     assert stats.mean_fraction == Fraction(2, 6)
 
 
 def test_simulation_matches_closed_form_er():
     g = gen_erdos_renyi(ErdosRenyiSpec(n=300, p=0.03, seed=5))
-    stats = simulate_random_schedule(g, 10, 2, trials=40, seed=5)
+    stats = simulate_random_schedule(ProblemInstance(node_coverage(g), 10, 2), 40, seed=5)
     predicted = closed_form_er(10, 2, 300, 0.03)
     assert abs(stats.mean - predicted) / predicted < 0.02
 
 
-def test_simulation_flags_other_ranges():
-    g = gen_erdos_renyi(ErdosRenyiSpec(n=20, p=0.1, seed=6))
-    with pytest.warns(RuntimeWarning):
-        simulate_random_schedule(g, 4, 1, range_limit=2, trials=2, seed=0)
-
-
 def test_simulation_deterministic_and_worker_independent():
     g = gen_erdos_renyi(ErdosRenyiSpec(n=60, p=0.05, seed=8))
-    a = simulate_random_schedule(g, 5, 2, trials=12, seed=4, workers=1)
-    b = simulate_random_schedule(g, 5, 2, trials=12, seed=4, workers=3)
+    inst = ProblemInstance(node_coverage(g), 5, 2)
+    a = simulate_random_schedule(inst, 12, seed=4, workers=1)
+    b = simulate_random_schedule(inst, 12, seed=4, workers=3)
     assert a == b
 
 
@@ -241,12 +236,9 @@ def test_simulation_matches_reference_trials(workers):
             # k past 21 leaves the label table for random.sample
             for k in range(sigma, 26):
                 trials, seed = rng.randint(1, 5), rng.randrange(1000)
-                got = simulate_random_schedule(
-                    g, k, sigma, trials=trials, seed=seed, workers=workers, coverage=cov
-                )
-                want = brute_simulate_random_schedule(
-                    ProblemInstance(cov, k, sigma), trials, seed
-                )
+                inst = ProblemInstance(cov, k, sigma)
+                got = simulate_random_schedule(inst, trials, seed, workers)
+                want = brute_simulate_random_schedule(inst, trials, seed)
                 assert got == want, (k, sigma, trials, seed)
 
 
@@ -270,9 +262,9 @@ def test_expected_random_score_spot_value():
 
 def test_simulation_mean_is_near_the_exact_expectation():
     g = gen_erdos_renyi(ErdosRenyiSpec(n=150, p=0.03, seed=9))
-    cov = node_coverage(g)
-    stats = simulate_random_schedule(g, 10, 2, trials=200, seed=9, coverage=cov)
-    exact = expected_random_score(ProblemInstance(cov, 10, 2))
+    inst = ProblemInstance(node_coverage(g), 10, 2)
+    stats = simulate_random_schedule(inst, 200, seed=9)
+    exact = expected_random_score(inst)
     assert stats.stderr > 0
     assert abs(stats.mean - float(exact)) <= 4 * stats.stderr
 
