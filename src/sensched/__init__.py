@@ -39,8 +39,7 @@ from .oracle import (
 from .randnet import (
     ErdosRenyiSpec,
     GeometricGraphSpec,
-    closed_form_er,
-    closed_form_geometric,
+    closed_form,
     gen_connected_gnm,
     gen_erdos_renyi,
     gen_geometric,

@@ -4,7 +4,9 @@ One synchronous command per invocation; every command that takes a seed
 is bit-reproducible, including across --workers settings. Exit codes:
 0 success, 1 input error, 2 verification failure, 3 resource refusal
 (oracle space too large, too many isolation pairs, or search budget
-exhausted).
+exhausted). Each (k, sigma) pair passes `schedule.check_k_sigma`;
+rand-experiment checks its k range, sigma and trials before it generates
+the graph, and disjoint lifetime checks sigma before it partitions.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .graph import NetworkGraph
 from .seeds import derive_seed
 from .schedule import (
     ProblemInstance,
+    check_k_sigma,
     format_label_table,
     format_labeling,
     format_score,
@@ -276,6 +279,7 @@ def lifetime_cmd(
     spec = instance.load_instance(instance_file)
     g = instance.build_graph(spec)
     if mode == "disjoint":
+        domination.check_sigma(sigma)
         dp = domination.greedy_domatic_partition(g, seed=seed if seed else None)
         cfg = domination.config_from_domatic(g, dp, sigma)
         click.echo(
@@ -343,18 +347,18 @@ def rand_experiment_cmd(
         raise InputError(f"bad --k-range {k_range!r}, expected a..b") from None
     if lo > hi:
         raise InputError(f"empty k range {k_range!r}")
-    if sigma > lo:
-        raise InputError(f"sigma ({sigma}) exceeds the smallest k ({lo})")
+    # every k of the range holds sigma if the smallest does
+    check_k_sigma(lo, sigma)
+    randnet.check_trials(trials)
 
     if family == "geometric":
-        gspec = randnet.GeometricGraphSpec(
+        spec = randnet.GeometricGraphSpec(
             n=n, area_side=area, radius=radius, seed=seed, torus=torus
         )
-        g, _ = randnet.gen_geometric(gspec)
-        closed = lambda k: randnet.closed_form_geometric(k, sigma, gspec.density, radius)
+        g, _ = randnet.gen_geometric(spec)
     else:
-        g = randnet.gen_erdos_renyi(randnet.ErdosRenyiSpec(n=n, p=p, seed=seed))
-        closed = lambda k: randnet.closed_form_er(k, sigma, n, p)
+        spec = randnet.ErdosRenyiSpec(n=n, p=p, seed=seed)
+        g = randnet.gen_erdos_renyi(spec)
 
     header = ["k", "sigma", "closed_form", "empirical_mean", "stderr", "trials"]
     rows = []
@@ -363,8 +367,9 @@ def rand_experiment_cmd(
         stats = randnet.simulate_random_schedule(
             ProblemInstance(cov, k, sigma), trials, derive_seed(seed, "row", k), workers
         )
+        closed = randnet.closed_form(k, sigma, spec.mean_degree)
         rows.append(
-            [k, sigma, _fmt(closed(k)), _fmt(stats.mean), _fmt(stats.stderr), trials]
+            [k, sigma, _fmt(closed), _fmt(stats.mean), _fmt(stats.stderr), trials]
         )
     _emit([",".join(map(str, row)) + "\n" for row in [header, *rows]], out)
 

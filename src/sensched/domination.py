@@ -25,7 +25,7 @@ from .game import BlllParams, blll_schedule
 from .graph import NetworkGraph, all_node_targets
 from .greedy import greedy_picks
 from .oracle import _branch_and_bound
-from .schedule import ProblemInstance
+from .schedule import ProblemInstance, check_k_sigma
 from .seeds import derive_seed
 
 # search_config runs the exhaustive search only when n * C(k, sigma) is
@@ -135,8 +135,7 @@ def verify_config(g: NetworkGraph, cfg: KSigmaConfig) -> ConfigCheck:
         raise InputError(
             f"config has {len(cfg.labels)} nodes, graph has {g.node_count}"
         )
-    if not 1 <= cfg.sigma <= cfg.k:
-        raise InputError(f"need 1 <= sigma <= k, got sigma={cfg.sigma}, k={cfg.k}")
+    check_k_sigma(cfg.k, cfg.sigma)
     for v, labs in enumerate(cfg.labels):
         if len(labs) != cfg.sigma:
             raise InputError(
@@ -200,12 +199,17 @@ def _config_from_partition(dp: DomaticPartition, k: int, sigma: int) -> KSigmaCo
     )
 
 
+def check_sigma(sigma: int) -> None:
+    """InputError unless sigma >= 1; a disjoint lifetime's k is sigma * #sets."""
+    if sigma < 1:
+        raise InputError("sigma must be >= 1")
+
+
 def config_from_domatic(
     g: NetworkGraph, dp: DomaticPartition, sigma: int
 ) -> KSigmaConfig:
     """Lifetime sigma * #sets: each set holds one block of sigma labels."""
-    if sigma < 1:
-        raise InputError("sigma must be >= 1")
+    check_sigma(sigma)
     validate_partition(g, dp)
     cfg = _config_from_partition(dp, sigma * len(dp.sets), sigma)
     return _checked(g, cfg, "disjoint")
@@ -254,8 +258,7 @@ def search_config(
     """
     if g.node_count == 0:
         raise InputError("empty graph")
-    if not 1 <= sigma <= k:
-        raise InputError(f"need 1 <= sigma <= k, got sigma={sigma}, k={k}")
+    check_k_sigma(k, sigma)
     if budget < 0:
         raise InputError(f"budget must be at least 0, got {budget}")
 

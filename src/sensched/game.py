@@ -138,16 +138,17 @@ def _check_device_count(cov: CoverageGraph, device_count: int) -> None:
 class GameState:
     """Mutable game position with incrementally maintained counters.
 
-    Each player owns a distinct site (an index into the coverage's X
-    side) and an action. Omitting `sites` puts one player on every site,
-    in site order: the fixed-location game, where every site is taken
-    and so no player can move. free_sites lists the untaken sites in
+    Each player owns a distinct site (an index into inst.coverage's X
+    side) and an action, exactly sigma of the k labels; inst has checked
+    k and sigma. Omitting `sites` puts one player on every site, in
+    site order: the fixed-location game, where every site is taken and
+    so no player can move. free_sites lists the untaken sites in
     increasing order, kept by bisection on every site move, so a move's
     occupancy check and open_site() cost a binary search, not a scan
     over the players or the candidates.
 
     Per slot, the number of active providers of each Y element is kept
-    as bit planes over the Y bitsets of `cov.masks`: bit y of
+    as bit planes over the Y bitsets of `inst.coverage.masks`: bit y of
     planes[lab][i] is bit i of y's provider count in slot lab. covered[lab]
     (the OR of the planes) holds the Y elements with at least one
     provider, multi[lab] (the OR of the planes above the first) those
@@ -160,15 +161,12 @@ class GameState:
 
     def __init__(
         self,
-        cov: CoverageGraph,
-        k: int,
-        sigma: int,
+        inst: ProblemInstance,
         actions: list[frozenset[int]],
         sites: list[int] | None = None,
     ):
-        self.cov = cov
-        self.k = k
-        self.sigma = sigma
+        self.cov = cov = inst.coverage
+        self.k, self.sigma = inst.k, inst.sigma
         if sites is None:
             sites = range(cov.n_x)
         if len(sites) != len(actions):
@@ -330,22 +328,22 @@ class GameState:
         return _aligned(self.sites, self.actions)
 
 
-def random_state(cov: CoverageGraph, k: int, sigma: int, rng: Random) -> GameState:
+def random_state(inst: ProblemInstance, rng: Random) -> GameState:
     """Every device draws a uniform exactly-sigma label set."""
-    draw = label_sampler(k, sigma)(rng)
-    actions = [draw() for _ in range(cov.n_x)]
-    return GameState(cov, k, sigma, actions)
+    draw = label_sampler(inst.k, inst.sigma)(rng)
+    actions = [draw() for _ in range(inst.coverage.n_x)]
+    return GameState(inst, actions)
 
 
 def random_placement_state(
-    cov: CoverageGraph, k: int, sigma: int, device_count: int, rng: Random
+    inst: ProblemInstance, device_count: int, rng: Random
 ) -> GameState:
     """Uniform random distinct sites plus uniform label sets."""
-    _check_device_count(cov, device_count)
-    sites = rng.sample(range(cov.n_x), device_count)
-    draw = label_sampler(k, sigma)(rng)
+    _check_device_count(inst.coverage, device_count)
+    sites = rng.sample(range(inst.coverage.n_x), device_count)
+    draw = label_sampler(inst.k, inst.sigma)(rng)
     actions = [draw() for _ in range(device_count)]
-    return GameState(cov, k, sigma, actions, sites=sites)
+    return GameState(inst, actions, sites=sites)
 
 
 def check_potential_identity(
@@ -522,9 +520,8 @@ def blll_schedule(inst: ProblemInstance, params: BlllParams | None = None) -> Bl
     the chain is returned alongside the final one.
     """
     params = params or BlllParams()
-    cov = inst.coverage
     rng = derive_rng(params.seed, "blll-schedule")
-    state = random_state(cov, inst.k, inst.sigma, rng)
+    state = random_state(inst, rng)
     return _run_chain(state, params, rng, _action_proposer(rng, inst.k, inst.sigma))
 
 
@@ -538,9 +535,8 @@ def blll_place_and_schedule(
     site, together with a fresh uniform label set.
     """
     params = params or BlllParams()
-    cov = inst.coverage
     rng = derive_rng(params.seed, "blll-placement")
-    state = random_placement_state(cov, inst.k, inst.sigma, device_count, rng)
+    state = random_placement_state(inst, device_count, rng)
     draw = label_sampler(inst.k, inst.sigma)(rng)
     below = randbelow(rng)
     n_open = len(state.free_sites) + 1

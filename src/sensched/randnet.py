@@ -2,13 +2,13 @@
 
 When every node hosts a device, is itself a target, and activates in a
 uniform random sigma-subset of the k slots, the expected coverage score
-has a closed form on random geometric and Erdos-Renyi graphs:
+has one closed form, `closed_form`, in the mean degree d that each
+graph spec gives as `mean_degree` (density * pi * r^2, or n * p):
 
-    geometric:   1 - ((k - sigma) / k) * exp(-sigma * density * pi * r^2 / k)
-    Erdos-Renyi: 1 - ((k - sigma) / k) * exp(-sigma * n * p / k)
+    1 - ((k - sigma) / k) * exp(-sigma * d / k)
 
-Both treat neighbor counts as Poisson and activations as independent,
-so on finite graphs they are approximations. The model's instance is
+It treats neighbor counts as Poisson and activations as independent,
+so on finite graphs it is an approximation. The model's instance is
 `node_coverage(g)` with the lifetime k and battery sigma; on it,
 simulate_random_schedule measures the actual value for comparison, and
 expected_random_score gives its exact mean. Both take the
@@ -34,7 +34,7 @@ from typing import Callable
 from .coverage import CoverageGraph, build_detection
 from .errors import InputError
 from .graph import NetworkGraph, all_node_targets
-from .schedule import Labeling, ProblemInstance, score
+from .schedule import Labeling, ProblemInstance, check_k_sigma, score
 from .seeds import derive_rng, label_sampler
 
 
@@ -63,6 +63,10 @@ class GeometricGraphSpec:
     def density(self) -> float:
         return self.n / (self.area_side * self.area_side)
 
+    @property
+    def mean_degree(self) -> float:
+        return self.density * math.pi * self.radius * self.radius
+
 
 @dataclass(frozen=True)
 class ErdosRenyiSpec:
@@ -75,6 +79,10 @@ class ErdosRenyiSpec:
             raise InputError("n must be >= 0")
         if not 0.0 <= self.p <= 1.0:
             raise InputError(f"p must be in [0, 1], got {self.p}")
+
+    @property
+    def mean_degree(self) -> float:
+        return self.n * self.p
 
 
 def gen_geometric(
@@ -168,30 +176,17 @@ def gen_connected_gnm(n: int, m: int, seed: int = 0) -> NetworkGraph:
     return NetworkGraph(names, edges)
 
 
-def _check_k_sigma(k: int, sigma: int) -> None:
-    if k < 1:
-        raise InputError("k must be >= 1")
-    if not 1 <= sigma <= k:
-        raise InputError(f"need 1 <= sigma <= k, got sigma={sigma}, k={k}")
-
-
-def closed_form_geometric(k: int, sigma: int, density: float, radius: float) -> float:
-    """Expected random-scheduling score on a geometric graph."""
-    _check_k_sigma(k, sigma)
-    if density <= 0 or radius <= 0:
-        raise InputError("density and radius must be positive")
-    mean_degree = density * math.pi * radius * radius
+def closed_form(k: int, sigma: int, mean_degree: float) -> float:
+    """Expected random-scheduling score at a spec's `mean_degree`."""
+    check_k_sigma(k, sigma)
+    if mean_degree < 0:
+        raise InputError(f"mean_degree must be >= 0, got {mean_degree}")
     return 1.0 - ((k - sigma) / k) * math.exp(-sigma * mean_degree / k)
 
 
-def closed_form_er(k: int, sigma: int, n: int, p: float) -> float:
-    """Expected random-scheduling score on an Erdos-Renyi graph."""
-    _check_k_sigma(k, sigma)
-    if n < 0:
-        raise InputError("n must be >= 0")
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"p must be in [0, 1], got {p}")
-    return 1.0 - ((k - sigma) / k) * math.exp(-sigma * n * p / k)
+def check_trials(trials: int) -> None:
+    if trials < 1:
+        raise InputError("trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -264,13 +259,12 @@ def simulate_random_schedule(
 
     Each trial draws an independent uniform sigma-subset of the k slots
     per device; trial seeds derive from (seed, trial index), so results
-    do not depend on worker count. The closed forms describe
+    do not depend on worker count. The closed form describes
     `node_coverage(g)` (every node a device and a target, range 1); a
     caller simulating several k on one graph builds that coverage (and
     its masks) once and makes one instance per k.
     """
-    if trials < 1:
-        raise InputError("trials must be >= 1")
+    check_trials(trials)
 
     if workers <= 1:
         _sim_init(inst, seed)
@@ -287,9 +281,7 @@ def simulate_random_schedule(
     total = sum(samples, Fraction(0))
     mean_fraction = total / trials
     floats = [float(s) for s in samples]
-    stderr = (
-        statistics.stdev(floats) / math.sqrt(trials) if trials > 1 else 0.0
-    )
+    stderr = statistics.stdev(floats) / math.sqrt(trials) if trials > 1 else 0.0
     return RandomScheduleStats(
         mean=float(mean_fraction),
         stderr=stderr,

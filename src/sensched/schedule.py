@@ -19,6 +19,16 @@ from .coverage import CoverageGraph, Objective
 from .errors import BatteryViolation, InputError, ParseError, VerificationError
 
 
+def check_k_sigma(k: int, sigma: int) -> None:
+    """InputError unless lifetime k and battery sigma satisfy 1 <= sigma <= k."""
+    if k < 1:
+        raise InputError(f"lifetime k must be >= 1, got {k}")
+    if not 1 <= sigma <= k:
+        raise InputError(
+            f"battery sigma must satisfy 1 <= sigma <= k, got sigma={sigma}, k={k}"
+        )
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A coverage graph plus the lifetime k and per-device battery sigma."""
@@ -28,13 +38,7 @@ class ProblemInstance:
     sigma: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise InputError(f"lifetime k must be >= 1, got {self.k}")
-        if not 1 <= self.sigma <= self.k:
-            raise InputError(
-                f"battery sigma must satisfy 1 <= sigma <= k, got "
-                f"sigma={self.sigma}, k={self.k}"
-            )
+        check_k_sigma(self.k, self.sigma)
 
     @property
     def objective(self) -> Objective:

@@ -122,14 +122,12 @@ def check_potential_game(
     rng = derive_rng(seed, "verify-potential")
     for idx in range(instances):
         inst = random_instance(rng)
-        state = random_state(inst.coverage, inst.k, inst.sigma, rng)
+        state = random_state(inst, rng)
         _deviate_many(rng, state, deviations_per_state, report, f"instance {idx}")
     for idx in range(placement_instances):
         inst = random_instance(rng, allow_isolation=False)
         devices = rng.randint(1, inst.coverage.n_x)
-        state = random_placement_state(
-            inst.coverage, inst.k, inst.sigma, devices, rng
-        )
+        state = random_placement_state(inst, devices, rng)
         _deviate_many(
             rng, state, deviations_per_state, report, f"placement instance {idx}",
             placement=True,

@@ -586,3 +586,17 @@ def brute_expected_random_score(inst) -> Fraction:
         Fraction(0),
     )
     return total / len(choices) ** cov.n_x
+
+
+# --- closed forms as first written, one per graph family ----------------------
+
+
+def brute_closed_form_geometric(k: int, sigma: int, density: float, radius: float) -> float:
+    """1 - ((k - sigma)/k) * exp(-sigma * density * pi * r^2 / k), in that order."""
+    mean_degree = density * math.pi * radius * radius
+    return 1.0 - ((k - sigma) / k) * math.exp(-sigma * mean_degree / k)
+
+
+def brute_closed_form_er(k: int, sigma: int, n: int, p: float) -> float:
+    """1 - ((k - sigma)/k) * exp(-sigma * n * p / k), multiplied left to right."""
+    return 1.0 - ((k - sigma) / k) * math.exp(-sigma * n * p / k)

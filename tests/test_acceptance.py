@@ -34,8 +34,7 @@ from sensched.oracle import exact_optimal_schedule
 from sensched.randnet import (
     ErdosRenyiSpec,
     GeometricGraphSpec,
-    closed_form_er,
-    closed_form_geometric,
+    closed_form,
     gen_erdos_renyi,
     gen_geometric,
     node_coverage,
@@ -130,8 +129,11 @@ def test_criterion_04_solver_quality():
 
 
 def test_criterion_05_closed_form_spot_values():
-    er = closed_form_er(10, 2, 100, 0.05)
-    geo = closed_form_geometric(10, 2, 1.0, 2.0)
+    er = closed_form(10, 2, ErdosRenyiSpec(n=100, p=0.05).mean_degree)
+    # density 100 / 10^2 = 1, radius 2
+    geo = closed_form(
+        10, 2, GeometricGraphSpec(n=100, area_side=10.0, radius=2.0).mean_degree
+    )
     assert abs(er - 0.70573) <= 5e-4
     assert abs(geo - 0.93520) <= 5e-4
     _ack(5, "closed-form spot values", f"er {er:.5f}, geometric {geo:.5f}")
@@ -139,9 +141,10 @@ def test_criterion_05_closed_form_spot_values():
 
 def test_criterion_06_random_scheduling_validation():
     start = time.monotonic()
-    g = gen_erdos_renyi(ErdosRenyiSpec(n=500, p=0.02, seed=106))
+    er_spec = ErdosRenyiSpec(n=500, p=0.02, seed=106)
+    g = gen_erdos_renyi(er_spec)
     stats = simulate_random_schedule(ProblemInstance(node_coverage(g), 10, 2), 200, seed=106)
-    predicted = closed_form_er(10, 2, 500, 0.02)
+    predicted = closed_form(10, 2, er_spec.mean_degree)
     er_rel = abs(stats.mean - predicted) / predicted
     assert er_rel <= 0.02
     er_elapsed = time.monotonic() - start
@@ -153,7 +156,7 @@ def test_criterion_06_random_scheduling_validation():
     spec = GeometricGraphSpec(n=1000, area_side=side, radius=radius, seed=106, torus=True)
     gg, _ = gen_geometric(spec)
     gstats = simulate_random_schedule(ProblemInstance(node_coverage(gg), 10, 2), 100, seed=107)
-    gpred = closed_form_geometric(10, 2, spec.density, radius)
+    gpred = closed_form(10, 2, spec.mean_degree)
     geo_rel = abs(gstats.mean - gpred) / gpred
     assert geo_rel <= 0.03
     geo_elapsed = time.monotonic() - start

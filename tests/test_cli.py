@@ -485,11 +485,12 @@ def test_rand_experiment_validates_range(runner, tmp_path):
     out = tmp_path / "rand.csv"
     for args, message in [
         (["--k-range", "5..3", "--sigma", "2"], "empty k range '5..3'"),
-        (["--k-range", "2..4", "--sigma", "3"], "sigma (3) exceeds the smallest k (2)"),
+        (["--k-range", "2..4", "--sigma", "3"],
+         "battery sigma must satisfy 1 <= sigma <= k, got sigma=3, k=2"),
         (["--k-range", "2..4", "--sigma", "0"],
          "battery sigma must satisfy 1 <= sigma <= k, got sigma=0, k=2"),
         (["--k-range", "0..2", "--sigma", "0"], "lifetime k must be >= 1, got 0"),
-        (["--k-range", "0..2", "--sigma", "1"], "sigma (1) exceeds the smallest k (0)"),
+        (["--k-range", "0..2", "--sigma", "1"], "lifetime k must be >= 1, got 0"),
         (["--k-range", "2..4", "--sigma", "1", "--trials", "0"], "trials must be >= 1"),
     ]:
         result = runner.invoke(main, [
@@ -498,6 +499,50 @@ def test_rand_experiment_validates_range(runner, tmp_path):
         assert result.exit_code == 1, args
         assert f"error: {message}" in result.output
         assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["er", "geometric"])
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["--k-range", "2..4", "--sigma", "0"],
+                 "battery sigma must satisfy 1 <= sigma <= k, got sigma=0, k=2",
+                 id="sigma-0"),
+    pytest.param(["--k-range", "2..4", "--sigma", "3"],
+                 "battery sigma must satisfy 1 <= sigma <= k, got sigma=3, k=2",
+                 id="sigma-above-k"),
+    pytest.param(["--k-range", "0..2", "--sigma", "1"], "lifetime k must be >= 1, got 0",
+                 id="k-range-from-0"),
+    pytest.param(["--k-range", "2..4", "--sigma", "1", "--trials", "0"],
+                 "trials must be >= 1", id="trials-0"),
+])
+def test_rand_experiment_refuses_before_generating(runner, monkeypatch, family, args,
+                                                   message):
+    calls = []
+
+    def generator(*_args, **_kwargs):
+        calls.append(_args)
+        raise RuntimeError("the graph was generated")
+
+    monkeypatch.setattr(randnet, "gen_erdos_renyi", generator)
+    monkeypatch.setattr(randnet, "gen_geometric", generator)
+    result = runner.invoke(main, ["rand-experiment", "--family", family, *args])
+    assert result.exit_code == 1
+    assert calls == []
+    assert f"error: {message}" in result.output
+
+
+@pytest.mark.parametrize("sigma", ["0", "-1"])
+def test_lifetime_disjoint_refuses_sigma_before_partitioning(runner, monkeypatch, sigma):
+    calls = []
+
+    def partition(*_args, **_kwargs):
+        calls.append(_args)
+        raise RuntimeError("the graph was partitioned")
+
+    monkeypatch.setattr(domination, "greedy_domatic_partition", partition)
+    result = runner.invoke(main, ["lifetime", PATH4, "--sigma", sigma, "--mode", "disjoint"])
+    assert result.exit_code == 1
+    assert calls == []
+    assert "error: sigma must be >= 1" in result.output
 
 
 def test_convert_edgelist_round_trip(runner, tmp_path):

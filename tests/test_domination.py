@@ -234,6 +234,23 @@ def test_search_validates_args(path4):
         search_config(path4, 2, 3)
 
 
+@pytest.mark.parametrize("k, sigma, message", [
+    (2, 0, "battery sigma must satisfy 1 <= sigma <= k, got sigma=0, k=2"),
+    (2, 3, "battery sigma must satisfy 1 <= sigma <= k, got sigma=3, k=2"),
+    (0, 1, "lifetime k must be >= 1, got 0"),
+], ids=["sigma-0", "sigma-above-k", "k-0"])
+def test_search_and_verify_share_the_instance_check(path4, k, sigma, message):
+    # the messages ProblemInstance gives for the same (k, sigma)
+    with pytest.raises(InputError) as searched:
+        search_config(path4, k, sigma)
+    cfg = KSigmaConfig(k=k, sigma=sigma, labels=tuple(frozenset() for _ in range(4)))
+    with pytest.raises(InputError) as verified:
+        verify_config(path4, cfg)
+    with pytest.raises(InputError) as built:
+        config_instance(path4, k, sigma)
+    assert str(searched.value) == str(verified.value) == str(built.value) == message
+
+
 def test_search_rejects_negative_budget(path4, petersen):
     with pytest.raises(InputError, match="budget must be at least 0"):
         search_config(path4, 2, 1, budget=-1)  # before the constructive path finds it

@@ -40,7 +40,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def fixture_state(path4_instance):
     return GameState(
-        path4_instance.coverage, 2, 1, [frozenset({0}), frozenset({1})]
+        ProblemInstance(path4_instance.coverage, 2, 1), [frozenset({0}), frozenset({1})]
     )
 
 
@@ -52,7 +52,7 @@ def test_potential_path_fixture(path4_instance):
 
 def test_potential_saturated(path4_instance):
     cov = path4_instance.coverage
-    state = GameState(cov, 2, 2, [frozenset({0, 1})] * 2)
+    state = GameState(ProblemInstance(cov, 2, 2), [frozenset({0, 1})] * 2)
     coverable = len(set().union(*cov.adj))
     assert state.recount() == 2 * coverable
 
@@ -75,20 +75,21 @@ def test_utility_sole_provider_counts():
     # its neighbors and of 3 to one of them, so its utility is 3
     g = NetworkGraph(["a", "b", "y1", "y2"], [("a", "y1"), ("a", "y2"), ("b", "y2")])
     cov = build_detection(g, [0, 1], [Target("node", 2), Target("node", 3)], 1)
-    state = GameState(cov, 5, 2, [frozenset({2, 4}), frozenset({2, 0})])
+    inst = ProblemInstance(cov, 5, 2)
+    state = GameState(inst, [frozenset({2, 4}), frozenset({2, 0})])
     assert state.utility(0) == 3
 
 
 def test_utility_isolated_device(path4):
     cov = build_detection(path4, [0, 3], [Target("node", 1)], 0)
-    state = GameState(cov, 3, 1, [frozenset({0}), frozenset({1})])
+    state = GameState(ProblemInstance(cov, 3, 1), [frozenset({0}), frozenset({1})])
     assert state.utility(0) == 0 and state.utility(1) == 0
 
 
 def test_utility_single_device_sigma_times_degree(path4):
     cov = build_detection(path4, [1], all_node_targets(path4), 1)
     d = len(cov.adj[0])
-    state = GameState(cov, 4, 2, [frozenset({0, 2})])
+    state = GameState(ProblemInstance(cov, 4, 2), [frozenset({0, 2})])
     assert state.utility(0) == 2 * d
 
 
@@ -109,7 +110,7 @@ def test_identity_random_deviations():
     rng = derive_rng(31, "identity")
     for _ in range(30):
         inst = random_instance(rng)
-        state = random_state(inst.coverage, inst.k, inst.sigma, rng)
+        state = random_state(inst, rng)
         for _ in range(10):
             player = rng.randrange(state.n_players)
             labels = frozenset(rng.sample(range(inst.k), inst.sigma))
@@ -122,9 +123,7 @@ def test_identity_placement_mode():
     for _ in range(15):
         inst = random_instance(rng, allow_isolation=False)
         devices = rng.randint(1, inst.coverage.n_x)
-        state = random_placement_state(
-            inst.coverage, inst.k, inst.sigma, devices, rng
-        )
+        state = random_placement_state(inst, devices, rng)
         for _ in range(10):
             player = rng.randrange(devices)
             site = state.open_site(player, rng.randrange(len(state.free_sites) + 1))
@@ -147,9 +146,9 @@ def test_incremental_counts_match_brute_force(placement):
         objectives.add(inst.objective)
         if placement:
             devices = rng.randint(1, cov.n_x)
-            state = random_placement_state(cov, inst.k, inst.sigma, devices, rng)
+            state = random_placement_state(inst, devices, rng)
         else:
-            state = random_state(cov, inst.k, inst.sigma, rng)
+            state = random_state(inst, rng)
         for _ in range(12):
             player = rng.randrange(state.n_players)
             site = state.sites[player]
@@ -193,11 +192,12 @@ from sensched.coverage import build_detection
 from sensched.errors import VerificationError
 from sensched.game import GameState
 from sensched.graph import NetworkGraph, all_edge_targets
+from sensched.schedule import ProblemInstance
 
 assert False, "asserts must be stripped in this interpreter"
 g = NetworkGraph(["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4")])
 cov = build_detection(g, [1, 2], all_edge_targets(g), 1)
-state = GameState(cov, 2, 1, [frozenset({0}), frozenset({0})])
+state = GameState(ProblemInstance(cov, 2, 1), [frozenset({0}), frozenset({0})])
 """ + corrupt + """
 try:
     state.recount()
@@ -217,16 +217,19 @@ except VerificationError as exc:
 def test_state_validation(path4_instance):
     cov = path4_instance.coverage
     with pytest.raises(InputError):
-        GameState(cov, 2, 1, [frozenset({0, 1}), frozenset({0})])
+        GameState(ProblemInstance(cov, 2, 1), [frozenset({0, 1}), frozenset({0})])
     with pytest.raises(InputError):
-        GameState(cov, 2, 1, [frozenset({0})])
+        GameState(ProblemInstance(cov, 2, 1), [frozenset({0})])
     with pytest.raises(InputError):
-        GameState(cov, 2, 1, [frozenset({0}), frozenset({1})], sites=[0, 0])
+        GameState(
+            ProblemInstance(cov, 2, 1), [frozenset({0}), frozenset({1})], sites=[0, 0]
+        )
 
 
 def test_move_rejects_occupied_site(path4):
     cov = build_detection(path4, range(4), all_node_targets(path4), 1)
-    state = GameState(cov, 2, 1, [frozenset({0}), frozenset({1})], sites=[0, 1])
+    inst = ProblemInstance(cov, 2, 1)
+    state = GameState(inst, [frozenset({0}), frozenset({1})], sites=[0, 1])
     with pytest.raises(InputError):
         state.move(0, frozenset({0}), site=1)
 
@@ -245,7 +248,7 @@ def test_open_site_reads_open_sites_without_the_list():
         inst = random_instance(rng, allow_isolation=False)
         cov = inst.coverage
         devices = rng.randint(1, cov.n_x)
-        state = random_placement_state(cov, inst.k, inst.sigma, devices, rng)
+        state = random_placement_state(inst, devices, rng)
         for _ in range(8):
             player = rng.randrange(devices)
             free = _open_sites(cov.n_x, state.sites, player)
@@ -258,16 +261,18 @@ def test_open_site_reads_open_sites_without_the_list():
 
 def test_open_sites(path4):
     cov = build_detection(path4, range(4), all_node_targets(path4), 1)
-    fixed = GameState(cov, 2, 1, [frozenset({0})] * 4)
+    inst = ProblemInstance(cov, 2, 1)
+    fixed = GameState(inst, [frozenset({0})] * 4)
     assert [fixed.open_site(p, 0) for p in range(4)] == [0, 1, 2, 3]
-    placed = GameState(cov, 2, 1, [frozenset({0}), frozenset({1})], sites=[2, 0])
+    placed = GameState(inst, [frozenset({0}), frozenset({1})], sites=[2, 0])
     assert [placed.open_site(0, i) for i in range(3)] == [1, 2, 3]
     assert [placed.open_site(1, i) for i in range(3)] == [0, 1, 3]
 
 
 def test_placement_labeling_is_aligned_to_sorted_sites(path4):
     cov = build_detection(path4, range(4), all_node_targets(path4), 1)
-    state = GameState(cov, 3, 1, [frozenset({0}), frozenset({2})], sites=[3, 1])
+    inst = ProblemInstance(cov, 3, 1)
+    state = GameState(inst, [frozenset({0}), frozenset({2})], sites=[3, 1])
     assert state.placement() == ((1, 3), Labeling((frozenset({2}), frozenset({0}))))
 
 
@@ -275,7 +280,7 @@ def test_phi_equals_score_times_denominator():
     rng = derive_rng(33, "phi-vs-score")
     for _ in range(20):
         inst = random_instance(rng)
-        state = random_state(inst.coverage, inst.k, inst.sigma, rng)
+        state = random_state(inst, rng)
         report = score(inst, state.placement()[1])
         assert state.phi == report.potential
         assert Fraction(state.phi, inst.k * inst.coverage.n_y) == report.score
@@ -479,8 +484,9 @@ def _dense_instances(objective, k, sigma, seed, count):
         n = rng.randint(34, 40)
         g = random_graph(rng, n, rng.uniform(0.3, 0.5))
         cov = build(g, range(n), all_node_targets(g), 1)
-        if GameState(cov, k, sigma, [frozenset(range(sigma))] * n).n_planes >= 5:
-            out.append(ProblemInstance(cov, k=k, sigma=sigma))
+        inst = ProblemInstance(cov, k=k, sigma=sigma)
+        if GameState(inst, [frozenset(range(sigma))] * n).n_planes >= 5:
+            out.append(inst)
     return out
 
 

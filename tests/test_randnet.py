@@ -12,8 +12,7 @@ from sensched.instance import load_instance
 from sensched.randnet import (
     ErdosRenyiSpec,
     GeometricGraphSpec,
-    closed_form_er,
-    closed_form_geometric,
+    closed_form,
     expected_random_score,
     gen_connected_gnm,
     gen_erdos_renyi,
@@ -26,6 +25,8 @@ from sensched.seeds import derive_rng
 from sensched.verify import random_instance
 
 from ._brute import (
+    brute_closed_form_er,
+    brute_closed_form_geometric,
     brute_expected_random_score,
     brute_gen_geometric,
     brute_simulate_random_schedule,
@@ -34,54 +35,86 @@ from ._brute import (
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
+def _er(n: int, p: float) -> float:
+    return ErdosRenyiSpec(n=n, p=p).mean_degree
+
+
+def _geo(n: int, area_side: float, radius: float) -> float:
+    """Mean degree at density n / area_side^2."""
+    return GeometricGraphSpec(n=n, area_side=area_side, radius=radius).mean_degree
+
+
 def test_closed_form_spot_values():
     # frozen from independent high-precision evaluation:
     # 1 - 0.8*exp(-1) and 1 - 0.8*exp(-0.8*pi)
-    assert closed_form_er(10, 2, 100, 0.05) == pytest.approx(0.7056964470628461, abs=1e-12)
-    assert closed_form_geometric(10, 2, 1.0, 2.0) == pytest.approx(
+    assert closed_form(10, 2, _er(100, 0.05)) == pytest.approx(0.7056964470628461, abs=1e-12)
+    assert closed_form(10, 2, _geo(100, 10.0, 2.0)) == pytest.approx(  # density 1
         0.9351979262736455, abs=1e-12
     )
 
 
 def test_closed_form_trivial_cases():
-    assert closed_form_er(10, 10, 100, 0.05) == 1.0
-    assert closed_form_geometric(7, 7, 2.0, 1.0) == 1.0
-    assert closed_form_er(10, 2, 100, 0.0) == pytest.approx(0.2)
+    assert closed_form(10, 10, _er(100, 0.05)) == 1.0
+    assert closed_form(7, 7, _geo(200, 10.0, 1.0)) == 1.0  # density 2
+    assert closed_form(10, 2, _er(100, 0.0)) == pytest.approx(0.2)
 
 
 def test_closed_form_density_limit():
-    assert closed_form_geometric(10, 2, 1e-12, 1e-3) == pytest.approx(0.2)
+    # density 1 / 10^12
+    assert closed_form(10, 2, _geo(1, 1e6, 1e-3)) == pytest.approx(0.2)
 
 
 def test_closed_form_validation():
     with pytest.raises(InputError):
-        closed_form_er(2, 3, 10, 0.5)
+        closed_form(2, 3, _er(10, 0.5))
     with pytest.raises(InputError):
-        closed_form_geometric(2, 3, 1.0, 1.0)
+        closed_form(2, 3, _geo(100, 10.0, 1.0))
     with pytest.raises(InputError):
-        closed_form_er(2, 1, 10, 1.5)
+        closed_form(2, 1, _er(10, 1.5))
     with pytest.raises(InputError):
-        closed_form_geometric(2, 1, -1.0, 1.0)
+        closed_form(2, 1, -1.0 * math.pi * 1.0 * 1.0)  # density -1
 
 
 def test_closed_forms_monotone():
     for sigma in range(1, 5):
-        assert closed_form_er(10, sigma + 1, 50, 0.1) > closed_form_er(
-            10, sigma, 50, 0.1
+        assert closed_form(10, sigma + 1, _er(50, 0.1)) > closed_form(
+            10, sigma, _er(50, 0.1)
         )
-    values = [closed_form_er(k, 2, 50, 0.1) for k in range(2, 12)]
+    values = [closed_form(k, 2, _er(50, 0.1)) for k in range(2, 12)]
     assert values == sorted(values, reverse=True)
-    assert closed_form_geometric(10, 2, 2.0, 1.0) > closed_form_geometric(
-        10, 2, 1.0, 1.0
+    assert closed_form(10, 2, _geo(200, 10.0, 1.0)) > closed_form(
+        10, 2, _geo(100, 10.0, 1.0)
     )
-    assert closed_form_er(10, 2, 60, 0.1) > closed_form_er(10, 2, 50, 0.1)
+    assert closed_form(10, 2, _er(60, 0.1)) > closed_form(10, 2, _er(50, 0.1))
 
 
 def test_closed_form_range():
     for k in range(2, 8):
         for sigma in range(1, k + 1):
-            v = closed_form_er(k, sigma, 30, 0.2)
+            v = closed_form(k, sigma, _er(30, 0.2))
             assert sigma / k <= v <= 1.0
+
+
+def test_closed_form_matches_the_two_former_forms():
+    # the geometric mean degree is multiplied in the former order, so it is
+    # float-equal; sigma * (n * p) and (sigma * n) * p may differ in the last
+    # bit when sigma is not a power of two, never at six significant digits
+    last_bit = 0
+    for k in range(1, 13):
+        for sigma in range(1, k + 1):
+            for n in (0, 1, 7, 60, 100, 300, 500, 1000, 10000):
+                for p in (0.0, 0.003, 0.01, 0.02, 0.03, 0.05, 0.07, 0.1, 0.35, 1.0):
+                    v = closed_form(k, sigma, _er(n, p))
+                    ref = brute_closed_form_er(k, sigma, n, p)
+                    assert format(v, ".6g") == format(ref, ".6g"), (k, sigma, n, p)
+                    last_bit += v != ref
+                for area_side in (1.0, 6.0, 10.0, 100.0, math.sqrt(1000.0)):
+                    for radius in (0.5, 1.3, 1.5958, 2.0, math.sqrt(12.5 / math.pi)):
+                        spec = GeometricGraphSpec(n=n, area_side=area_side, radius=radius)
+                        assert closed_form(k, sigma, spec.mean_degree) == (
+                            brute_closed_form_geometric(k, sigma, spec.density, radius)
+                        ), (k, sigma, n, area_side, radius)
+    assert last_bit > 0  # the grid reaches the points where the products differ
 
 
 def test_er_extremes():
@@ -212,7 +245,7 @@ def test_simulation_isolated_nodes_hit_sigma_over_k():
 def test_simulation_matches_closed_form_er():
     g = gen_erdos_renyi(ErdosRenyiSpec(n=300, p=0.03, seed=5))
     stats = simulate_random_schedule(ProblemInstance(node_coverage(g), 10, 2), 40, seed=5)
-    predicted = closed_form_er(10, 2, 300, 0.03)
+    predicted = closed_form(10, 2, _er(300, 0.03))
     assert abs(stats.mean - predicted) / predicted < 0.02
 
 
