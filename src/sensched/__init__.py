@@ -29,13 +29,7 @@ from .game import (
 )
 from .graph import NetworkGraph, Target, all_edge_targets, all_node_targets
 from .greedy import GreedyResult, greedy_schedule
-from .oracle import (
-    OracleResult,
-    exact_optimal_schedule,
-    max_cut_brute,
-    reduced_instance,
-    reduction_check,
-)
+from .oracle import OracleResult, exact_optimal_schedule
 from .randnet import (
     ErdosRenyiSpec,
     GeometricGraphSpec,

@@ -22,8 +22,7 @@ import click
 
 from . import domination, game, greedy, instance, oracle, randnet, verify
 from .coverage import adjacency_lines, restrict_x
-from .errors import InputError, SearchSpaceError, VerificationError
-from .graph import NetworkGraph
+from .errors import InputError, ParseError, SearchSpaceError, VerificationError
 from .seeds import derive_seed
 from .schedule import (
     ProblemInstance,
@@ -395,8 +394,9 @@ def convert_edgelist_cmd(
 
     Comment lines starting with `#` are skipped. The result puts a
     sensor on every node and targets every edge; edit to taste. The
-    graph is built before anything is written, so a self-loop or a
-    repeated edge is refused as the instance loader would refuse it.
+    text is parsed and its graph built by the instance loader before
+    anything is written, so a file the loader would refuse (a self-loop,
+    a repeated edge, k, sigma or lambda out of range) is never written.
     """
     nodes: list[str] = []
     seen: set[str] = set()
@@ -417,7 +417,6 @@ def convert_edgelist_cmd(
         edges.append((parts[0], parts[1]))
     if not nodes:
         raise InputError("edge list is empty")
-    NetworkGraph(nodes, edges)
     text = "\n".join(
         [
             f"nodes: {', '.join(nodes)}",
@@ -430,6 +429,10 @@ def convert_edgelist_cmd(
             f"objective: {objective}",
         ]
     ) + "\n"
+    try:
+        instance.build_graph(instance.parse_instance(text))
+    except ParseError as exc:
+        raise InputError(f"converted instance: {exc}") from None
     _emit((text,), out)
 
 

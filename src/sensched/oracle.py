@@ -1,4 +1,4 @@
-"""Exact ground-truth solvers for tiny instances.
+"""The exact ground-truth solver for tiny instances.
 
 `exact_optimal_schedule` runs one depth-first branch and bound (Land and
 Doig, 1960) over the canonical labelings, whose labels enter in order (a
@@ -10,8 +10,9 @@ canonical optimum, and the number of optima is a sum of closed-form
 class sizes over the canonical optima (`_class_size`). A subtree is cut
 only when it cannot change the result, so the first optimum, the count
 and the truncation flag are those of enumerating every labeling. It is
-the reference every heuristic is measured against, and the same search
-proves or refutes (k, sigma) label configurations in
+the reference every heuristic is measured against, and the optimum that
+`verify.reduction_check` compares with the max-cut formula; the same
+search proves or refutes (k, sigma) label configurations in
 `domination.search_config`. All comparisons are exact (integers and
 fractions); there is no floating point anywhere on this path.
 """
@@ -23,12 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .coverage import build_detection
-from .errors import InputError, SearchSpaceError, VerificationError
-from .graph import NetworkGraph, all_edge_targets
+from .errors import SearchSpaceError, VerificationError
 from .schedule import Labeling, ProblemInstance, ScheduleReport, score as score_labeling
 
-DEFAULT_SPACE_LIMIT = 10_000_000
+SPACE_LIMIT = 10_000_000  # labelings; larger spaces are refused
 
 
 @dataclass(frozen=True)
@@ -179,13 +178,11 @@ def _class_size(canonical: Labeling, k: int) -> int:
 
 
 def exact_optimal_schedule(
-    inst: ProblemInstance,
-    limit: int = DEFAULT_SPACE_LIMIT,
-    max_optima: int = 64,
+    inst: ProblemInstance, max_optima: int = 64
 ) -> OracleResult:
     """Best score, first optimum and number of optima of the exactly-sigma labelings.
 
-    The space has C(k, sigma)^|X| points; anything above `limit` is
+    The space has C(k, sigma)^|X| points; anything above SPACE_LIMIT is
     refused with the size in the message. One pass of the branch and
     bound walks the canonical labelings only (labels enter in order); it
     finds the best potential without its up to k! slot permutations and
@@ -206,9 +203,9 @@ def exact_optimal_schedule(
     cov = inst.coverage
     n_actions = math.comb(inst.k, inst.sigma)
     space = n_actions**cov.n_x
-    if space > limit:
+    if space > SPACE_LIMIT:
         raise SearchSpaceError(
-            f"search space {n_actions}^{cov.n_x} = {space} exceeds limit {limit}"
+            f"search space {n_actions}^{cov.n_x} = {space} exceeds limit {SPACE_LIMIT}"
         )
 
     search = _branch_and_bound(inst, floor=-1, max_optima=max_optima, canonical=True)
@@ -230,123 +227,4 @@ def exact_optimal_schedule(
         space=space,
         truncated=search.truncated or count > max_optima,
         report=report,
-    )
-
-
-def max_cut_brute(
-    g: NetworkGraph, node_limit: int = 24
-) -> tuple[int, tuple[frozenset[int], frozenset[int]]]:
-    """Exact maximum cut by enumerating the 2^(n-1) bipartitions."""
-    n = g.node_count
-    if n > node_limit:
-        raise SearchSpaceError(f"{n} nodes exceeds max-cut limit {node_limit}")
-    if n == 0:
-        return 0, (frozenset(), frozenset())
-    edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
-    best_cut = -1
-    best_mask = 0
-    # node 0 stays on side one; lexicographically first optimum wins
-    for mask in range(1 << (n - 1)):
-        side = mask << 1
-        cut = sum(1 for em in edge_masks if (side & em) != 0 and (side & em) != em)
-        if cut > best_cut:
-            best_cut = cut
-            best_mask = side
-    one = frozenset(v for v in range(n) if not (best_mask >> v) & 1)
-    two = frozenset(v for v in range(n) if (best_mask >> v) & 1)
-    return best_cut, (one, two)
-
-
-def cut_size(g: NetworkGraph, side_two: frozenset[int]) -> int:
-    return sum(1 for u, v in g.edges if (u in side_two) != (v in side_two))
-
-
-def has_triangle(g: NetworkGraph) -> bool:
-    nbrs = [set(g.neighbors(v)) for v in range(g.node_count)]
-    return any(nbrs[u] & nbrs[v] for u, v in g.edges)
-
-
-def reduced_instance(g: NetworkGraph) -> ProblemInstance:
-    """Two-slot, one-shot-battery detection instance over all edges.
-
-    With devices on every node and range 1, a two-slot schedule is a
-    bipartition of the nodes, which ties the optimal score to the
-    maximum cut on graphs where only an edge's endpoints can cover it.
-    """
-    if g.edge_count == 0:
-        raise InputError("the cut correspondence needs at least one edge")
-    cov = build_detection(g, range(g.node_count), all_edge_targets(g), 1)
-    return ProblemInstance(cov, k=2, sigma=1)
-
-
-@dataclass(frozen=True)
-class ReductionReport:
-    nodes: int
-    edges: int
-    triangle_free: bool
-    max_cut: int
-    optimal_score: Fraction
-    cut_formula: Fraction
-    equality: bool
-    bound_holds: bool
-    labelings_checked: int
-    per_labeling_equal: bool
-    per_labeling_bound: bool
-
-
-def reduction_check(
-    g: NetworkGraph, node_limit: int = 14, per_labeling_limit: int = 8
-) -> ReductionReport:
-    """Compare the exact optimal two-slot score with the max-cut formula.
-
-    The formula 1/2 + cut/(2|E|) matches the score exactly on
-    triangle-free graphs, where an edge's only coverers are its two
-    endpoints. A third node adjacent to both endpoints also covers the
-    edge, so on graphs with triangles the score can exceed the formula;
-    the score >= formula bound holds for every graph and every
-    labeling, and equality is reported rather than assumed.
-    """
-    if g.node_count > node_limit:
-        raise SearchSpaceError(
-            f"{g.node_count} nodes exceeds reduction-check limit {node_limit}"
-        )
-    inst = reduced_instance(g)
-    cut, _ = max_cut_brute(g)
-    optimal = exact_optimal_schedule(inst, max_optima=1)
-    formula = Fraction(1, 2) + Fraction(cut, 2 * g.edge_count)
-    tri_free = not has_triangle(g)
-
-    checked = 0
-    per_equal = True
-    per_bound = True
-    if g.node_count <= per_labeling_limit:
-        m2 = 2 * g.edge_count
-        for mask in range(1 << g.node_count):
-            side_two = frozenset(v for v in range(g.node_count) if (mask >> v) & 1)
-            labeling = Labeling(
-                tuple(
-                    frozenset({1}) if v in side_two else frozenset({0})
-                    for v in range(g.node_count)
-                )
-            )
-            s = score_labeling(inst, labeling).score
-            f = Fraction(1, 2) + Fraction(cut_size(g, side_two), m2)
-            checked += 1
-            if s != f:
-                per_equal = False
-            if s < f:
-                per_bound = False
-
-    return ReductionReport(
-        nodes=g.node_count,
-        edges=g.edge_count,
-        triangle_free=tri_free,
-        max_cut=cut,
-        optimal_score=optimal.best_score,
-        cut_formula=formula,
-        equality=optimal.best_score == formula,
-        bound_holds=optimal.best_score >= formula,
-        labelings_checked=checked,
-        per_labeling_equal=per_equal,
-        per_labeling_bound=per_bound,
     )

@@ -56,8 +56,11 @@ class GeometricGraphSpec:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise InputError("n must be >= 0")
-        if self.area_side <= 0 or self.radius <= 0:
-            raise InputError("area_side and radius must be positive")
+        if not (0 < self.area_side < math.inf and 0 < self.radius < math.inf):
+            raise InputError(
+                f"area_side and radius must be finite and positive, "
+                f"got {self.area_side} and {self.radius}"
+            )
 
     @property
     def density(self) -> float:
@@ -264,11 +267,16 @@ def simulate_random_schedule(
     caller simulating several k on one graph builds that coverage (and
     its masks) once and makes one instance per k.
     """
+    global _SIM_CONTEXT
     check_trials(trials)
 
     if workers <= 1:
         _sim_init(inst, seed)
-        samples = [_sim_trial(t) for t in range(trials)]
+        try:
+            samples = [_sim_trial(t) for t in range(trials)]
+        finally:
+            # the context holds the instance; release it with the run
+            _SIM_CONTEXT = None
     else:
         # the pool's modules (multiprocessing, pickle, socket, ...) load only here
         from concurrent.futures import ProcessPoolExecutor

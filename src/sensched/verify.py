@@ -6,9 +6,13 @@ Three families of checks:
   * dual-form scoring: the label-set total and the per-slot total of
     the coverage objective must agree on random labelings, computed
     here from first principles rather than through score();
-  * cut correspondence: on triangle-free graphs the exact optimum of
-    the two-slot reduced instance must equal 1/2 + maxcut/(2|E|), and
-    on all graphs the score must dominate the formula.
+  * cut correspondence (Karp's MAX-CUT behind the hardness argument):
+    with a device on every node, range 1, every edge a target and
+    k = 2, sigma = 1 (`reduced_instance`), a schedule is a bipartition.
+    `reduction_check` walks the bipartitions once, for the maximum cut
+    and the score of each labeling; on triangle-free graphs the exact
+    optimum must equal 1/2 + maxcut/(2|E|), and on all graphs the score
+    must dominate the formula.
 """
 
 from __future__ import annotations
@@ -18,11 +22,24 @@ from fractions import Fraction
 from random import Random
 
 from .coverage import CoverageGraph, build_detection, build_isolation
+from .errors import InputError, SearchSpaceError
 from .game import GameState, check_potential_identity, random_placement_state, random_state
 from .graph import NetworkGraph, Target, all_edge_targets, all_node_targets
-from .oracle import reduction_check
+from .oracle import exact_optimal_schedule
 from .schedule import Labeling, ProblemInstance, score
 from .seeds import derive_rng
+
+# suite sizes
+POTENTIAL_INSTANCES = 20  # fixed-site instances of the potential-game suite
+PLACEMENT_INSTANCES = 8  # placement instances of the same suite
+DEVIATIONS_PER_STATE = 40
+DUAL_FORM_INSTANCES = 10
+LABELINGS_PER_INSTANCE = 12
+REDUCTION_GRAPHS = 50  # triangle-free graphs; half as many general ones follow
+REDUCTION_MAX_NODES = 12  # nodes of a triangle-free graph, at most
+# reduction_check
+REDUCTION_NODE_LIMIT = 14  # larger graphs are refused
+PER_LABELING_NODES = 8  # up to this many nodes every labeling is scored
 
 
 @dataclass
@@ -111,39 +128,30 @@ def random_labeling(rng: Random, inst: ProblemInstance, exact: bool = False) -> 
     )
 
 
-def check_potential_game(
-    seed: int = 0,
-    instances: int = 20,
-    deviations_per_state: int = 40,
-    placement_instances: int = 8,
-) -> CheckReport:
+def check_potential_game(seed: int = 0) -> CheckReport:
     """Random unilateral deviations in both modes: dU must equal dPhi."""
     report = CheckReport("potential-game identity")
     rng = derive_rng(seed, "verify-potential")
-    for idx in range(instances):
+    for idx in range(POTENTIAL_INSTANCES):
         inst = random_instance(rng)
         state = random_state(inst, rng)
-        _deviate_many(rng, state, deviations_per_state, report, f"instance {idx}")
-    for idx in range(placement_instances):
+        _deviate_many(rng, state, report, f"instance {idx}")
+    for idx in range(PLACEMENT_INSTANCES):
         inst = random_instance(rng, allow_isolation=False)
         devices = rng.randint(1, inst.coverage.n_x)
         state = random_placement_state(inst, devices, rng)
-        _deviate_many(
-            rng, state, deviations_per_state, report, f"placement instance {idx}",
-            placement=True,
-        )
+        _deviate_many(rng, state, report, f"placement instance {idx}", placement=True)
     return report
 
 
 def _deviate_many(
     rng: Random,
     state: GameState,
-    count: int,
     report: CheckReport,
     label: str,
     placement: bool = False,
 ) -> None:
-    for _ in range(count):
+    for _ in range(DEVIATIONS_PER_STATE):
         player = rng.randrange(state.n_players)
         labels = frozenset(rng.sample(range(state.k), state.sigma))
         site = None
@@ -160,16 +168,14 @@ def _deviate_many(
             state.move(player, labels, site=site)
 
 
-def check_dual_form(
-    seed: int = 0, instances: int = 10, labelings_per_instance: int = 12
-) -> CheckReport:
+def check_dual_form(seed: int = 0) -> CheckReport:
     """Label-set total vs per-slot total, both computed from definitions."""
     report = CheckReport("dual-form score equality")
     rng = derive_rng(seed, "verify-dualform")
-    for idx in range(instances):
+    for idx in range(DUAL_FORM_INSTANCES):
         inst = random_instance(rng)
         cov = inst.coverage
-        for _ in range(labelings_per_instance):
+        for _ in range(LABELINGS_PER_INSTANCE):
             labeling = random_labeling(rng, inst)
             by_labels = _label_form(cov, labeling)
             by_slots = _slot_form(cov, labeling, inst.k)
@@ -206,23 +212,104 @@ def _slot_form(cov: CoverageGraph, labeling: Labeling, k: int) -> int:
     return total
 
 
-def check_reduction(
-    seed: int = 0,
-    graphs: int = 50,
-    max_nodes: int = 12,
-    per_labeling_nodes: int = 8,
-) -> CheckReport:
+def has_triangle(g: NetworkGraph) -> bool:
+    nbrs = [set(g.neighbors(v)) for v in range(g.node_count)]
+    return any(nbrs[u] & nbrs[v] for u, v in g.edges)
+
+
+def reduced_instance(g: NetworkGraph) -> ProblemInstance:
+    """Two-slot, one-shot-battery detection instance over all edges.
+
+    With devices on every node and range 1, a two-slot schedule is a
+    bipartition of the nodes, which ties the optimal score to the
+    maximum cut on graphs where only an edge's endpoints can cover it.
+    """
+    if g.edge_count == 0:
+        raise InputError("the cut correspondence needs at least one edge")
+    cov = build_detection(g, range(g.node_count), all_edge_targets(g), 1)
+    return ProblemInstance(cov, k=2, sigma=1)
+
+
+@dataclass(frozen=True)
+class ReductionReport:
+    nodes: int
+    edges: int
+    triangle_free: bool
+    max_cut: int
+    optimal_score: Fraction
+    cut_formula: Fraction  # 1/2 + max_cut/(2 * edges)
+    labelings_checked: int
+    per_labeling_equal: bool
+    per_labeling_bound: bool
+
+    @property
+    def equality(self) -> bool:
+        return self.optimal_score == self.cut_formula
+
+    @property
+    def bound_holds(self) -> bool:
+        return self.optimal_score >= self.cut_formula
+
+
+def reduction_check(g: NetworkGraph) -> ReductionReport:
+    """Compare the exact optimal two-slot score with the max-cut formula.
+
+    The formula 1/2 + cut/(2|E|) matches the score exactly on
+    triangle-free graphs, where an edge's only coverers are its two
+    endpoints. A third node adjacent to both endpoints also covers the
+    edge, so on graphs with triangles the score can exceed the formula;
+    the score >= formula bound holds for every graph and every
+    labeling, and equality is reported rather than assumed.
+
+    One loop walks the 2^n bipartitions, bit v of `side` putting node v
+    in slot 1, and keeps the largest cut. Up to PER_LABELING_NODES nodes
+    it also scores each bipartition's labeling against 1/2 + cut/(2|E|).
+    Graphs above REDUCTION_NODE_LIMIT nodes are refused.
+    """
+    n, m = g.node_count, g.edge_count
+    if n > REDUCTION_NODE_LIMIT:
+        raise SearchSpaceError(
+            f"{n} nodes exceeds reduction-check limit {REDUCTION_NODE_LIMIT}"
+        )
+    inst = reduced_instance(g)
+    per_labeling = n <= PER_LABELING_NODES
+    max_cut = 0
+    per_equal = per_bound = True
+    for side in range(1 << n):
+        cut = sum(((side >> u) ^ (side >> v)) & 1 for u, v in g.edges)
+        max_cut = max(max_cut, cut)
+        if per_labeling:
+            labeling = Labeling(tuple(frozenset({(side >> v) & 1}) for v in range(n)))
+            s = score(inst, labeling).score
+            f = Fraction(1, 2) + Fraction(cut, 2 * m)
+            per_equal = per_equal and s == f
+            per_bound = per_bound and s >= f
+
+    return ReductionReport(
+        nodes=n,
+        edges=m,
+        triangle_free=not has_triangle(g),
+        max_cut=max_cut,
+        optimal_score=exact_optimal_schedule(inst, max_optima=1).best_score,
+        cut_formula=Fraction(1, 2) + Fraction(max_cut, 2 * m),
+        labelings_checked=(1 << n) if per_labeling else 0,
+        per_labeling_equal=per_equal,
+        per_labeling_bound=per_bound,
+    )
+
+
+def check_reduction(seed: int = 0) -> CheckReport:
     """Cut correspondence on triangle-free graphs plus the general bound."""
     report = CheckReport("max-cut correspondence")
     rng = derive_rng(seed, "verify-reduction")
     made = 0
-    while made < graphs:
-        n = rng.randint(3, max_nodes)
+    while made < REDUCTION_GRAPHS:
+        n = rng.randint(3, REDUCTION_MAX_NODES)
         g = random_triangle_free_graph(rng, n, rng.uniform(0.3, 0.8))
         if g.edge_count == 0:
             continue
         made += 1
-        rep = reduction_check(g, per_labeling_limit=per_labeling_nodes)
+        rep = reduction_check(g)
         report.checks += 1
         if not (rep.equality and rep.bound_holds):
             report.failures.append(
@@ -235,7 +322,7 @@ def check_reduction(
             )
     # general graphs: only the one-sided bound is guaranteed
     made = 0
-    while made < graphs // 2:
+    while made < REDUCTION_GRAPHS // 2:
         n = rng.randint(3, 8)
         g = random_graph(rng, n, rng.uniform(0.3, 0.8))
         if g.edge_count == 0:

@@ -292,6 +292,15 @@ def brute_max_cut(g) -> int:
     return best
 
 
+def brute_has_triangle(g) -> bool:
+    """Some three nodes are pairwise adjacent."""
+    edges = {frozenset(e) for e in g.edges}
+    return any(
+        {frozenset((a, b)), frozenset((a, c)), frozenset((b, c))} <= edges
+        for a, b, c in combinations(range(g.node_count), 3)
+    )
+
+
 def brute_is_dominating(g, nodes) -> bool:
     chosen = set(nodes)
     if not chosen:

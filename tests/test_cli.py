@@ -530,6 +530,26 @@ def test_rand_experiment_refuses_before_generating(runner, monkeypatch, family, 
     assert f"error: {message}" in result.output
 
 
+@pytest.mark.parametrize("args, shown", [
+    pytest.param(["--radius", "nan"], "10.0 and nan", id="radius-nan"),
+    pytest.param(["--radius", "inf"], "10.0 and inf", id="radius-inf"),
+    pytest.param(["--area", "nan"], "nan and 2.0", id="area-nan"),
+    pytest.param(["--area", "inf"], "inf and 2.0", id="area-inf"),
+])
+def test_rand_experiment_refuses_non_finite_geometry(runner, tmp_path, args, shown):
+    out = tmp_path / "curve.csv"
+    result = runner.invoke(main, [
+        "rand-experiment", "--family", "geometric", "--n", "20", "--k-range", "2..3",
+        "--sigma", "1", "--trials", "2", *args, "--out", str(out),
+    ])
+    assert (result.exit_code, type(result.exception)) == (1, SystemExit)
+    assert (
+        f"error: area_side and radius must be finite and positive, got {shown}"
+        in result.output
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma", ["0", "-1"])
 def test_lifetime_disjoint_refuses_sigma_before_partitioning(runner, monkeypatch, sigma):
     calls = []
@@ -560,17 +580,30 @@ def test_convert_edgelist_round_trip(runner, tmp_path):
     assert inst.k == 3
 
 
-@pytest.mark.parametrize("text, message", [
-    pytest.param("a b c\n", "line 1: expected two node names", id="three-names"),
-    pytest.param("a b\nc c\n", "self-loop on node 'c'", id="self-loop"),
-    pytest.param("a b\na b\n", "duplicate edge 'a'-'b'", id="repeated-edge"),
-    pytest.param("a b\nb a\n", "duplicate edge 'b'-'a'", id="reversed-edge"),
+@pytest.mark.parametrize("text, options, message", [
+    pytest.param("a b c\n", [], "line 1: expected two node names", id="three-names"),
+    pytest.param("a b\nc c\n", [], "self-loop on node 'c'", id="self-loop"),
+    pytest.param("a b\na b\n", [], "duplicate edge 'a'-'b'", id="repeated-edge"),
+    pytest.param("a b\nb a\n", [], "duplicate edge 'b'-'a'", id="reversed-edge"),
+    # the loader's own rules, so `schedule` never meets a file it refuses
+    pytest.param("a b\n", ["--k", "0"],
+                 "converted instance: line 6: k must be >= 1, got 0", id="k-0"),
+    pytest.param("a b\n", ["--sigma", "3", "--k", "2"],
+                 "converted instance: line 0: sigma (3) must not exceed k (2)",
+                 id="sigma-above-k"),
+    pytest.param("a b\n", ["--lambda", "0"],
+                 "converted instance: line 5: lambda must be >= 1, got 0", id="lambda-0"),
+    pytest.param("a b\n", ["--lambda", "-1"],
+                 "converted instance: line 5: lambda must be >= 1, got -1",
+                 id="lambda-negative"),
 ])
-def test_convert_edgelist_rejects_garbage(runner, tmp_path, text, message):
+def test_convert_edgelist_rejects_garbage(runner, tmp_path, text, options, message):
     raw = tmp_path / "net.edges"
     raw.write_text(text)
     out = tmp_path / "net.instance"
-    result = runner.invoke(main, ["convert-edgelist", str(raw), "--out", str(out)])
+    result = runner.invoke(
+        main, ["convert-edgelist", str(raw), *options, "--out", str(out)]
+    )
     assert result.exit_code == 1
     assert f"error: {message}" in result.output
     assert not out.exists()

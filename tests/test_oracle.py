@@ -11,21 +11,15 @@ import pytest
 
 from sensched import oracle
 from sensched.coverage import build_detection
-from sensched.errors import InputError, SearchSpaceError
+from sensched.errors import SearchSpaceError
 from sensched.game import BlllParams, blll_schedule
 from sensched.graph import NetworkGraph, all_edge_targets, all_node_targets
-from sensched.oracle import (
-    exact_optimal_schedule,
-    has_triangle,
-    max_cut_brute,
-    reduced_instance,
-    reduction_check,
-)
+from sensched.oracle import exact_optimal_schedule
 from sensched.schedule import Labeling, ProblemInstance
 from sensched.seeds import derive_rng
-from sensched.verify import random_graph, random_instance, random_triangle_free_graph
+from sensched.verify import random_instance
 
-from ._brute import brute_best_labeling, brute_max_cut, renamed_by_first_use
+from ._brute import brute_best_labeling, renamed_by_first_use
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -47,9 +41,10 @@ def test_oracle_sigma_equals_k(path4):
     assert result.best_score == Fraction(coverable, cov.n_y)
 
 
-def test_oracle_refuses_large_spaces(path4_instance):
+def test_oracle_refuses_large_spaces(monkeypatch, path4_instance):
+    monkeypatch.setattr(oracle, "SPACE_LIMIT", 3)
     with pytest.raises(SearchSpaceError) as err:
-        exact_optimal_schedule(path4_instance, limit=3)
+        exact_optimal_schedule(path4_instance)
     assert "4" in str(err.value)
 
 
@@ -293,96 +288,3 @@ def test_oracle_invariant_under_node_relabeling(path4, path4_instance):
         exact_optimal_schedule(inst).best_score
         == exact_optimal_schedule(path4_instance).best_score
     )
-
-
-def test_max_cut_small_cases(triangle, k4, c4):
-    assert max_cut_brute(c4)[0] == 4
-    assert max_cut_brute(triangle)[0] == 2
-    assert max_cut_brute(k4)[0] == 4
-
-
-def test_max_cut_partition_is_consistent(c4):
-    cut, (one, two) = max_cut_brute(c4)
-    assert one | two == set(range(4)) and not (one & two)
-    crossing = sum(1 for u, v in c4.edges if (u in one) != (v in one))
-    assert crossing == cut
-
-
-def test_max_cut_matches_brute_force():
-    rng = derive_rng(42, "maxcut")
-    for _ in range(12):
-        g = random_graph(rng, rng.randint(2, 8), 0.5)
-        assert max_cut_brute(g)[0] == brute_max_cut(g)
-
-
-def test_max_cut_refuses_large(petersen):
-    with pytest.raises(SearchSpaceError):
-        max_cut_brute(petersen, node_limit=5)
-
-
-def test_reduced_instance_shape(c4):
-    inst = reduced_instance(c4)
-    assert inst.k == 2 and inst.sigma == 1
-    assert inst.coverage.n_x == 4
-    assert inst.coverage.n_y == 4
-
-
-def test_reduced_instance_needs_edges():
-    with pytest.raises(InputError):
-        reduced_instance(NetworkGraph(["a"], []))
-
-
-def test_reduction_equality_on_even_cycle(c4):
-    report = reduction_check(c4)
-    assert report.triangle_free
-    assert report.optimal_score == 1
-    assert report.equality and report.per_labeling_equal
-
-
-def test_reduction_single_edge():
-    g = NetworkGraph(["a", "b"], [("a", "b")])
-    report = reduction_check(g)
-    assert report.optimal_score == 1
-    assert report.equality
-
-
-def test_reduction_triangle_strictly_beats_formula(triangle):
-    # a device adjacent to both endpoints covers an edge it is not on,
-    # so triangles break the cut equality while the bound stays valid
-    report = reduction_check(triangle)
-    assert not report.triangle_free
-    assert report.optimal_score == 1
-    assert report.cut_formula == Fraction(5, 6)
-    assert not report.equality
-    assert report.bound_holds and report.per_labeling_bound
-
-
-def test_reduction_equality_on_random_triangle_free_graphs():
-    rng = derive_rng(43, "reduction")
-    done = 0
-    while done < 10:
-        g = random_triangle_free_graph(rng, rng.randint(3, 9), 0.5)
-        if g.edge_count == 0:
-            continue
-        done += 1
-        report = reduction_check(g)
-        assert report.equality
-        assert report.per_labeling_equal
-
-
-def test_reduction_bound_on_general_graphs():
-    rng = derive_rng(44, "reduction-bound")
-    done = 0
-    while done < 10:
-        g = random_graph(rng, rng.randint(3, 7), 0.6)
-        if g.edge_count == 0:
-            continue
-        done += 1
-        report = reduction_check(g)
-        assert report.bound_holds and report.per_labeling_bound
-        assert report.equality == (report.optimal_score == report.cut_formula)
-
-
-def test_has_triangle(triangle, c4):
-    assert has_triangle(triangle)
-    assert not has_triangle(c4)

@@ -308,6 +308,20 @@ def test_trial_without_context_raises(monkeypatch):
         randnet._sim_trial(0)
 
 
+def test_serial_run_releases_its_context(monkeypatch):
+    inst = ProblemInstance(node_coverage(gen_erdos_renyi(ErdosRenyiSpec(n=30, p=0.1))), 3, 1)
+    simulate_random_schedule(inst, 5, seed=1, workers=1)
+    assert randnet._SIM_CONTEXT is None
+
+    def failing(trial):
+        raise RuntimeError("trial failed")
+
+    monkeypatch.setattr(randnet, "_sim_trial", failing)
+    with pytest.raises(RuntimeError, match="trial failed"):
+        simulate_random_schedule(inst, 5, seed=1, workers=1)
+    assert randnet._SIM_CONTEXT is None
+
+
 def test_spec_validation():
     with pytest.raises(InputError):
         GeometricGraphSpec(n=5, area_side=0.0, radius=1.0)
