@@ -11,12 +11,11 @@ the graph, and disjoint lifetime checks sigma before it partitions.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import sys
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import click
 
@@ -40,11 +39,15 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv_lines(header: list[str], rows: Iterable[list]) -> Iterator[str]:
+    """A header and rows as CSV lines, for `_emit`.
+
+    No field needs quoting: every field is an int, a node name (NAME_RE
+    allows no comma, quote or space) or a `_fmt` float.
+    """
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -146,14 +149,9 @@ def schedule_cmd(
         report = score(inst, labeling)
         click.echo(f"{letter} = {format_score(report.score)}")
         if trace_path:
-            _write_csv(
-                trace_path,
-                ["iteration", "node", "label", "objective"],
-                [
-                    [p.iteration, inst.coverage.x_names[p.x], p.label + 1, p.objective]
-                    for p in g_result.trace
-                ],
-            )
+            names = inst.coverage.x_names
+            rows = ([p.iteration, names[p.x], p.label + 1, p.objective] for p in g_result.trace)
+            _emit(_csv_lines(["iteration", "node", "label", "objective"], rows), trace_path)
     else:
         # without --trace the chain records only its first and last points
         stride = 1 if trace_path else max(1, iters)
@@ -169,11 +167,8 @@ def schedule_cmd(
             f"accepted {b_result.accepted}/{iters})"
         )
         if trace_path:
-            _write_csv(
-                trace_path,
-                ["iteration", "phi", "score"],
-                [[i, phi, _fmt(phi / denom)] for i, phi in b_result.trace],
-            )
+            rows = ([i, phi, _fmt(phi / denom)] for i, phi in b_result.trace)
+            _emit(_csv_lines(["iteration", "phi", "score"], rows), trace_path)
     _emit((format_labeling(inst, labeling, report),), out)
 
 
@@ -244,11 +239,8 @@ def place_and_schedule_cmd(
             )
         )
     if csv_path:
-        _write_csv(
-            csv_path,
-            ["k", "D_joint", "D_twostage"],
-            [[inst.k, _fmt(float(scores["joint"])), _fmt(float(scores["two-stage"]))]],
-        )
+        row = [inst.k, _fmt(float(scores["joint"])), _fmt(float(scores["two-stage"]))]
+        _emit(_csv_lines(["k", "D_joint", "D_twostage"], [row]), csv_path)
     _emit(("\n".join(blocks),), out)
 
 
@@ -370,7 +362,7 @@ def rand_experiment_cmd(
         rows.append(
             [k, sigma, _fmt(closed), _fmt(stats.mean), _fmt(stats.stderr), trials]
         )
-    _emit([",".join(map(str, row)) + "\n" for row in [header, *rows]], out)
+    _emit(_csv_lines(header, rows), out)
 
 
 @main.command("convert-edgelist")

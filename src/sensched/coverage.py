@@ -40,6 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import InputError, SearchSpaceError
@@ -330,31 +331,45 @@ def adjacency_lines(cov: CoverageGraph) -> Iterator[str]:
     straight from the detection rows and `target_keys`. Isolation: the
     device's pairs in y order are the rows a = 0..m-1 of the pair triangle,
     and row a is every b > a on the other side of the device's cover from
-    a, so it is a suffix of the device's covered or uncovered key list and
-    is written with one join. Only the line being yielded is held, so a
-    writer that consumes the lines as they come needs memory for the
-    longest line, not for the listing.
+    a. The walk visits the covered targets in order, so it takes
+    O(|cover|) interpreted steps per device, not O(m):
+
+    - the uncovered targets between two consecutive covered ones form a
+      gap, and each of them pairs with the same suffix of the covered
+      keys, from the next covered target on, so the gap's rows are one
+      `map` of `str.join` over its separators;
+    - a covered target pairs with the suffix of the uncovered keys after
+      it; the uncovered keys are the slices of `target_keys` between the
+      covered targets, so each covered row is one `str.join`.
+
+    Every row starts with its "," separator (joined onto a leading ""),
+    and the line drops the first one. Only the line being yielded is
+    held, so a writer that consumes the lines as they come needs memory
+    for the longest line, not for the listing.
     """
     keys = cov.target_keys
     if cov.objective == "detection":
         for name, cover in zip(cov.x_names, cov.covers):
             yield f"{name}: {','.join([keys[t] for t in sorted(cover)])}".rstrip() + "\n"
         return
-    heads = [k + "|" for k in keys]
-    seps = ["," + h for h in heads]
+    seps = ["," + k + "|" for k in keys]
     for name, cover in zip(cov.x_names, cov.covers):
-        inside = [t in cover for t in range(len(keys))]
-        sides: tuple[list[str], list[str]] = ([], [])  # uncovered, covered keys
-        for k, c in zip(keys, inside):
-            sides[c].append(k)
-        passed = [0, 0]  # targets of each side up to a
-        rows = []
-        for a, c in enumerate(inside):
-            passed[c] += 1
-            rest = sides[not c][passed[not c]:]
-            if rest:
-                rows.append(heads[a] + seps[a].join(rest))
-        yield f"{name}: {','.join(rows)}".rstrip() + "\n"
+        order = sorted(cover)
+        covered = [keys[t] for t in order]
+        uncovered: list[str] = []
+        prev = 0
+        for t in order:
+            uncovered += keys[prev:t]
+            prev = t + 1
+        uncovered += keys[prev:]
+        rows: list[str] = []
+        prev = 0
+        for j, t in enumerate(order):  # j covered and t - j uncovered targets before t
+            if prev < t:
+                rows += map(str.join, seps[prev:t], repeat(["", *covered[j:]]))
+            rows.append(seps[t].join(["", *uncovered[t - j:]]))
+            prev = t + 1
+        yield f"{name}: {''.join(rows)[1:]}".rstrip() + "\n"
 
 
 def to_adjacency_text(cov: CoverageGraph) -> str:

@@ -14,10 +14,14 @@ class InputError(SenschedError):
 
 
 class ParseError(InputError):
-    """Malformed instance or labeling file; carries a line number."""
+    """Malformed instance or labeling file; carries the offending line number.
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    `line_no` is None when no line is at fault (a required key is missing),
+    and the message then carries no line prefix.
+    """
+
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 

@@ -79,7 +79,7 @@ def parse_instance(text: str) -> InstanceSpec:
 
     def require(key: str) -> tuple[int, str]:
         if key not in entries:
-            raise ParseError(0, f"missing required key {key!r}")
+            raise ParseError(None, f"missing required key {key!r}")
         return entries[key]
 
     def split_list(value: str) -> list[str]:
@@ -145,7 +145,9 @@ def parse_instance(text: str) -> InstanceSpec:
         objective=objective,
     )
     if spec.sigma is not None and spec.k is not None and spec.sigma > spec.k:
-        raise ParseError(0, f"sigma ({spec.sigma}) must not exceed k ({spec.k})")
+        raise ParseError(
+            entries["sigma"][0], f"sigma ({spec.sigma}) must not exceed k ({spec.k})"
+        )
     return spec
 
 

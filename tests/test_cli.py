@@ -589,7 +589,7 @@ def test_convert_edgelist_round_trip(runner, tmp_path):
     pytest.param("a b\n", ["--k", "0"],
                  "converted instance: line 6: k must be >= 1, got 0", id="k-0"),
     pytest.param("a b\n", ["--sigma", "3", "--k", "2"],
-                 "converted instance: line 0: sigma (3) must not exceed k (2)",
+                 "converted instance: line 7: sigma (3) must not exceed k (2)",
                  id="sigma-above-k"),
     pytest.param("a b\n", ["--lambda", "0"],
                  "converted instance: line 5: lambda must be >= 1, got 0", id="lambda-0"),

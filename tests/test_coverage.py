@@ -173,7 +173,12 @@ def test_adjacency_text_keeps_no_isolation_adjacency(path4):
 
 def test_adjacency_text_matches_brute_force():
     rng = derive_rng(14, "adjacency-text")
-    cases = dict.fromkeys(("m2", "blind", "sees_all", "mixed_kinds", *"0123"), 0)
+    # first, last and adjacent are the boundaries of the isolation walk over
+    # the covered targets of a device that misses some: target 0 covered,
+    # target m-1 covered, two consecutive targets covered (an empty gap)
+    cases = dict.fromkeys(
+        ("m2", "blind", "sees_all", "mixed_kinds", "first", "last", "adjacent", *"0123"), 0
+    )
     compared = 0
     while compared < 120:
         n = rng.randint(2, 7)
@@ -199,6 +204,10 @@ def test_adjacency_text_matches_brute_force():
         cases["blind"] += any(not c for c in covered)
         cases["sees_all"] += any(len(c) == len(ts) for c in covered)
         cases["mixed_kinds"] += len({t.kind for t in ts}) == 2
+        partial = [c for c in det if len(c) < len(ts)]
+        cases["first"] += any(0 in c for c in partial)
+        cases["last"] += any(len(ts) - 1 in c for c in partial)
+        cases["adjacent"] += any(t + 1 in c for c in partial for t in c)
         cases[str(r)] += 1
     assert min(cases.values()) >= 10, cases
 

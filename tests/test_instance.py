@@ -87,8 +87,11 @@ def test_parse_rejects_bad_name():
 
 
 def test_parse_rejects_sigma_above_k():
-    with pytest.raises(ParseError):
+    # the rule spans two keys; the message names the sigma line
+    with pytest.raises(ParseError) as err:
         parse_instance(GOOD.replace("sigma: 1", "sigma: 3"))
+    assert str(err.value) == "line 8: sigma (3) must not exceed k (2)"
+    assert err.value.line_no == 8
 
 
 def test_parse_rejects_nonpositive_values():
@@ -99,9 +102,11 @@ def test_parse_rejects_nonpositive_values():
 
 
 def test_missing_required_key():
+    # no line is at fault, so the message carries no line number
     with pytest.raises(ParseError) as err:
         parse_instance("nodes: a, b\n")
-    assert "edges" in str(err.value)
+    assert str(err.value) == "missing required key 'edges'"
+    assert err.value.line_no is None
 
 
 def test_unresolved_edge_endpoints_listed():

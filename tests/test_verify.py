@@ -50,7 +50,8 @@ def test_reduction_check_refuses_large_graphs(monkeypatch, petersen, c4):
 
 
 def test_reduction_check_scores_each_labeling_up_to_the_node_limit(monkeypatch, c4):
-    assert reduction_check(c4).labelings_checked == 16
+    # one labeling per bipartition: node 3 stays in slot 0
+    assert reduction_check(c4).labelings_checked == 8
     monkeypatch.setattr(verify, "PER_LABELING_NODES", 3)
     report = reduction_check(c4)
     assert report.labelings_checked == 0
@@ -132,7 +133,9 @@ def _brute_report(g) -> dict:
 
     A device covers an edge when both endpoints lie within range 1 of
     it; a two-slot, one-label labeling is a bipartition, and its cut
-    counts the edges whose endpoints hold different labels.
+    counts the edges whose endpoints hold different labels. The flags
+    hold over all 2^n labelings; the count is of the half with node n-1
+    in slot 0, one labeling per bipartition.
     """
     n, m = g.node_count, g.edge_count
     targets = all_edge_targets(g)
@@ -147,12 +150,13 @@ def _brute_report(g) -> dict:
     optimal, _ = brute_best_labeling(cov, 2, 1)
     max_cut = brute_max_cut(g)
     cut_formula = Fraction(1, 2) + Fraction(max_cut, 2 * m)
+    labelings = list(product(((0,), (1,)), repeat=n)) if n <= 8 else []
     per_labeling = [
         (
             brute_score(cov, sets, 2),
             Fraction(1, 2) + Fraction(sum(sets[u] != sets[v] for u, v in g.edges), 2 * m),
         )
-        for sets in (product(((0,), (1,)), repeat=n) if n <= 8 else ())
+        for sets in labelings
     ]
     return {
         "nodes": n,
@@ -163,7 +167,7 @@ def _brute_report(g) -> dict:
         "cut_formula": cut_formula,
         "equality": optimal == cut_formula,
         "bound_holds": optimal >= cut_formula,
-        "labelings_checked": len(per_labeling),
+        "labelings_checked": sum(sets[-1] == (0,) for sets in labelings),
         "per_labeling_equal": all(s == f for s, f in per_labeling),
         "per_labeling_bound": all(s >= f for s, f in per_labeling),
     }
