@@ -5,8 +5,8 @@ is bit-reproducible, including across --workers settings. Exit codes:
 0 success, 1 input error, 2 verification failure, 3 resource refusal
 (oracle space too large, too many isolation pairs, or search budget
 exhausted). Each (k, sigma) pair passes `schedule.check_k_sigma`;
-rand-experiment checks its k range, sigma and trials before it generates
-the graph, and disjoint lifetime checks sigma before it partitions.
+rand-experiment checks its k range, sigma, trials and workers before it
+generates the graph, and disjoint lifetime checks sigma before it partitions.
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ def rand_experiment_cmd(
         raise InputError(f"empty k range {k_range!r}")
     # every k of the range holds sigma if the smallest does
     check_k_sigma(lo, sigma)
-    randnet.check_trials(trials)
+    randnet.check_run(trials, workers)
 
     if family == "geometric":
         spec = randnet.GeometricGraphSpec(

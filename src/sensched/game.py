@@ -328,20 +328,22 @@ class GameState:
         return _aligned(self.sites, self.actions)
 
 
-def random_state(inst: ProblemInstance, rng: Random) -> GameState:
-    """Every device draws a uniform exactly-sigma label set."""
-    draw = label_sampler(inst.k, inst.sigma)(rng)
+def random_state(inst: ProblemInstance, draw: Callable[[], frozenset[int]]) -> GameState:
+    """Every device takes a label set from draw, a bound `seeds.label_sampler`."""
     actions = [draw() for _ in range(inst.coverage.n_x)]
     return GameState(inst, actions)
 
 
 def random_placement_state(
-    inst: ProblemInstance, device_count: int, rng: Random
+    inst: ProblemInstance,
+    device_count: int,
+    rng: Random,
+    draw: Callable[[], frozenset[int]],
 ) -> GameState:
-    """Uniform random distinct sites plus uniform label sets."""
+    """Uniform random distinct sites from rng, then label sets from draw
+    (a `seeds.label_sampler` bound to rng)."""
     _check_device_count(inst.coverage, device_count)
     sites = rng.sample(range(inst.coverage.n_x), device_count)
-    draw = label_sampler(inst.k, inst.sigma)(rng)
     actions = [draw() for _ in range(device_count)]
     return GameState(inst, actions, sites=sites)
 
@@ -383,19 +385,19 @@ def check_potential_identity(
 
 
 def _action_proposer(
-    rng: Random, k: int, sigma: int
+    rng: Random, k: int, sigma: int, draw: Callable[[], frozenset[int]]
 ) -> Callable[[frozenset[int]], frozenset[int]]:
     """Trial label sets for a fixed-location player, given its current set.
 
-    A uniform exactly-sigma set other than the current one, or the
-    current one when it is the only set; above UNIFORM_PROPOSAL_LIMIT
-    sets, the current set with one uniform label swapped for an unused one.
+    A uniform exactly-sigma set (from draw, a `seeds.label_sampler`
+    bound to rng) other than the current one, or the current one when it
+    is the only set; above UNIFORM_PROPOSAL_LIMIT sets, the current set
+    with one uniform label swapped for an unused one.
     """
     n_actions = math.comb(k, sigma)
     if n_actions == 1:
         return lambda current: current
     if n_actions <= UNIFORM_PROPOSAL_LIMIT:
-        draw = label_sampler(k, sigma)(rng)
 
         def resample(current: frozenset[int]) -> frozenset[int]:
             while True:
@@ -521,8 +523,12 @@ def blll_schedule(inst: ProblemInstance, params: BlllParams | None = None) -> Bl
     """
     params = params or BlllParams()
     rng = derive_rng(params.seed, "blll-schedule")
-    state = random_state(inst, rng)
-    return _run_chain(state, params, rng, _action_proposer(rng, inst.k, inst.sigma))
+    # one label table per run, for the initial state and the trials
+    draw = label_sampler(inst.k, inst.sigma)(rng)
+    state = random_state(inst, draw)
+    return _run_chain(
+        state, params, rng, _action_proposer(rng, inst.k, inst.sigma, draw)
+    )
 
 
 def blll_place_and_schedule(
@@ -536,8 +542,9 @@ def blll_place_and_schedule(
     """
     params = params or BlllParams()
     rng = derive_rng(params.seed, "blll-placement")
-    state = random_placement_state(inst, device_count, rng)
+    # one label table per run, for the initial state and the trials
     draw = label_sampler(inst.k, inst.sigma)(rng)
+    state = random_placement_state(inst, device_count, rng, draw)
     below = randbelow(rng)
     n_open = len(state.free_sites) + 1
 

@@ -16,9 +16,11 @@ ProblemInstance alone, which has already checked k and sigma.
 
 A trial's label sets are the draws of frozenset(rng.sample(range(k),
 sigma)) per device, taken through seeds.label_sampler: one decode table
-per (k, sigma) and process, shared by every trial's rng, and one
-getrandbits(r.bit_length()) per label (redrawn while >= r, for
-r = k, k - 1, ...), as BLLL's trial label sets are.
+per simulate_random_schedule call and process, shared by every trial's
+rng, and one getrandbits(r.bit_length()) per label (redrawn while >= r,
+for r = k, k - 1, ...), as BLLL's trial label sets are. A trial yields
+its integer potential; the run divides by k * |Y| once, so it adds no
+Fraction per trial.
 """
 
 from __future__ import annotations
@@ -187,9 +189,12 @@ def closed_form(k: int, sigma: int, mean_degree: float) -> float:
     return 1.0 - ((k - sigma) / k) * math.exp(-sigma * mean_degree / k)
 
 
-def check_trials(trials: int) -> None:
+def check_run(trials: int, workers: int) -> None:
+    """InputError unless a Monte-Carlo run has at least one trial and one worker."""
     if trials < 1:
         raise InputError("trials must be >= 1")
+    if workers < 1:
+        raise InputError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -212,13 +217,14 @@ def _sim_init(inst: ProblemInstance, seed: int) -> None:
     _SIM_CONTEXT = (inst, seed, label_sampler(inst.k, inst.sigma))
 
 
-def _sim_trial(trial: int) -> Fraction:
+def _sim_trial(trial: int) -> int:
+    """One trial's potential: covered (slot, Y-element) pairs of its labeling."""
     if _SIM_CONTEXT is None:
         raise RuntimeError("_sim_trial needs _sim_init to run first in this process")
     inst, seed, sampler = _SIM_CONTEXT
     draw = sampler(derive_rng(seed, "trial", trial))
     labeling = Labeling(tuple(draw() for _ in range(inst.coverage.n_x)))
-    return score(inst, labeling).score
+    return score(inst, labeling).potential
 
 
 def expected_random_score(inst: ProblemInstance) -> Fraction:
@@ -268,9 +274,9 @@ def simulate_random_schedule(
     its masks) once and makes one instance per k.
     """
     global _SIM_CONTEXT
-    check_trials(trials)
+    check_run(trials, workers)
 
-    if workers <= 1:
+    if workers == 1:
         _sim_init(inst, seed)
         try:
             samples = [_sim_trial(t) for t in range(trials)]
@@ -286,9 +292,11 @@ def simulate_random_schedule(
         ) as pool:
             samples = list(pool.map(_sim_trial, range(trials), chunksize=8))
 
-    total = sum(samples, Fraction(0))
-    mean_fraction = total / trials
-    floats = [float(s) for s in samples]
+    # a trial's score is its potential over the k * |Y| (slot, Y-element)
+    # pairs; int / int is correctly rounded, so p / pairs == float(score)
+    pairs = inst.k * inst.coverage.n_y
+    mean_fraction = Fraction(sum(samples), trials * pairs)
+    floats = [p / pairs for p in samples]
     stderr = statistics.stdev(floats) / math.sqrt(trials) if trials > 1 else 0.0
     return RandomScheduleStats(
         mean=float(mean_fraction),

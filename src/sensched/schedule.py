@@ -91,70 +91,71 @@ def validate_labeling(inst: ProblemInstance, labeling: Labeling) -> None:
         raise BatteryViolation(offenders, inst.sigma)
 
 
-def _covers_total(cov: CoverageGraph, labeling: Labeling, k: int) -> int:
-    """Covered (slot, Y-element) pairs, counted from `cov.covers` alone.
+def _pairs_told_apart(cov: CoverageGraph, active: list[int]) -> list[int]:
+    """Per slot, the isolation pairs its active devices (one bitset per slot) cover.
 
-    Detection: each device with a non-empty label set ORs that set's
-    k-bit value, looked up once per distinct set, into the entry of
-    every target it covers, and the entries' popcounts are summed.
-    Isolation: a pair is covered in slot j iff some device active in j
-    covers exactly one of its targets. So the pairs left uncovered are
-    those inside the groups of targets that the active devices cannot
-    tell apart, the target classes (`cov.target_classes()`) merged by
-    which of their holders are active, and the slot covers
-    C(m, 2) - sum over groups of C(|group|, 2).
+    Counted from `cov.target_classes()`, so from the detection rows alone.
     """
-    if cov.objective == "detection":
-        bits_of = {labels: sum(1 << lab for lab in labels) for labels in set(labeling.by_x)}
-        slots_of_y = [0] * cov.n_y
-        for ys, labels in zip(cov.covers, labeling.by_x):
-            if labels:
-                bits = bits_of[labels]
-                for y in ys:
-                    slots_of_y[y] |= bits
-        return sum(map(int.bit_count, slots_of_y))
     sizes = cov.target_classes()
-    active = [0] * k  # per slot, its active devices as a bitset
-    for xi, labels in enumerate(labeling.by_x):
-        for lab in labels:
-            active[lab] |= 1 << xi
-    total = 0
+    out = []
     for devices in active:
         groups: dict[int, int] = {}
         for holder, size in sizes.items():
             seen = holder & devices
             groups[seen] = groups.get(seen, 0) + size
-        total += cov.n_y - sum(n * (n - 1) // 2 for n in groups.values())
-    return total
+        out.append(cov.n_y - sum(n * (n - 1) // 2 for n in groups.values()))
+    return out
 
 
 def score(inst: ProblemInstance, labeling: Labeling) -> ScheduleReport:
     """Average coverage score of a labeling, as an exact fraction.
 
-    Computes the per-slot form (sum over slots of covered Y counts, the
-    OR of the active devices' `cov.masks`) and, independently, the same
-    total from the detection rows `cov.covers` without reading `masks`
-    (see `_covers_total`); the two are always equal, and a mismatch
-    raises VerificationError.
+    One walk over the devices' label sets counts each slot's covered Y
+    elements twice. The slot form ORs the active devices' `cov.masks`.
+    The covers form reads only the detection rows `cov.covers`, never
+    `masks`:
+    - detection: a slot covers the union of its active devices' rows;
+    - isolation: a pair is covered in slot j iff some device active in j
+      covers exactly one of its targets. So the pairs left uncovered are
+      those inside the groups of targets that the active devices cannot
+      tell apart, the target classes (`cov.target_classes()`) merged by
+      which of their holders are active, and the slot covers
+      C(m, 2) - sum over groups of C(|group|, 2).
+    The two forms are always equal slot by slot; the first slot where
+    they differ raises VerificationError.
     """
     validate_labeling(inst, labeling)
-    cov = inst.coverage
-    potential = _covers_total(cov, labeling, inst.k)
-    covered = [0] * inst.k
-    for mask, labels in zip(cov.masks, labeling.by_x):
-        for lab in labels:
-            covered[lab] |= mask
+    cov, k = inst.coverage, inst.k
+    covered = [0] * k  # per slot, the OR of its active devices' masks
+    if cov.objective == "detection":
+        rows: list[list[frozenset[int]]] = [[] for _ in range(k)]
+        for mask, cover, labels in zip(cov.masks, cov.covers, labeling.by_x):
+            for lab in labels:
+                covered[lab] |= mask
+                rows[lab].append(cover)
+        counted = [len(frozenset().union(*slot_rows)) for slot_rows in rows]
+    else:
+        active = [0] * k  # per slot, its active devices as a bitset
+        for xi, (mask, labels) in enumerate(zip(cov.masks, labeling.by_x)):
+            bit = 1 << xi
+            for lab in labels:
+                covered[lab] |= mask
+                active[lab] |= bit
+        counted = _pairs_told_apart(cov, active)
     per_slot = [c.bit_count() for c in covered]
-    if sum(per_slot) != potential:
+    if per_slot != counted:
+        slot = next(j for j in range(k) if per_slot[j] != counted[j])
         raise VerificationError(
-            f"slot-form total {sum(per_slot)} and covers total {potential} diverged"
+            f"slot-form total {sum(per_slot)} and covers total {sum(counted)} diverged, "
+            f"first in slot {slot + 1}: {per_slot[slot]} and {counted[slot]} covered"
         )
+    potential = sum(per_slot)
     return ScheduleReport(
-        k=inst.k,
+        k=k,
         n_y=cov.n_y,
         per_slot_covered=tuple(per_slot),
         potential=potential,
-        score=Fraction(potential, inst.k * cov.n_y),
+        score=Fraction(potential, k * cov.n_y),
     )
 
 

@@ -27,7 +27,7 @@ from .game import GameState, check_potential_identity, random_placement_state, r
 from .graph import NetworkGraph, Target, all_edge_targets, all_node_targets
 from .oracle import exact_optimal_schedule
 from .schedule import Labeling, ProblemInstance, score
-from .seeds import derive_rng
+from .seeds import derive_rng, label_sampler
 
 # suite sizes
 POTENTIAL_INSTANCES = 20  # fixed-site instances of the potential-game suite
@@ -134,12 +134,14 @@ def check_potential_game(seed: int = 0) -> CheckReport:
     rng = derive_rng(seed, "verify-potential")
     for idx in range(POTENTIAL_INSTANCES):
         inst = random_instance(rng)
-        state = random_state(inst, rng)
+        state = random_state(inst, label_sampler(inst.k, inst.sigma)(rng))
         _deviate_many(rng, state, report, f"instance {idx}")
     for idx in range(PLACEMENT_INSTANCES):
         inst = random_instance(rng, allow_isolation=False)
         devices = rng.randint(1, inst.coverage.n_x)
-        state = random_placement_state(inst, devices, rng)
+        state = random_placement_state(
+            inst, devices, rng, label_sampler(inst.k, inst.sigma)(rng)
+        )
         _deviate_many(rng, state, report, f"placement instance {idx}", placement=True)
     return report
 

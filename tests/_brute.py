@@ -133,16 +133,21 @@ def brute_potential(cov, label_sets) -> int:
     return total
 
 
-def brute_slot_potential(cov, label_sets, k) -> int:
-    """Sum over slots of the number of y covered by that slot's actives."""
-    total = 0
+def brute_per_slot_covered(cov, label_sets, k) -> tuple[int, ...]:
+    """Per slot, the number of y adjacent to some device active in it."""
+    out = []
     for j in range(k):
         covered = set()
         for xi in range(cov.n_x):
             if j in label_sets[xi]:
                 covered |= set(cov.adj[xi])
-        total += len(covered)
-    return total
+        out.append(len(covered))
+    return tuple(out)
+
+
+def brute_slot_potential(cov, label_sets, k) -> int:
+    """Sum over slots of the number of y covered by that slot's actives."""
+    return sum(brute_per_slot_covered(cov, label_sets, k))
 
 
 def brute_utility(cov, label_sets, x) -> int:

@@ -513,6 +513,10 @@ def test_rand_experiment_validates_range(runner, tmp_path):
                  id="k-range-from-0"),
     pytest.param(["--k-range", "2..4", "--sigma", "1", "--trials", "0"],
                  "trials must be >= 1", id="trials-0"),
+    pytest.param(["--k-range", "2..4", "--sigma", "1", "--workers", "0"],
+                 "workers must be >= 1", id="workers-0"),
+    pytest.param(["--k-range", "2..4", "--sigma", "1", "--workers", "-4"],
+                 "workers must be >= 1", id="workers-negative"),
 ])
 def test_rand_experiment_refuses_before_generating(runner, monkeypatch, family, args,
                                                    message):

@@ -22,7 +22,7 @@ from sensched.game import (
 from sensched.graph import NetworkGraph, Target, all_node_targets
 from sensched.oracle import exact_optimal_schedule
 from sensched.schedule import Labeling, ProblemInstance, score
-from sensched.seeds import derive_rng
+from sensched.seeds import derive_rng, label_sampler
 from sensched.verify import random_graph, random_instance
 
 from ._brute import (
@@ -110,7 +110,7 @@ def test_identity_random_deviations():
     rng = derive_rng(31, "identity")
     for _ in range(30):
         inst = random_instance(rng)
-        state = random_state(inst, rng)
+        state = random_state(inst, label_sampler(inst.k, inst.sigma)(rng))
         for _ in range(10):
             player = rng.randrange(state.n_players)
             labels = frozenset(rng.sample(range(inst.k), inst.sigma))
@@ -123,7 +123,9 @@ def test_identity_placement_mode():
     for _ in range(15):
         inst = random_instance(rng, allow_isolation=False)
         devices = rng.randint(1, inst.coverage.n_x)
-        state = random_placement_state(inst, devices, rng)
+        state = random_placement_state(
+            inst, devices, rng, label_sampler(inst.k, inst.sigma)(rng)
+        )
         for _ in range(10):
             player = rng.randrange(devices)
             site = state.open_site(player, rng.randrange(len(state.free_sites) + 1))
@@ -146,9 +148,11 @@ def test_incremental_counts_match_brute_force(placement):
         objectives.add(inst.objective)
         if placement:
             devices = rng.randint(1, cov.n_x)
-            state = random_placement_state(inst, devices, rng)
+            state = random_placement_state(
+                inst, devices, rng, label_sampler(inst.k, inst.sigma)(rng)
+            )
         else:
-            state = random_state(inst, rng)
+            state = random_state(inst, label_sampler(inst.k, inst.sigma)(rng))
         for _ in range(12):
             player = rng.randrange(state.n_players)
             site = state.sites[player]
@@ -248,7 +252,9 @@ def test_open_site_reads_open_sites_without_the_list():
         inst = random_instance(rng, allow_isolation=False)
         cov = inst.coverage
         devices = rng.randint(1, cov.n_x)
-        state = random_placement_state(inst, devices, rng)
+        state = random_placement_state(
+            inst, devices, rng, label_sampler(inst.k, inst.sigma)(rng)
+        )
         for _ in range(8):
             player = rng.randrange(devices)
             free = _open_sites(cov.n_x, state.sites, player)
@@ -280,7 +286,7 @@ def test_phi_equals_score_times_denominator():
     rng = derive_rng(33, "phi-vs-score")
     for _ in range(20):
         inst = random_instance(rng)
-        state = random_state(inst, rng)
+        state = random_state(inst, label_sampler(inst.k, inst.sigma)(rng))
         report = score(inst, state.placement()[1])
         assert state.phi == report.potential
         assert Fraction(state.phi, inst.k * inst.coverage.n_y) == report.score

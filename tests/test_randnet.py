@@ -302,6 +302,17 @@ def test_simulation_mean_is_near_the_exact_expectation():
     assert abs(stats.mean - float(exact)) <= 4 * stats.stderr
 
 
+@pytest.mark.parametrize("trials, workers, message", [
+    (0, 1, "trials must be >= 1"),
+    (3, 0, "workers must be >= 1"),
+    (3, -4, "workers must be >= 1"),
+])
+def test_simulation_refuses_no_trials_or_workers(trials, workers, message):
+    inst = ProblemInstance(node_coverage(gen_erdos_renyi(ErdosRenyiSpec(n=10, p=0.3))), 3, 1)
+    with pytest.raises(InputError, match=message):
+        simulate_random_schedule(inst, trials, seed=1, workers=workers)
+
+
 def test_trial_without_context_raises(monkeypatch):
     monkeypatch.setattr(randnet, "_SIM_CONTEXT", None)
     with pytest.raises(RuntimeError, match="_sim_init"):

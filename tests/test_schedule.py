@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sensched.coverage import build_detection, build_isolation
 from sensched.errors import BatteryViolation, InputError, VerificationError
-from sensched.graph import all_edge_targets, all_node_targets
+from sensched.graph import NetworkGraph, all_edge_targets, all_node_targets
 from sensched.schedule import (
     Labeling,
     ProblemInstance,
@@ -25,7 +25,13 @@ from sensched.schedule import (
 from sensched.seeds import derive_rng
 from sensched.verify import random_graph, random_instance, random_labeling
 
-from ._brute import brute_isolation, brute_potential, brute_score, brute_slot_potential
+from ._brute import (
+    brute_isolation,
+    brute_per_slot_covered,
+    brute_potential,
+    brute_score,
+    brute_slot_potential,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -125,6 +131,51 @@ def test_score_raises_on_corrupted_masks():
         inst = ProblemInstance(cov, k, rng.randint(1, k))
         raised += _drop_a_mask_bit_and_score(rng, inst)
     assert raised > 10
+
+
+def test_score_compares_the_forms_slot_by_slot():
+    # devices on nodes 0 and 2 of a 5-path watch the nodes within range 1
+    g = NetworkGraph([str(i) for i in range(5)], [(str(i), str(i + 1)) for i in range(4)])
+    cov = build_detection(g, [0, 2], all_node_targets(g), 1)
+    assert [sorted(cover) for cover in cov.covers] == [[0, 1], [1, 2, 3]]
+    inst = ProblemInstance(cov, k=2, sigma=1)
+    lab = Labeling((frozenset({0}), frozenset({1})))
+    assert score(inst, lab).per_slot_covered == (2, 3)
+    # swapped masks move a Y element from slot 2 to slot 1; the total stays 5
+    vars(cov)["masks"] = cov.masks[::-1]  # overrides the cached property
+    with pytest.raises(
+        VerificationError,
+        match=r"^slot-form total 5 and covers total 5 diverged, first in slot 1: "
+              r"3 and 2 covered$",
+    ):
+        score(inst, lab)
+
+
+def test_per_slot_counts_match_brute_force():
+    rng = derive_rng(17, "per-slot")
+    objectives = set()
+    for _ in range(40):
+        inst = random_instance(rng)
+        lab = random_labeling(rng, inst)
+        objectives.add(inst.objective)
+        assert score(inst, lab).per_slot_covered == brute_per_slot_covered(
+            inst.coverage, lab.by_x, inst.k
+        )
+    assert objectives == {"detection", "isolation"}
+    # isolation against the pair adjacency built from the definition
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(4, 9), rng.uniform(0.25, 0.7))
+        targets = all_node_targets(g) + all_edge_targets(g)
+        sensors = rng.sample(range(g.node_count), rng.randint(1, g.node_count))
+        r = rng.randint(0, 2)
+        cov = build_isolation(g, sensors, targets, r)
+        brute_cov = SimpleNamespace(n_x=cov.n_x, adj=brute_isolation(g, sensors, targets, r)[0])
+        k = rng.randint(1, 5)
+        inst = ProblemInstance(cov, k, rng.randint(1, k))
+        lab = random_labeling(rng, inst)
+        assert score(inst, lab).per_slot_covered == brute_per_slot_covered(
+            brute_cov, lab.by_x, k
+        )
 
 
 def _target_classes(cov) -> int:
