@@ -8,7 +8,7 @@ neighborhood) can do strictly better, and are searched for here.
 
 The disjoint sets come from a greedy domatic partition. Each set is a
 run of the scheduling greedy (`greedy.greedy_picks`) at k = sigma = 1 on
-`config_instance`'s coverage, whose masks are the closed neighborhoods,
+`randnet.node_coverage`, whose masks are the closed neighborhoods,
 restricted to the nodes not yet in a set. Ties go to the lowest node
 index, or with a seed to a uniform draw over the maximal-gain nodes.
 """
@@ -19,12 +19,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .coverage import build_detection, restrict_x
+from .coverage import restrict_x
 from .errors import InputError, VerificationError
 from .game import BlllParams, blll_schedule
-from .graph import NetworkGraph, all_node_targets
+from .graph import NetworkGraph
 from .greedy import greedy_picks
 from .oracle import _branch_and_bound
+from .randnet import node_coverage
 from .schedule import ProblemInstance, check_k_sigma
 from .seeds import derive_seed
 
@@ -58,20 +59,20 @@ def greedy_domatic_partition(g: NetworkGraph, seed: int | None = None) -> Domati
     """Extract disjoint dominating sets greedily until the rest cannot dominate.
 
     Set i is a greedy cover of every node by the closed neighborhoods of
-    the nodes not yet in a set: `greedy_picks` on `config_instance(g, 1,
-    1)` restricted to those nodes, whose masks are built once here and
-    shared by every set. The set is complete at full coverage and fails
-    on a zero-gain pick or when the candidates run out. With a seed, set
-    i draws its ties from derive_seed(seed, "domatic-set", i). Leftover
-    nodes that are not in any extracted set are merged into the last set
-    (which keeps it dominating and makes the partition total). Returns
-    at least one set on a non-empty graph; sizes are a lower bound on
-    the domatic number, not the exact value.
+    the nodes not yet in a set: `greedy_picks` at k = sigma = 1 on
+    `node_coverage(g)` restricted to those nodes, whose masks are built
+    once here and shared by every set. The set is complete at full
+    coverage and fails on a zero-gain pick or when the candidates run
+    out. With a seed, set i draws its ties from derive_seed(seed,
+    "domatic-set", i). Leftover nodes that are not in any extracted set
+    are merged into the last set (which keeps it dominating and makes
+    the partition total). Returns at least one set on a non-empty graph;
+    sizes are a lower bound on the domatic number, not the exact value.
     """
     n = g.node_count
     if n == 0:
         return DomaticPartition(())
-    cov = config_instance(g, 1, 1).coverage
+    cov = node_coverage(g)
     cov.masks  # built before restrict_x, which hands each kept row's mask on
     remaining = set(range(n))
     sets: list[frozenset[int]] = []
@@ -226,17 +227,6 @@ class ConfigSearchResult:
     detail: str
 
 
-def config_instance(g: NetworkGraph, k: int, sigma: int) -> ProblemInstance:
-    """Scheduling instance whose perfect score means a valid configuration.
-
-    Devices on every node, every node a target, range 1: a device covers
-    exactly its closed neighborhood, so full coverage in all k slots is
-    the configuration property.
-    """
-    cov = build_detection(g, range(g.node_count), all_node_targets(g), 1)
-    return ProblemInstance(cov, k=k, sigma=sigma)
-
-
 def search_config(
     g: NetworkGraph,
     k: int,
@@ -249,12 +239,14 @@ def search_config(
     Order of attack: necessary-condition prechecks (proven nonexistent),
     the constructive path through a greedy domatic partition (covers any
     k up to sigma times the partition size), the oracle's branch and
-    bound on `config_instance` when n * C(k, sigma) is at most
+    bound on `node_coverage(g)` when n * C(k, sigma) is at most
     EXHAUSTIVE_LIMIT (the first labeling of potential n * k in
     lexicographic order; a search that ends within EXHAUSTIVE_NODE_CAP
     nodes without one proves nonexistence), then stochastic label search
     in chains until the iteration budget runs out. `exhausted` never
-    claims nonexistence.
+    claims nonexistence. A device of `node_coverage(g)` covers exactly
+    its closed neighborhood, so full coverage in all k slots is the
+    configuration property.
     """
     if g.node_count == 0:
         raise InputError("empty graph")
@@ -285,7 +277,7 @@ def search_config(
             detail=f"from a {len(dp.sets)}-set greedy domatic partition",
         )
 
-    inst = config_instance(g, k, sigma)
+    inst = ProblemInstance(node_coverage(g), k=k, sigma=sigma)
     target = g.node_count * k
     if g.node_count * math.comb(k, sigma) <= EXHAUSTIVE_LIMIT:
         search = _branch_and_bound(

@@ -96,8 +96,9 @@ def _ripple_add(planes: list[int], mask: int) -> None:
 def _borrow(planes: list[int], mask: int, lab: int) -> int:
     """Subtract 1 at every bit of mask from slot lab's counts held as bit planes.
 
-    Returns the Y elements still covered (the OR of the planes left);
-    raises VerificationError if some bit of mask had a zero count.
+    Top planes left at zero are popped. Returns the Y elements still
+    covered (the OR of the planes left); raises VerificationError if
+    some bit of mask had a zero count.
     """
     borrow = mask
     covered = 0
@@ -107,6 +108,8 @@ def _borrow(planes: list[int], mask: int, lab: int) -> int:
         covered |= left
     if borrow:
         raise VerificationError(f"removed a provider that slot {lab + 1} does not count")
+    while planes and not planes[-1]:
+        planes.pop()
     return covered
 
 
@@ -149,7 +152,9 @@ class GameState:
 
     Per slot, the number of active providers of each Y element is kept
     as bit planes over the Y bitsets of `inst.coverage.masks`: bit y of
-    planes[lab][i] is bit i of y's provider count in slot lab. covered[lab]
+    planes[lab][i] is bit i of y's provider count in slot lab. A slot
+    holds as many planes as its largest count needs, so its list is
+    empty or ends in a nonzero plane. covered[lab]
     (the OR of the planes) holds the Y elements with at least one
     provider, multi[lab] (the OR of the planes above the first) those
     with two or more, and phi the number of covered (slot, y) pairs.
@@ -183,29 +188,22 @@ class GameState:
         self.free_sites = sorted(set(range(cov.n_x)).difference(sites))
         self.masks = cov.masks
         self.sizes = [mask.bit_count() for mask in self.masks]
-        # a count never exceeds the players, nor the devices that cover y:
-        # ripple-add the masks until len(totals), the bit length of the
-        # largest provider count so far, reaches the players' bit length
-        # (it only grows, so the min cannot change after that)
-        enough = self.n_players.bit_length()
-        totals: list[int] = []
-        for mask in self.masks:
-            if len(totals) >= enough:
-                break
-            _ripple_add(totals, mask)
-        self.n_planes = min(enough, len(totals))
         self._rebuild()
 
     def _rebuild(self) -> None:
         """Ripple every action into fresh planes and derive covered, multi and phi."""
         masks = self.masks
-        self.planes = planes = [[0] * self.n_planes for _ in range(self.k)]
+        self.planes = planes = [[] for _ in range(self.k)]
         for x, action in zip(self.sites, self.actions):
             for lab in action:
                 _ripple_add(planes[lab], masks[x])
         self.covered = [_union(p) for p in planes]
         self.multi = [_union(islice(p, 1, None)) for p in planes]
         self.phi = sum(c.bit_count() for c in self.covered)
+
+    def _check_player(self, player: int) -> None:
+        if not 0 <= player < self.n_players:
+            raise InputError(f"unknown player: {player}")
 
     def _check_action(self, action: frozenset[int]) -> None:
         if len(action) != self.sigma:
@@ -238,8 +236,7 @@ class GameState:
 
         That is what the player would lose by holding no labels at all.
         """
-        if not 0 <= player < self.n_players:
-            raise InputError(f"unknown player: {player}")
+        self._check_player(player)
         return -self.deviation(player, frozenset(), self.sites[player])
 
     def deviation(self, player: int, labels: frozenset[int], site: int) -> int:
@@ -296,6 +293,7 @@ class GameState:
         self, player: int, labels: frozenset[int], site: int | None = None
     ) -> None:
         """Unilateral deviation: replace the player's action (and site)."""
+        self._check_player(player)
         self._check_action(labels)
         old_site = self.sites[player]
         new_site = old_site if site is None else site
@@ -361,8 +359,7 @@ def check_potential_identity(
     check that utility changes track the potential exactly. The
     deviation() the BLLL chain scores trials with must equal dPhi too.
     """
-    if not 0 <= player < state.n_players:
-        raise InputError(f"unknown player: {player}")
+    state._check_player(player)
     old_labels = state.actions[player]
     old_site = state.sites[player]
     phi_before = state.recount()

@@ -145,6 +145,26 @@ def brute_per_slot_covered(cov, label_sets, k) -> tuple[int, ...]:
     return tuple(out)
 
 
+def brute_slot_planes(cov, label_sets, k) -> list[list[int]]:
+    """Per slot, the binary digits of every y's provider count as bit planes.
+
+    Bit y of plane i is bit i of y's count; a slot has as many planes as
+    its largest count has digits, none when no device is active in it.
+    """
+    out = []
+    for j in range(k):
+        counts = [0] * cov.n_y
+        for xi in range(cov.n_x):
+            if j in label_sets[xi]:
+                for y in cov.adj[xi]:
+                    counts[y] += 1
+        digits = max(counts, default=0).bit_length()
+        out.append(
+            [sum((c >> i & 1) << y for y, c in enumerate(counts)) for i in range(digits)]
+        )
+    return out
+
+
 def brute_slot_potential(cov, label_sets, k) -> int:
     """Sum over slots of the number of y covered by that slot's actives."""
     return sum(brute_per_slot_covered(cov, label_sets, k))

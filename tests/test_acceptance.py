@@ -16,7 +16,6 @@ from click.testing import CliRunner
 from sensched.cli import main as cli_main
 from sensched.coverage import build_detection, restrict_x
 from sensched.domination import (
-    config_instance,
     greedy_domatic_partition,
     search_config,
     verify_config,
@@ -194,7 +193,7 @@ def test_criterion_07_domination(path4, star5, k4, c4, petersen):
 
     # every found configuration yields full coverage in every slot
     for g, cfg in zip([petersen] + graphs, found_configs):
-        inst = config_instance(g, cfg.k, cfg.sigma)
+        inst = ProblemInstance(node_coverage(g), k=cfg.k, sigma=cfg.sigma)
         report = score(inst, Labeling(cfg.labels))
         assert report.score == 1
         assert all(c == g.node_count for c in report.per_slot_covered)

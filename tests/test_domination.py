@@ -8,7 +8,6 @@ from sensched.domination import (
     DomaticPartition,
     KSigmaConfig,
     config_from_domatic,
-    config_instance,
     greedy_domatic_partition,
     is_dominating,
     search_config,
@@ -16,8 +15,8 @@ from sensched.domination import (
 )
 from sensched.errors import InputError
 from sensched.graph import NetworkGraph
-from sensched.randnet import GeometricGraphSpec, gen_geometric
-from sensched.schedule import Labeling, score
+from sensched.randnet import GeometricGraphSpec, gen_geometric, node_coverage
+from sensched.schedule import Labeling, ProblemInstance, score
 from sensched.seeds import derive_rng
 from sensched.verify import random_graph
 
@@ -247,7 +246,7 @@ def test_search_and_verify_share_the_instance_check(path4, k, sigma, message):
     with pytest.raises(InputError) as verified:
         verify_config(path4, cfg)
     with pytest.raises(InputError) as built:
-        config_instance(path4, k, sigma)
+        ProblemInstance(node_coverage(path4), k=k, sigma=sigma)
     assert str(searched.value) == str(verified.value) == str(built.value) == message
 
 
@@ -261,7 +260,7 @@ def test_search_rejects_negative_budget(path4, petersen):
 def test_found_configs_give_complete_coverage(petersen):
     result = search_config(petersen, 5, 2, budget=200_000, seed=1)
     assert result.status == "found"
-    inst = config_instance(petersen, 5, 2)
+    inst = ProblemInstance(node_coverage(petersen), k=5, sigma=2)
     report = score(inst, Labeling(result.config.labels))
     assert report.score == 1
     assert all(c == petersen.node_count for c in report.per_slot_covered)

@@ -32,6 +32,7 @@ from ._brute import (
     brute_blll_schedule,
     brute_max_coverage_placement,
     brute_potential,
+    brute_slot_planes,
     brute_utility,
 )
 
@@ -172,6 +173,9 @@ def test_incremental_counts_match_brute_force(placement):
             label_sets = _labels_by_x(cov.n_x, state.sites, state.actions)
             assert label_sets == after
             assert state.phi == brute_potential(cov, label_sets)
+            # each slot holds the binary digits of its counts, top plane nonzero
+            assert state.planes == brute_slot_planes(cov, label_sets, inst.k)
+            assert all(planes[-1] for planes in state.planes if planes)
             for other in range(state.n_players):
                 assert state.utility(other) == brute_utility(
                     cov, label_sets, state.sites[other]
@@ -236,6 +240,13 @@ def test_move_rejects_occupied_site(path4):
     state = GameState(inst, [frozenset({0}), frozenset({1})], sites=[0, 1])
     with pytest.raises(InputError):
         state.move(0, frozenset({0}), site=1)
+    # a player index outside 0..n-1 is refused before anything is written
+    for player in (-1, state.n_players):
+        with pytest.raises(InputError, match=f"unknown player: {player}"):
+            state.move(player, frozenset({1}), site=2)
+    assert (state.sites, state.actions) == ([0, 1], [frozenset({0}), frozenset({1})])
+    assert state.free_sites == [2, 3]
+    assert state.recount() == state.phi
 
 
 def test_fixed_game_refuses_a_site_move(path4_instance):
@@ -491,7 +502,7 @@ def _dense_instances(objective, k, sigma, seed, count):
         g = random_graph(rng, n, rng.uniform(0.3, 0.5))
         cov = build(g, range(n), all_node_targets(g), 1)
         inst = ProblemInstance(cov, k=k, sigma=sigma)
-        if GameState(inst, [frozenset(range(sigma))] * n).n_planes >= 5:
+        if max(map(len, GameState(inst, [frozenset(range(sigma))] * n).planes)) >= 5:
             out.append(inst)
     return out
 
