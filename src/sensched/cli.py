@@ -5,8 +5,10 @@ is bit-reproducible, including across --workers settings. Exit codes:
 0 success, 1 input error, 2 verification failure, 3 resource refusal
 (oracle space too large, too many isolation pairs, or search budget
 exhausted). Each (k, sigma) pair passes `schedule.check_k_sigma`;
-rand-experiment checks its k range, sigma, trials and workers before it
-generates the graph, and disjoint lifetime checks sigma before it partitions.
+rand-experiment checks its k range, sigma, trials, workers and geometry
+before it generates the graph, and disjoint lifetime refuses --k and
+checks sigma before it partitions. The potential a solver prints is
+checked against `score` of the labeling it writes (exit 2).
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from .coverage import adjacency_lines, restrict_x
 from .errors import InputError, ParseError, SearchSpaceError, VerificationError
 from .seeds import derive_seed
 from .schedule import (
+    Labeling,
     ProblemInstance,
+    ScheduleReport,
     check_k_sigma,
     format_label_table,
     format_labeling,
@@ -33,6 +37,23 @@ from .schedule import (
 )
 
 SCORE_LETTER = {"detection": "D", "isolation": "I"}
+
+
+def _rescored(
+    inst: ProblemInstance, labeling: Labeling, claimed: int, solver: str
+) -> ScheduleReport:
+    """score(inst, labeling), or VerificationError if its potential is not claimed.
+
+    claimed is the potential the solver reports for labeling; the
+    printed score and the labeling file's report block must agree.
+    """
+    report = score(inst, labeling)
+    if report.potential != claimed:
+        raise VerificationError(
+            f"{solver} potential {claimed} differs from the re-scored "
+            f"potential {report.potential} of its labeling"
+        )
+    return report
 
 
 def _fmt(value: float) -> str:
@@ -134,7 +155,6 @@ def schedule_cmd(
     _, inst = instance.build_problem(spec)
     letter = SCORE_LETTER[inst.objective]
 
-    report = None
     if solver == "oracle":
         result = oracle.exact_optimal_schedule(inst)
         labeling, report = result.optimum, result.report
@@ -146,7 +166,7 @@ def schedule_cmd(
     elif solver == "greedy":
         g_result = greedy.greedy_schedule(inst, seed=seed if seed else None)
         labeling = g_result.labeling
-        report = score(inst, labeling)
+        report = _rescored(inst, labeling, g_result.objective, "greedy")
         click.echo(f"{letter} = {format_score(report.score)}")
         if trace_path:
             names = inst.coverage.x_names
@@ -154,15 +174,15 @@ def schedule_cmd(
             _emit(_csv_lines(["iteration", "node", "label", "objective"], rows), trace_path)
     else:
         # without --trace the chain records only its first and last points
-        stride = 1 if trace_path else max(1, iters)
         params = game.BlllParams(
-            epsilon=epsilon, iterations=iters, seed=seed, trace_stride=stride
+            epsilon=epsilon, iterations=iters, seed=seed, full_trace=bool(trace_path)
         )
         b_result = game.blll_schedule(inst, params)
         labeling = b_result.best_labeling
+        report = _rescored(inst, labeling, b_result.best_potential, "blll")
         denom = inst.k * inst.coverage.n_y
         click.echo(
-            f"{letter} = {format_score(Fraction(b_result.best_potential, denom))}  "
+            f"{letter} = {format_score(report.score)}  "
             f"(final {format_score(Fraction(b_result.final_potential, denom))}, "
             f"accepted {b_result.accepted}/{iters})"
         )
@@ -211,7 +231,7 @@ def place_and_schedule_cmd(
     letter = SCORE_LETTER[inst.objective]
     # no trace is read, so the chains record only their first and last points
     params = game.BlllParams(
-        epsilon=epsilon, iterations=iters, seed=seed, trace_stride=max(1, iters)
+        epsilon=epsilon, iterations=iters, seed=seed, full_trace=False
     )
 
     modes = {"blll-joint": ("joint",), "two-stage": ("two-stage",),
@@ -222,12 +242,12 @@ def place_and_schedule_cmd(
         if mode == "joint":
             run = game.blll_place_and_schedule(inst, devices, params)
             sub = dataclasses.replace(inst, coverage=restrict_x(cov, run.best_sites))
-            labeling = run.best_labeling
         else:
             picked = game.greedy_max_coverage_placement(cov, devices)
             sub = dataclasses.replace(inst, coverage=restrict_x(cov, picked))
-            labeling = game.blll_schedule(sub, params).best_labeling
-        scores[mode] = score(sub, labeling).score
+            run = game.blll_schedule(sub, params)
+        labeling = run.best_labeling
+        scores[mode] = _rescored(sub, labeling, run.best_potential, mode).score
         names = sub.coverage.x_names
         shown = format_score(scores[mode])
         click.echo(f"{mode}: sites = {', '.join(names)}  {letter} = {shown}")
@@ -248,7 +268,7 @@ def place_and_schedule_cmd(
 @click.argument("instance_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--sigma", type=int, required=True)
 @click.option("--mode", type=click.Choice(["disjoint", "config"]), required=True)
-@click.option("--k", "k_value", type=int, help="Lifetime to search for (config mode).")
+@click.option("--k", "k_value", type=int, help="Lifetime to search for (config mode only).")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Disjoint mode: 0 breaks partition ties to the lowest node "
                    "index, any other value randomizes them. Config mode: seeds "
@@ -267,6 +287,8 @@ def lifetime_cmd(
     out: str | None,
 ) -> None:
     """Maximize lifetime under complete coverage of all nodes."""
+    if mode == "disjoint" and k_value is not None:
+        raise InputError("--k needs --mode config")
     spec = instance.load_instance(instance_file)
     g = instance.build_graph(spec)
     if mode == "disjoint":

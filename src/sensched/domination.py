@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .coverage import restrict_x
+from .coverage import CoverageGraph, restrict_x
 from .errors import InputError, VerificationError
 from .game import BlllParams, blll_schedule
 from .graph import NetworkGraph
@@ -60,19 +60,25 @@ def greedy_domatic_partition(g: NetworkGraph, seed: int | None = None) -> Domati
 
     Set i is a greedy cover of every node by the closed neighborhoods of
     the nodes not yet in a set: `greedy_picks` at k = sigma = 1 on
-    `node_coverage(g)` restricted to those nodes, whose masks are built
-    once here and shared by every set. The set is complete at full
-    coverage and fails on a zero-gain pick or when the candidates run
-    out. With a seed, set i draws its ties from derive_seed(seed,
+    `node_coverage(g)` restricted to those nodes. The set is complete at
+    full coverage and fails on a zero-gain pick or when the candidates
+    run out. With a seed, set i draws its ties from derive_seed(seed,
     "domatic-set", i). Leftover nodes that are not in any extracted set
     are merged into the last set (which keeps it dominating and makes
     the partition total). Returns at least one set on a non-empty graph;
     sizes are a lower bound on the domatic number, not the exact value.
     """
-    n = g.node_count
-    if n == 0:
+    if g.node_count == 0:
         return DomaticPartition(())
-    cov = node_coverage(g)
+    return _domatic_partition(node_coverage(g), seed)
+
+
+def _domatic_partition(cov: CoverageGraph, seed: int | None) -> DomaticPartition:
+    """greedy_domatic_partition on cov, the `node_coverage` of a non-empty graph.
+
+    cov's masks are built once here and shared by every set.
+    """
+    n = cov.n_x
     cov.masks  # built before restrict_x, which hands each kept row's mask on
     remaining = set(range(n))
     sets: list[frozenset[int]] = []
@@ -268,7 +274,8 @@ def search_config(
             ),
         )
 
-    dp = greedy_domatic_partition(g)
+    cov = node_coverage(g)
+    dp = _domatic_partition(cov, None)
     if k <= sigma * len(dp.sets):
         return ConfigSearchResult(
             status="found",
@@ -277,7 +284,7 @@ def search_config(
             detail=f"from a {len(dp.sets)}-set greedy domatic partition",
         )
 
-    inst = ProblemInstance(node_coverage(g), k=k, sigma=sigma)
+    inst = ProblemInstance(cov, k=k, sigma=sigma)
     target = g.node_count * k
     if g.node_count * math.comb(k, sigma) <= EXHAUSTIVE_LIMIT:
         search = _branch_and_bound(
@@ -307,7 +314,7 @@ def search_config(
         params = BlllParams(
             iterations=iters,
             seed=derive_seed(seed, "config-search", chain),
-            trace_stride=max(1, iters),
+            full_trace=False,
             stop_at_potential=target,
         )
         result = blll_schedule(inst, params)

@@ -58,6 +58,8 @@ UNIFORM_PROPOSAL_LIMIT = 1_000_000
 class BlllParams:
     """Knobs for a binary log-linear learning run.
 
+    full_trace records the potential after every iteration; without it
+    the trace holds only the first and the last iteration run.
     stop_at_potential lets callers that know the global maximum (the
     configuration search) end a chain as soon as it is reached; the
     default is a fixed iteration budget.
@@ -66,7 +68,7 @@ class BlllParams:
     epsilon: float = 0.015
     iterations: int = 20_000
     seed: int = 0
-    trace_stride: int = 1
+    full_trace: bool = True
     stop_at_potential: int | None = None
 
     def __post_init__(self) -> None:
@@ -74,8 +76,6 @@ class BlllParams:
             raise InputError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.iterations < 0:
             raise InputError("iterations must be >= 0")
-        if self.trace_stride < 1:
-            raise InputError("trace_stride must be >= 1")
 
     def log_base(self) -> float:
         return -math.log(self.epsilon)
@@ -321,10 +321,6 @@ class GameState:
             )
         return self.phi
 
-    def placement(self) -> tuple[tuple[int, ...], Labeling]:
-        """Sorted occupied sites and the labeling aligned to that order."""
-        return _aligned(self.sites, self.actions)
-
 
 def random_state(inst: ProblemInstance, draw: Callable[[], frozenset[int]]) -> GameState:
     """Every device takes a label set from draw, a bound `seeds.label_sampler`."""
@@ -416,13 +412,14 @@ def _action_proposer(
 
 @dataclass(frozen=True)
 class BlllResult:
-    """A BLLL run's final and best states, each as GameState.placement() gives it.
+    """A BLLL run's best state, its best and final potentials and its trace.
 
-    A fixed-location run holds every site, in order.
+    best_sites are the occupied sites in increasing order and
+    best_labeling is aligned to them; a fixed-location run holds every
+    site. trace holds (iteration, potential) pairs and ends at the last
+    iteration run.
     """
 
-    sites: tuple[int, ...]
-    labeling: Labeling
     best_sites: tuple[int, ...]
     best_labeling: Labeling
     final_potential: int
@@ -445,13 +442,15 @@ def _run_chain(
     by state.deviation, which leaves the counts as they are; only an
     accepted trial writes, through state._apply. The best state is an
     undo log of the accepted moves since the last best, replayed
-    backwards at the end.
+    backwards at the end. The trace gets a point after every iteration
+    with params.full_trace, else only after the last one run (the budget's
+    last, or where the chain reached params.stop_at_potential).
 
-    Returns the final state, the best state seen, the trace and the
-    accepted-move count.
+    Returns the best state seen, the best and final potentials, the
+    trace and the accepted-move count; state is left at the final one.
     """
     log_base = params.log_base()
-    iterations, stride = params.iterations, params.trace_stride
+    iterations, full_trace = params.iterations, params.full_trace
     stop = params.stop_at_potential
     audit_interval = AUDIT_INTERVAL
     below, random, exp = randbelow(rng), rng.random, math.exp
@@ -487,7 +486,7 @@ def _run_chain(
                 best_phi = phi
                 undo.clear()
 
-        if i % stride == 0 or i == iterations:
+        if full_trace or i == iterations:
             trace.append((i, phi))
         if stop is not None and phi >= stop:
             if trace[-1][0] != i:
@@ -497,11 +496,8 @@ def _run_chain(
     for player, site, labels in reversed(undo):
         best_sites[player] = site
         best_actions[player] = labels
-    final_sites, labeling = state.placement()
     best_sites, best_labeling = _aligned(best_sites, best_actions)
     return BlllResult(
-        sites=final_sites,
-        labeling=labeling,
         best_sites=best_sites,
         best_labeling=best_labeling,
         final_potential=phi,
@@ -515,8 +511,9 @@ def blll_schedule(inst: ProblemInstance, params: BlllParams | None = None) -> Bl
     """Binary log-linear learning over exactly-sigma labelings.
 
     Reproducible given the seed; the trace holds (iteration, potential)
-    pairs at the configured stride, and the best state seen anywhere in
-    the chain is returned alongside the final one.
+    pairs, every iteration's or (without params.full_trace) the first
+    and last, and the best state seen anywhere in the chain is returned
+    with the final potential.
     """
     params = params or BlllParams()
     rng = derive_rng(params.seed, "blll-schedule")

@@ -63,6 +63,15 @@ class GeometricGraphSpec:
                 f"area_side and radius must be finite and positive, "
                 f"got {self.area_side} and {self.radius}"
             )
+        # the closed form reads density and mean_degree off these squares
+        squares = (self.area_side * self.area_side, self.radius * self.radius)
+        if not all(0 < sq < math.inf for sq in squares):
+            raise InputError(
+                f"area_side ** 2 and radius ** 2 must be finite and positive, "
+                f"got {squares[0]} and {squares[1]}"
+            )
+        if not math.isfinite(self.mean_degree):
+            raise InputError(f"mean degree must be finite, got {self.mean_degree}")
 
     @property
     def density(self) -> float:

@@ -510,7 +510,7 @@ def _run_chain(cov, sites, actions, params: BlllParams, rng: Random, propose):
         if phi > best_phi:
             best_phi = phi
             best_snapshot = (list(sites), list(actions))
-        if i % params.trace_stride == 0 or i == params.iterations:
+        if params.full_trace or i == params.iterations:
             trace.append((i, phi))
         if params.stop_at_potential is not None and phi >= params.stop_at_potential:
             if trace[-1][0] != i:
@@ -537,10 +537,7 @@ def brute_blll_schedule(inst, params: BlllParams) -> BlllResult:
     trace, best_phi, accepted, (best_sites, best_labeling) = _run_chain(
         cov, sites, actions, params, rng, propose
     )
-    final_sites, labeling = _aligned(sites, actions)
     return BlllResult(
-        sites=final_sites,
-        labeling=labeling,
         best_sites=best_sites,
         best_labeling=best_labeling,
         final_potential=trace[-1][1],
@@ -568,10 +565,7 @@ def brute_blll_place_and_schedule(
     trace, best_phi, accepted, (best_sites, best_labeling) = _run_chain(
         cov, sites, actions, params, rng, propose
     )
-    final_sites, labeling = _aligned(sites, actions)
     return BlllResult(
-        sites=final_sites,
-        labeling=labeling,
         best_sites=best_sites,
         best_labeling=best_labeling,
         final_potential=trace[-1][1],

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from sensched import cli, coverage, domination, instance, oracle, randnet, schedule
+from sensched import (
+    cli, coverage, domination, game, greedy, instance, oracle, randnet, schedule,
+)
 from sensched.cli import main
 from sensched.coverage import to_adjacency_text
 from sensched.domination import ConfigCheck
@@ -197,7 +199,8 @@ ORACLE_PATH4_LABELING = (
 )
 
 
-def test_oracle_job_scores_once(runner, monkeypatch, tmp_path):
+def _count_scores(monkeypatch) -> list:
+    """Patch every module binding of schedule.score to log its calls."""
     real, calls = schedule.score, []
 
     def counted(*args, **kwargs):
@@ -208,6 +211,11 @@ def test_oracle_job_scores_once(runner, monkeypatch, tmp_path):
         for attr, value in list(vars(mod).items()):
             if value is real:
                 monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_oracle_job_scores_once(runner, monkeypatch, tmp_path):
+    calls = _count_scores(monkeypatch)
     out = tmp_path / "oracle.labeling"
     head = "D = 2/3 (0.666667)  optima: 2  space: 4\n"
     for extra, stdout in (([], head + ORACLE_PATH4_LABELING), (["--out", str(out)], head)):
@@ -217,6 +225,52 @@ def test_oracle_job_scores_once(runner, monkeypatch, tmp_path):
         assert len(calls) == 1
         assert result.output == stdout
     assert out.read_text() == ORACLE_PATH4_LABELING
+
+
+@pytest.mark.parametrize("args, scores", [
+    pytest.param(["schedule", PATH4, "--solver", "greedy"], 1, id="greedy"),
+    pytest.param(["schedule", PATH4, "--solver", "blll", "--iters", "300"], 1, id="blll"),
+    pytest.param(["place-and-schedule", STAR5, "--devices", "2", "--solver", "both",
+                  "--iters", "300"], 2, id="place-both"),
+])
+def test_solver_jobs_score_once_per_labeling(runner, monkeypatch, tmp_path, args, scores):
+    calls = _count_scores(monkeypatch)
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "out.labeling")])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == scores
+
+
+# (command line, module, solver function, claimed-potential field, solver name)
+OFF_BY_ONE = [
+    pytest.param(["schedule", PATH4, "--solver", "greedy"],
+                 greedy, "greedy_schedule", "objective", "greedy", id="greedy"),
+    pytest.param(["schedule", PATH4, "--solver", "blll", "--iters", "300"],
+                 game, "blll_schedule", "best_potential", "blll", id="blll"),
+    pytest.param(["place-and-schedule", STAR5, "--devices", "2", "--solver", "blll-joint",
+                  "--iters", "300"],
+                 game, "blll_place_and_schedule", "best_potential", "joint", id="joint"),
+    pytest.param(["place-and-schedule", STAR5, "--devices", "2", "--solver", "two-stage",
+                  "--iters", "300"],
+                 game, "blll_schedule", "best_potential", "two-stage", id="two-stage"),
+]
+
+
+@pytest.mark.parametrize("args, module, function, field, solver", OFF_BY_ONE)
+def test_printed_potential_must_match_the_rescore(runner, monkeypatch, tmp_path, args,
+                                                  module, function, field, solver):
+    real = getattr(module, function)
+
+    def off_by_one(*a, **kw):
+        result = real(*a, **kw)
+        return replace(result, **{field: getattr(result, field) + 1})
+
+    monkeypatch.setattr(module, function, off_by_one)
+    out = tmp_path / "out.labeling"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"verification failed: {solver} potential " in result.output
+    assert "differs from the re-scored potential" in result.output
+    assert not out.exists()
 
 
 def test_schedule_all_solvers_agree_on_fixture(runner):
@@ -370,6 +424,17 @@ def test_lifetime_disjoint_path(runner, tmp_path):
     assert all(len(v) == 2 for v in table.values())
 
 
+def test_lifetime_disjoint_refuses_k(runner, tmp_path):
+    out = tmp_path / "config.labeling"
+    result = runner.invoke(main, [
+        "lifetime", PATH4, "--sigma", "1", "--mode", "disjoint", "--k", "9",
+        "--out", str(out),
+    ])
+    assert result.exit_code == 1
+    assert "error: --k needs --mode config" in result.output
+    assert not out.exists()
+
+
 def test_lifetime_config_found(runner):
     result = runner.invoke(
         main,
@@ -501,22 +566,44 @@ def test_rand_experiment_validates_range(runner, tmp_path):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("family", ["er", "geometric"])
-@pytest.mark.parametrize("args, message", [
-    pytest.param(["--k-range", "2..4", "--sigma", "0"],
-                 "battery sigma must satisfy 1 <= sigma <= k, got sigma=0, k=2",
-                 id="sigma-0"),
-    pytest.param(["--k-range", "2..4", "--sigma", "3"],
-                 "battery sigma must satisfy 1 <= sigma <= k, got sigma=3, k=2",
-                 id="sigma-above-k"),
-    pytest.param(["--k-range", "0..2", "--sigma", "1"], "lifetime k must be >= 1, got 0",
-                 id="k-range-from-0"),
-    pytest.param(["--k-range", "2..4", "--sigma", "1", "--trials", "0"],
-                 "trials must be >= 1", id="trials-0"),
-    pytest.param(["--k-range", "2..4", "--sigma", "1", "--workers", "0"],
-                 "workers must be >= 1", id="workers-0"),
-    pytest.param(["--k-range", "2..4", "--sigma", "1", "--workers", "-4"],
-                 "workers must be >= 1", id="workers-negative"),
+# (id, arguments, message) refused for both graph families
+RUN_REFUSALS = [
+    ("sigma-0", ["--k-range", "2..4", "--sigma", "0"],
+     "battery sigma must satisfy 1 <= sigma <= k, got sigma=0, k=2"),
+    ("sigma-above-k", ["--k-range", "2..4", "--sigma", "3"],
+     "battery sigma must satisfy 1 <= sigma <= k, got sigma=3, k=2"),
+    ("k-range-from-0", ["--k-range", "0..2", "--sigma", "1"],
+     "lifetime k must be >= 1, got 0"),
+    ("trials-0", ["--k-range", "2..4", "--sigma", "1", "--trials", "0"],
+     "trials must be >= 1"),
+    ("workers-0", ["--k-range", "2..4", "--sigma", "1", "--workers", "0"],
+     "workers must be >= 1"),
+    ("workers-negative", ["--k-range", "2..4", "--sigma", "1", "--workers", "-4"],
+     "workers must be >= 1"),
+]
+# geometric specs whose squared side or radius leaves the finite positive floats
+GEOMETRY_REFUSALS = [
+    ("area-squared-underflows",
+     ["--n", "5", "--area", "1e-300", "--radius", "1", "--k-range", "2..2", "--sigma", "1"],
+     "area_side ** 2 and radius ** 2 must be finite and positive, got 0.0 and 1.0"),
+    ("squares-overflow",
+     ["--n", "5", "--area", "1e200", "--radius", "1e199", "--k-range", "2..2",
+      "--sigma", "1"],
+     "area_side ** 2 and radius ** 2 must be finite and positive, got inf and inf"),
+    ("radius-squared-underflows",
+     ["--n", "5", "--area", "1", "--radius", "1e-170", "--k-range", "2..2", "--sigma", "1"],
+     "area_side ** 2 and radius ** 2 must be finite and positive, got 1.0 and 0.0"),
+    ("density-overflows",
+     ["--n", "5", "--area", "1e-160", "--radius", "1", "--k-range", "2..2", "--sigma", "1"],
+     "mean degree must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("family, args, message", [
+    *(pytest.param(family, args, message, id=f"{name}-{family}")
+      for name, args, message in RUN_REFUSALS for family in ("er", "geometric")),
+    *(pytest.param("geometric", args, message, id=f"{name}-geometric")
+      for name, args, message in GEOMETRY_REFUSALS),
 ])
 def test_rand_experiment_refuses_before_generating(runner, monkeypatch, family, args,
                                                    message):

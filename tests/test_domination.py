@@ -1,8 +1,10 @@
 import math
+from functools import cached_property
 
 import pytest
 
-from sensched import domination
+from sensched import domination, randnet
+from sensched.coverage import CoverageGraph
 from sensched.domination import (
     EXHAUSTIVE_LIMIT,
     DomaticPartition,
@@ -226,6 +228,30 @@ def test_exhaustive_node_cap_falls_through_to_stochastic(monkeypatch, edges, sta
     monkeypatch.setattr(domination, "EXHAUSTIVE_NODE_CAP", 2)
     result = search_config(g, 3, 1, budget=2000, seed=0)
     assert result.method == "stochastic" and result.status == status
+
+
+@pytest.mark.parametrize("k, sigma, method", [
+    (4, 2, "constructive"), (3, 1, "exhaustive"), (5, 2, "stochastic"),
+])
+def test_search_config_builds_the_coverage_once(monkeypatch, petersen, k, sigma, method):
+    builds, masks = [], []
+    build, real_masks = randnet.build_detection, CoverageGraph.masks.func
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    def counted_masks(cov):
+        masks.append(cov)
+        return real_masks(cov)
+
+    monkeypatch.setattr(randnet, "build_detection", counted_build)
+    counted = cached_property(counted_masks)
+    counted.__set_name__(CoverageGraph, "masks")
+    monkeypatch.setattr(CoverageGraph, "masks", counted)
+    result = search_config(petersen, k, sigma, budget=200_000, seed=0)
+    assert result.method == method
+    assert (len(builds), len(masks)) == (1, 1)
 
 
 def test_search_validates_args(path4):

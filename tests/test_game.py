@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from sensched.errors import InputError, VerificationError
 from sensched.game import (
     BlllParams,
     GameState,
+    _aligned,
     blll_place_and_schedule,
     blll_schedule,
     check_potential_identity,
@@ -37,6 +39,20 @@ from ._brute import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def chain_states(monkeypatch):
+    """The GameState of every BLLL chain run, left at its final position."""
+    states = []
+    run_chain = game._run_chain
+
+    def recorded(state, *args):
+        states.append(state)
+        return run_chain(state, *args)
+
+    monkeypatch.setattr(game, "_run_chain", recorded)
+    return states
 
 
 def fixture_state(path4_instance):
@@ -290,7 +306,9 @@ def test_placement_labeling_is_aligned_to_sorted_sites(path4):
     cov = build_detection(path4, range(4), all_node_targets(path4), 1)
     inst = ProblemInstance(cov, 3, 1)
     state = GameState(inst, [frozenset({0}), frozenset({2})], sites=[3, 1])
-    assert state.placement() == ((1, 3), Labeling((frozenset({2}), frozenset({0}))))
+    assert _aligned(state.sites, state.actions) == (
+        (1, 3), Labeling((frozenset({2}), frozenset({0})))
+    )
 
 
 def test_phi_equals_score_times_denominator():
@@ -298,16 +316,20 @@ def test_phi_equals_score_times_denominator():
     for _ in range(20):
         inst = random_instance(rng)
         state = random_state(inst, label_sampler(inst.k, inst.sigma)(rng))
-        report = score(inst, state.placement()[1])
+        assert state.sites == list(range(inst.coverage.n_x))
+        report = score(inst, Labeling(tuple(state.actions)))
         assert state.phi == report.potential
         assert Fraction(state.phi, inst.k * inst.coverage.n_y) == report.score
 
 
-def test_blll_zero_iterations(path4_instance):
+def test_blll_zero_iterations(path4_instance, chain_states):
     result = blll_schedule(path4_instance, BlllParams(iterations=0, seed=4))
     assert result.trace == ((0, result.final_potential),)
-    assert result.labeling == result.best_labeling
-    assert all(len(a) == 1 for a in result.labeling.by_x)
+    assert result.best_potential == result.final_potential
+    [state] = chain_states
+    assert result.best_sites == tuple(state.sites) == (0, 1)
+    assert result.best_labeling == Labeling(tuple(state.actions))
+    assert all(len(a) == 1 for a in result.best_labeling.by_x)
 
 
 def test_blll_reproducible(path4_instance):
@@ -348,11 +370,12 @@ def test_blll_best_never_below_trace_max(path4_instance):
     assert result.best_potential == max(phi for _, phi in result.trace)
 
 
-def test_placement_fixed_when_sites_equal_devices(path4):
+def test_placement_fixed_when_sites_equal_devices(path4, chain_states):
     cov = build_detection(path4, [1, 2], all_node_targets(path4), 1)
     inst = ProblemInstance(cov, k=2, sigma=1)
     result = blll_place_and_schedule(inst, 2, BlllParams(iterations=400, seed=8))
-    assert result.sites == (0, 1)
+    [state] = chain_states
+    assert sorted(state.sites) == [0, 1]
     assert result.best_sites == (0, 1)
 
 
@@ -415,11 +438,16 @@ def test_placement_masks_match_brute_force(monkeypatch):
         assert len(pulled) == devices  # stops at the last site it needs
 
 
-def test_trace_stride(path4_instance):
-    result = blll_schedule(
-        path4_instance, BlllParams(iterations=103, seed=4, trace_stride=25)
-    )
-    assert [i for i, _ in result.trace] == [0, 25, 50, 75, 100, 103]
+def test_trace_first_and_last_only(path4_instance):
+    for stop in (None, 4):
+        params = BlllParams(iterations=103, seed=4, stop_at_potential=stop)
+        full = blll_schedule(path4_instance, params)
+        ends = blll_schedule(path4_instance, dataclasses.replace(params, full_trace=False))
+        last = full.trace[-1][0]
+        assert [i for i, _ in full.trace] == list(range(last + 1))
+        assert (last == 103) if stop is None else (last < 103)
+        assert ends.trace == ((0, full.trace[0][1]), (last, full.final_potential))
+        assert dataclasses.replace(ends, trace=full.trace) == full
 
 
 def test_swap_proposals_for_large_action_spaces(monkeypatch):
@@ -428,7 +456,7 @@ def test_swap_proposals_for_large_action_spaces(monkeypatch):
     monkeypatch.setattr(game, "UNIFORM_PROPOSAL_LIMIT", 1)
     params = BlllParams(iterations=300, seed=7)
     result = blll_schedule(inst, params)
-    assert all(len(a) == inst.sigma for a in result.labeling.by_x)
+    assert all(len(a) == inst.sigma for a in result.best_labeling.by_x)
 
 
 # (k, sigma, BlllParams overrides, objective, swap proposals). For
@@ -437,10 +465,10 @@ def test_swap_proposals_for_large_action_spaces(monkeypatch):
 # C(3, 3) = 1 leaves no other action.
 BLLL_CASES = [
     (4, 1, {}, "detection", False),
-    (5, 2, {"trace_stride": 7}, "isolation", False),
+    (5, 2, {"full_trace": False}, "isolation", False),
     (7, 3, {"epsilon": 0.05}, "detection", False),
     (8, 4, {"epsilon": 0.3}, "isolation", False),
-    (7, 6, {"trace_stride": 50}, "detection", False),
+    (7, 6, {"full_trace": False}, "detection", False),
     (21, 2, {}, "detection", False),
     (22, 3, {}, "isolation", False),
     (30, 6, {}, "detection", False),
@@ -448,6 +476,7 @@ BLLL_CASES = [
     (3, 3, {}, "detection", False),
     (6, 2, {"stop_at_potential": "reached"}, "detection", False),
     (9, 3, {}, "isolation", True),
+    (6, 2, {"full_trace": False, "stop_at_potential": "reached"}, "isolation", False),
 ]
 
 

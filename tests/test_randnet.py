@@ -340,3 +340,7 @@ def test_spec_validation():
         ErdosRenyiSpec(n=5, p=1.2)
     spec = GeometricGraphSpec(n=100, area_side=10.0, radius=2.0)
     assert spec.density == pytest.approx(1.0)
+    # extreme sides are kept while their squares and the mean degree are finite
+    for side in (1e-100, 1e150):
+        spec = GeometricGraphSpec(n=5, area_side=side, radius=side)
+        assert spec.mean_degree == pytest.approx(5 * math.pi)
