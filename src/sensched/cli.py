@@ -42,10 +42,10 @@ SCORE_LETTER = {"detection": "D", "isolation": "I"}
 def _rescored(
     inst: ProblemInstance, labeling: Labeling, claimed: int, solver: str
 ) -> ScheduleReport:
-    """score(inst, labeling), or VerificationError if its potential is not claimed.
+    """score(inst, labeling); VerificationError unless its potential is claimed.
 
-    claimed is the potential the solver reports for labeling; the
-    printed score and the labeling file's report block must agree.
+    claimed is the potential the solver reports for labeling, so the
+    printed score and the labeling's report block cannot disagree.
     """
     report = score(inst, labeling)
     if report.potential != claimed:
