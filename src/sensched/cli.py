@@ -7,8 +7,11 @@ is bit-reproducible, including across --workers settings. Exit codes:
 exhausted). Each (k, sigma) pair passes `schedule.check_k_sigma`;
 rand-experiment checks its k range, sigma, trials, workers and geometry
 before it generates the graph, and disjoint lifetime refuses --k and
-checks sigma before it partitions. The potential a solver prints is
-checked against `score` of the labeling it writes (exit 2).
+--budget and checks sigma before it partitions. schedule refuses, before
+it reads the instance, an option the chosen solver ignores: --seed and
+--trace with the oracle, --iters and --epsilon with any solver but blll.
+The potential a solver prints is checked against `score` of the
+labeling it writes (exit 2).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 import click
+from click.core import ParameterSource
 
 from . import domination, game, greedy, instance, oracle, randnet, verify
 from .coverage import adjacency_lines, restrict_x
@@ -54,6 +58,12 @@ def _rescored(
             f"potential {report.potential} of its labeling"
         )
     return report
+
+
+def _given(name: str) -> bool:
+    """Whether the running command's parameter name was set, not defaulted."""
+    source = click.get_current_context().get_parameter_source(name)
+    return source is not ParameterSource.DEFAULT
 
 
 def _fmt(value: float) -> str:
@@ -149,8 +159,15 @@ def schedule_cmd(
     out: str | None,
 ) -> None:
     """Solve one instance and emit the labeling plus its report."""
-    if solver == "oracle" and trace_path:
-        raise InputError("--trace needs --solver greedy or blll")
+    # an option the solver ignores is refused when given, even at its default
+    for name, option, readers in (
+        ("seed", "--seed", ("greedy", "blll")),
+        ("iters", "--iters", ("blll",)),
+        ("epsilon", "--epsilon", ("blll",)),
+        ("trace_path", "--trace", ("greedy", "blll")),
+    ):
+        if solver not in readers and _given(name):
+            raise InputError(f"{option} needs --solver {' or '.join(readers)}")
     spec = instance.load_instance(instance_file)
     _, inst = instance.build_problem(spec)
     letter = SCORE_LETTER[inst.objective]
@@ -287,8 +304,11 @@ def lifetime_cmd(
     out: str | None,
 ) -> None:
     """Maximize lifetime under complete coverage of all nodes."""
-    if mode == "disjoint" and k_value is not None:
-        raise InputError("--k needs --mode config")
+    if mode == "disjoint":
+        if k_value is not None:
+            raise InputError("--k needs --mode config")
+        if _given("budget"):
+            raise InputError("--budget needs --mode config")
     spec = instance.load_instance(instance_file)
     g = instance.build_graph(spec)
     if mode == "disjoint":

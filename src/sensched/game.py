@@ -19,17 +19,21 @@ accepts downhill moves.
 GameState alone reads and writes the per-slot provider counts. The
 chain scores a trial with GameState.deviation, which changes nothing,
 and only an accepted trial writes, through the _apply that move() uses
-too. Most trials are rejected. A trial label set makes exactly the
-random draws of `frozenset(rng.sample(range(k), sigma))`, and a
-joint-placement trial site those of drawing from the player's own site
-plus the free ones, in increasing order, but neither builds a list.
-Label sets, here as in randnet's Monte-Carlo trials, come from
-`seeds.label_sampler`, which decodes sample's own draws
-(`getrandbits(r.bit_length())`, redrawn while >= r, for r = k, k - 1,
-...) through a table filled on first use. The site is read off the
-sorted free-site list that GameState keeps (GameState.open_site), and
-the player and site indices are drawn by `seeds.randbelow`, randrange's
-own getrandbits loop. So seeded runs give the same results as sampling
+too. Most trials are rejected. A fixed-location trial costs the chain
+two calls: the label draw and deviation. The player index is drawn in
+the chain by randrange's own loop (`getrandbits(n.bit_length())`,
+redrawn while >= n), and each integer change in utility gets its
+acceptance probability computed once per chain.
+
+A trial label set makes exactly the random draws of
+`frozenset(rng.sample(range(k), sigma))`, redrawn while it equals the
+player's current set in the fixed-location game, and a joint-placement
+trial site those of randrange over the player's own site plus the free
+ones, in increasing order, but neither builds a list. Label sets, here
+as in randnet's Monte-Carlo trials, come from `seeds.label_sampler`,
+which decodes sample's own draws through a table filled on first use.
+The site is read off the sorted free-site list that GameState keeps
+(GameState.open_site). So seeded runs give the same results as sampling
 afresh on every step.
 """
 
@@ -46,7 +50,7 @@ from .coverage import CoverageGraph
 from .errors import InputError, VerificationError
 from .greedy import greedy_picks
 from .schedule import Labeling, ProblemInstance
-from .seeds import derive_rng, label_sampler, randbelow
+from .seeds import derive_rng, label_sampler
 
 # accepted moves between full recounts of the provider counts
 AUDIT_INTERVAL = 1000
@@ -93,24 +97,27 @@ def _ripple_add(planes: list[int], mask: int) -> None:
         planes.append(carry)
 
 
-def _borrow(planes: list[int], mask: int, lab: int) -> int:
+def _borrow(planes: list[int], mask: int, lab: int) -> tuple[int, int]:
     """Subtract 1 at every bit of mask from slot lab's counts held as bit planes.
 
     Top planes left at zero are popped. Returns the Y elements still
-    covered (the OR of the planes left); raises VerificationError if
-    some bit of mask had a zero count.
+    counted once or more and twice or more (the OR of the planes left,
+    and of those above the first); raises VerificationError if some bit
+    of mask had a zero count.
     """
     borrow = mask
-    covered = 0
+    covered = multi = 0
     for i, plane in enumerate(planes):
         planes[i] = left = plane ^ borrow
         borrow &= ~plane
         covered |= left
+        if i:
+            multi |= left
     if borrow:
         raise VerificationError(f"removed a provider that slot {lab + 1} does not count")
     while planes and not planes[-1]:
         planes.pop()
-    return covered
+    return covered, multi
 
 
 def _union(planes: Iterable[int]) -> int:
@@ -248,12 +255,25 @@ class GameState:
         plus, in a slot the player holds now, the part of the mask that
         only the player covers. Each count is a mask size minus the
         popcount of an AND, so no |Y|-bit int is negated.
+
+        At the player's own site a kept slot's terms cancel (its mask is
+        inside covered there), so only the slots in held ^ labels are read:
+        a gained slot adds what the mask newly covers, a dropped one takes
+        off what the player alone provides.
         """
         x, held = self.sites[player], self.actions[player]
         masks, sizes, multi, covered = self.masks, self.sizes, self.multi, self.covered
         mask, size = masks[x], sizes[x]
-        new_mask, new_size = masks[site], sizes[site]
         delta = 0
+        if site == x:
+            for lab in labels:
+                if lab not in held:
+                    delta += size - (mask & covered[lab]).bit_count()
+            for lab in held:
+                if lab not in labels:
+                    delta -= size - (mask & multi[lab]).bit_count()
+            return delta
+        new_mask, new_size = masks[site], sizes[site]
         for lab in held:
             delta -= size - (mask & multi[lab]).bit_count()
         for lab in labels:
@@ -280,12 +300,12 @@ class GameState:
             new_mask = self.masks[site]
             self._relocate(player, site)
         for lab in out:
-            covered[lab] = _borrow(planes[lab], mask, lab)
+            covered[lab], multi[lab] = _borrow(planes[lab], mask, lab)
         for lab in into:
             _ripple_add(planes[lab], new_mask)
+            # a Y element that had a provider here now has two or more
+            multi[lab] |= new_mask & covered[lab]
             covered[lab] |= new_mask
-        for lab in out | into:
-            multi[lab] = _union(islice(planes[lab], 1, None))
         self.actions[player] = labels
         self.phi += delta
 
@@ -378,27 +398,21 @@ def check_potential_identity(
 
 
 def _action_proposer(
-    rng: Random, k: int, sigma: int, draw: Callable[[], frozenset[int]]
+    rng: Random, k: int, sigma: int, draw: Callable[..., frozenset[int]]
 ) -> Callable[[frozenset[int]], frozenset[int]]:
     """Trial label sets for a fixed-location player, given its current set.
 
-    A uniform exactly-sigma set (from draw, a `seeds.label_sampler`
-    bound to rng) other than the current one, or the current one when it
-    is the only set; above UNIFORM_PROPOSAL_LIMIT sets, the current set
-    with one uniform label swapped for an unused one.
+    A uniform exactly-sigma set other than the current one (draw itself,
+    a `seeds.label_sampler` bound to rng, which redraws while it draws
+    the set passed), or the current one when it is the only set; above
+    UNIFORM_PROPOSAL_LIMIT sets, the current set with one uniform label
+    swapped for an unused one.
     """
     n_actions = math.comb(k, sigma)
     if n_actions == 1:
         return lambda current: current
     if n_actions <= UNIFORM_PROPOSAL_LIMIT:
-
-        def resample(current: frozenset[int]) -> frozenset[int]:
-            while True:
-                cand = draw()
-                if cand != current:
-                    return cand
-
-        return resample
+        return draw
 
     def swap(current: frozenset[int]) -> frozenset[int]:
         inside = sorted(current)
@@ -408,6 +422,14 @@ def _action_proposer(
         return (current - {drop}) | {add}
 
     return swap
+
+
+def _accept_probability(x: float) -> float:
+    """b^U(trial) / (b^U(trial) + b^U(current)), the logistic of x = delta * ln b."""
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -437,14 +459,17 @@ def _run_chain(
 ) -> BlllResult:
     """Shared BLLL loop over a random player's trial actions.
 
-    A trial draws next_site(player) (the player's own site when
-    next_site is None), then next_labels(current labels). It is scored
-    by state.deviation, which leaves the counts as they are; only an
-    accepted trial writes, through state._apply. The best state is an
-    undo log of the accepted moves since the last best, replayed
-    backwards at the end. The trace gets a point after every iteration
-    with params.full_trace, else only after the last one run (the budget's
-    last, or where the chain reached params.stop_at_potential).
+    A trial draws the player as rng.randrange(n_players) does, then
+    next_site(player) (the player's own site when next_site is None),
+    then next_labels(current labels). It is scored by state.deviation,
+    which leaves the counts as they are; only an accepted trial writes,
+    through state._apply. The acceptance probability of each delta is
+    computed on its first trial and kept for the rest of this chain.
+    The best state is an undo log of the accepted moves since the last
+    best, replayed backwards at the end. The trace gets a point after
+    every iteration with params.full_trace, else only after the last one
+    run (the budget's last, or where the chain reached
+    params.stop_at_potential).
 
     Returns the best state seen, the best and final potentials, the
     trace and the accepted-move count; state is left at the final one.
@@ -453,9 +478,12 @@ def _run_chain(
     iterations, full_trace = params.iterations, params.full_trace
     stop = params.stop_at_potential
     audit_interval = AUDIT_INTERVAL
-    below, random, exp = randbelow(rng), rng.random, math.exp
+    getrandbits, random = rng.getrandbits, rng.random
     deviation, apply = state.deviation, state._apply
     n_players, sites, actions = state.n_players, state.sites, state.actions
+    player_bits = n_players.bit_length()
+    # delta -> acceptance probability, for this chain's log_base only
+    accept: dict[int, float] = {}
     phi = state.phi
     trace: list[tuple[int, int]] = [(0, phi)]
     best_phi = phi
@@ -463,18 +491,17 @@ def _run_chain(
     undo: list[tuple[int, int, frozenset[int]]] = []
     accepted = 0
     for i in range(1, iterations + 1):
-        player = below(n_players)
+        player = getrandbits(player_bits)
+        while player >= n_players:
+            player = getrandbits(player_bits)
         site = sites[player]
         new_site = site if next_site is None else next_site(player)
         labels = actions[player]
         new_labels = next_labels(labels)
         delta = deviation(player, new_labels, new_site)
-        x = delta * log_base
-        if x >= 0:
-            p = 1.0 / (1.0 + exp(-x))
-        else:
-            e = exp(x)
-            p = e / (1.0 + e)
+        p = accept.get(delta)
+        if p is None:
+            p = accept[delta] = _accept_probability(delta * log_base)
         if random() < p:
             undo.append((player, site, labels))
             apply(player, new_labels, new_site, delta)
@@ -539,11 +566,16 @@ def blll_place_and_schedule(
     # one label table per run, for the initial state and the trials
     draw = label_sampler(inst.k, inst.sigma)(rng)
     state = random_placement_state(inst, device_count, rng, draw)
-    below = randbelow(rng)
+    getrandbits, open_site = rng.getrandbits, state.open_site
     n_open = len(state.free_sites) + 1
+    bits = n_open.bit_length()
 
     def next_site(player: int) -> int:
-        return state.open_site(player, below(n_open))
+        # rng.randrange(n_open)'s draws
+        i = getrandbits(bits)
+        while i >= n_open:
+            i = getrandbits(bits)
+        return open_site(player, i)
 
     return _run_chain(state, params, rng, lambda _: draw(), next_site)
 

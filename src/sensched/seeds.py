@@ -6,10 +6,9 @@ path (component name, trial index, ...), so independent components and
 parallel trials get decorrelated, reproducible streams regardless of
 execution order or worker count.
 
-The seeded label-set draw, frozenset(rng.sample(range(k), sigma)), and
-randrange(n) also live here, in forms that make the same draws for
-less (label_sampler, randbelow); BLLL and the Monte-Carlo trials both
-draw through them.
+The seeded label-set draw, frozenset(rng.sample(range(k), sigma)), also
+lives here, in a form that makes the same draws for less
+(label_sampler); BLLL and the Monte-Carlo trials both draw through it.
 """
 
 from __future__ import annotations
@@ -37,46 +36,40 @@ def derive_rng(root: int, *scope: object) -> random.Random:
 LABEL_TABLE_LIMIT = 32_768
 
 
-def randbelow(rng: random.Random) -> Callable[[int], int]:
-    """A below(n) that returns rng.randrange(n) for n >= 1, with its draws.
-
-    randrange(n) is Random._randbelow_with_getrandbits(n) (Python 3.10 to
-    3.13): r = getrandbits(n.bit_length()), drawn again while r >= n.
-    below(n) runs that loop without randrange's argument handling.
-    """
-    getrandbits = rng.getrandbits
-
-    def below(n: int) -> int:
-        bits = n.bit_length()
-        r = getrandbits(bits)
-        while r >= n:
-            r = getrandbits(bits)
-        return r
-
-    return below
-
-
 def label_sampler(
     k: int, sigma: int
-) -> Callable[[random.Random], Callable[[], frozenset[int]]]:
-    """bind(rng) -> draw(), where draw() returns frozenset(rng.sample(range(k), sigma)).
+) -> Callable[[random.Random], Callable[..., frozenset[int]]]:
+    """bind(rng) -> draw, where draw() returns frozenset(rng.sample(range(k), sigma)).
+
+    draw(avoid) draws again, in the same way, while the drawn set equals
+    avoid, so it makes the draws of a loop that calls sample until the
+    set differs; avoid must not be the only exactly-sigma set.
 
     random.sample draws from a pool list whenever k <= 21: it picks
-    j_i = randbelow(k - i) for i < sigma and moves the pool's last free
-    entry into the gap. draw() makes those draws (the getrandbits loop of
-    randbelow), reads them as one mixed-radix index and looks the label
-    set up in a table that replays the pool swap for each index on first
-    use. Each entry is built in draw order, as frozenset(sample(...)) is,
-    so it iterates in the same order too. The table belongs to this
-    sampler and is shared by every rng bound to it, so a caller that
-    draws with many rngs (one per trial) fills it once. Above k = 21, or
-    when the table could hold more than LABEL_TABLE_LIMIT draw sequences,
-    draw() calls sample.
+    j_i = randrange(k - i) for i < sigma and moves the pool's last free
+    entry into the gap. randrange(r) is Random._randbelow_with_getrandbits
+    (Python 3.10 to 3.13): getrandbits(r.bit_length()), drawn again
+    while >= r. draw() makes those draws, reads them as one mixed-radix
+    index and looks the label set up in a table that replays the pool
+    swap for each index on first use. Each entry is built in draw order,
+    as frozenset(sample(...)) is, so it iterates in the same order too.
+    The table belongs to this sampler and is shared by every rng bound to
+    it, so a caller that draws with many rngs (one per trial) fills it
+    once. Above k = 21, or when the table could hold more than
+    LABEL_TABLE_LIMIT draw sequences, draw() calls sample.
     """
     if k > 21 or math.perm(k, sigma) > LABEL_TABLE_LIMIT:
 
-        def bind_sample(rng: random.Random) -> Callable[[], frozenset[int]]:
-            return lambda: frozenset(rng.sample(range(k), sigma))
+        def bind_sample(rng: random.Random) -> Callable[..., frozenset[int]]:
+            sample = rng.sample
+
+            def draw(avoid: frozenset[int] | None = None) -> frozenset[int]:
+                labels = frozenset(sample(range(k), sigma))
+                while labels == avoid:
+                    labels = frozenset(sample(range(k), sigma))
+                return labels
+
+            return draw
 
         return bind_sample
 
@@ -96,20 +89,23 @@ def label_sampler(
             pool[j] = pool[r - 1]
         return frozenset(picked)
 
-    def bind(rng: random.Random) -> Callable[[], frozenset[int]]:
+    def bind(rng: random.Random) -> Callable[..., frozenset[int]]:
         getrandbits = rng.getrandbits
 
-        def draw() -> frozenset[int]:
-            index = 0
-            for r, bits in radix_bits:
-                j = getrandbits(bits)
-                while j >= r:
+        def draw(avoid: frozenset[int] | None = None) -> frozenset[int]:
+            while True:
+                index = 0
+                for r, bits in radix_bits:
                     j = getrandbits(bits)
-                index = index * r + j
-            labels = table.get(index)
-            if labels is None:
-                labels = table[index] = decode(index)
-            return labels
+                    while j >= r:
+                        j = getrandbits(bits)
+                    index = index * r + j
+                labels = table.get(index)
+                if labels is None:
+                    labels = table[index] = decode(index)
+                # the identity test first keeps draw() as fast as a draw without avoid
+                if avoid is None or labels != avoid:
+                    return labels
 
         return draw
 

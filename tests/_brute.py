@@ -6,9 +6,11 @@ dataclasses and the seeded RNG derivation), so that package results can
 be checked against a second route. The BLLL reference at the end calls
 no GameState method: it scores every step from the definition of a
 player's utility, and pins the random draws and the acceptance rule of
-the package's chain. Random label sets are drawn with rng.sample and
-random indices with rng.randrange throughout, never through
-seeds.label_sampler or seeds.randbelow.
+the package's chain. Random label sets are drawn with rng.sample (a
+trial set by calling it until the set differs from the current one),
+random indices with rng.randrange, and each acceptance probability is
+computed afresh on every step, never through seeds.label_sampler, the
+chain's inline getrandbits loops or its per-chain acceptance memo.
 """
 
 from __future__ import annotations

@@ -344,6 +344,29 @@ def test_schedule_oracle_rejects_trace(runner, tmp_path):
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("solver, option, value, readers", [
+    ("oracle", "--seed", "0", "greedy or blll"),
+    ("oracle", "--iters", "500", "blll"),
+    ("oracle", "--epsilon", "0.015", "blll"),
+    ("greedy", "--iters", "20000", "blll"),
+    ("greedy", "--epsilon", "0.1", "blll"),
+])
+def test_schedule_refuses_an_option_its_solver_ignores(runner, monkeypatch, tmp_path,
+                                                        solver, option, value, readers):
+    # refused before the instance is read, also at the option's default value
+    def load(*_args, **_kwargs):
+        raise RuntimeError("the instance was read")
+
+    monkeypatch.setattr(instance, "load_instance", load)
+    out = tmp_path / "refused.labeling"
+    result = runner.invoke(main, [
+        "schedule", PATH4, "--solver", solver, option, value, "--out", str(out),
+    ])
+    assert result.exit_code == 1
+    assert f"error: {option} needs --solver {readers}" in result.output
+    assert not out.exists()
+
+
 def test_schedule_oracle_refusal_exit_code(runner, tmp_path):
     text = Path(PETERSEN).read_text().replace("k: 5", "k: 12").replace("sigma: 2", "sigma: 6")
     inst = tmp_path / "big.instance"
@@ -432,6 +455,17 @@ def test_lifetime_disjoint_refuses_k(runner, tmp_path):
     ])
     assert result.exit_code == 1
     assert "error: --k needs --mode config" in result.output
+    assert not out.exists()
+
+
+def test_lifetime_disjoint_refuses_budget(runner, tmp_path):
+    out = tmp_path / "config.labeling"
+    result = runner.invoke(main, [
+        "lifetime", PATH4, "--sigma", "1", "--mode", "disjoint", "--budget", "200000",
+        "--out", str(out),
+    ])
+    assert result.exit_code == 1
+    assert "error: --budget needs --mode config" in result.output
     assert not out.exists()
 
 

@@ -151,6 +151,45 @@ def test_identity_placement_mode():
             assert du == dphi
 
 
+class _ReadCounter(list):
+    """A list that records the index of every item read."""
+
+    def __init__(self, items, reads):
+        super().__init__(items)
+        self.reads = reads
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
+def test_own_site_deviation_reads_only_the_changed_slots():
+    rng = derive_rng(37, "own-site-reads")
+    checked = kept = 0
+    for _ in range(40):
+        inst = random_instance(rng)
+        cov = inst.coverage
+        state = random_state(inst, label_sampler(inst.k, inst.sigma)(rng))
+        reads = []
+        state.covered = _ReadCounter(state.covered, reads)
+        state.multi = _ReadCounter(state.multi, reads)
+        before = _labels_by_x(cov.n_x, state.sites, state.actions)
+        for _ in range(8):
+            player = rng.randrange(state.n_players)
+            held = state.actions[player]
+            labels = frozenset(rng.sample(range(inst.k), inst.sigma))
+            after = list(before)
+            after[state.sites[player]] = labels
+            reads.clear()
+            delta = state.deviation(player, labels, state.sites[player])
+            assert sorted(reads) == sorted(held ^ labels)
+            assert delta == brute_potential(cov, after) - brute_potential(cov, before)
+            checked += 1
+            kept += bool(held & labels)
+    # enough trials keep a slot, whose terms cancel and so are not read
+    assert kept > 20 and checked == 320
+
+
 def _counts(state):
     return [list(p) for p in state.planes], list(state.covered), list(state.multi)
 
@@ -509,6 +548,14 @@ def test_blll_matches_reference_chain(monkeypatch, k, sigma, overrides, objectiv
         assert blll_place_and_schedule(inst, devices, params) == (
             brute_blll_place_and_schedule(inst, devices, params)
         )
+
+
+def test_blll_chains_at_other_epsilons_share_no_acceptance_probabilities():
+    # each chain computes its own delta -> probability for its epsilon
+    inst = _instances_of("detection", 5, 2, 42, 1)[0]
+    for epsilon in (0.015, 0.5, 0.015):
+        params = BlllParams(iterations=300, seed=5, epsilon=epsilon)
+        assert blll_schedule(inst, params) == brute_blll_schedule(inst, params)
 
 
 # (objective, k, sigma, BlllParams overrides). At epsilon = 0.9 most

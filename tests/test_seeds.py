@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from sensched import seeds
-from sensched.seeds import derive_rng, label_sampler, randbelow
+from sensched.seeds import derive_rng, label_sampler
 
 
 def _assert_same_draws(k: int, sigma: int, n_rngs: int = 3, rounds: int = 8) -> None:
@@ -54,12 +54,17 @@ def test_label_sampler_above_the_pool_size_calls_sample():
         assert draw() == frozenset(ref.sample(range(22), 2))
 
 
-def test_randbelow_makes_randrange_draws():
-    sizes = list(range(1, 1001))
-    sizes += [(1 << j) + d for j in range(1, 70) for d in (-1, 0, 1)]
-    ours, ref = Random(17), Random(17)
-    below = randbelow(ours)
-    for n in sizes:
-        for _ in range(3):
-            assert below(n) == ref.randrange(n)
+@pytest.mark.parametrize("k, sigma", [(2, 1), (4, 2), (10, 2), (12, 5), (22, 2)])
+def test_label_sampler_avoid_redraws_as_sample_does(k, sigma):
+    # k = 22 is past the pool branch, so draw(avoid) calls sample there
+    ours, ref = Random(11), Random(11)
+    draw = label_sampler(k, sigma)(ours)
+    held = frozenset(range(sigma))
+    for _ in range(300):
+        got = draw(held)
+        want = frozenset(ref.sample(range(k), sigma))
+        while want == held:
+            want = frozenset(ref.sample(range(k), sigma))
+        assert got == want != held
+        held = got
     assert ours.getstate() == ref.getstate()
