@@ -7,9 +7,12 @@ is bit-reproducible, including across --workers settings. Exit codes:
 exhausted). Each (k, sigma) pair passes `schedule.check_k_sigma`;
 rand-experiment checks its k range, sigma, trials, workers and geometry
 before it generates the graph, and disjoint lifetime refuses --k and
---budget and checks sigma before it partitions. schedule refuses, before
+--budget and checks sigma before it reads the instance. schedule refuses, before
 it reads the instance, an option the chosen solver ignores: --seed and
 --trace with the oracle, --iters and --epsilon with any solver but blll.
+The BLLL options of schedule --solver blll and place-and-schedule, and
+the --k that config lifetime needs, are checked before the instance is
+read too.
 The potential a solver prints is checked against `score` of the
 labeling it writes (exit 2).
 """
@@ -25,7 +28,7 @@ from typing import Iterable, Iterator
 import click
 from click.core import ParameterSource
 
-from . import domination, game, greedy, instance, oracle, randnet, verify
+from . import __version__, domination, game, greedy, instance, oracle, randnet
 from .coverage import adjacency_lines, restrict_x
 from .errors import InputError, ParseError, SearchSpaceError, VerificationError
 from .seeds import derive_seed
@@ -118,7 +121,7 @@ def handle_errors(fn):
 
 
 @click.group()
-@click.version_option(package_name="sensched")
+@click.version_option(version=__version__)
 def main() -> None:
     """Activation scheduling for battery-limited monitoring devices."""
 
@@ -168,6 +171,11 @@ def schedule_cmd(
     ):
         if solver not in readers and _given(name):
             raise InputError(f"{option} needs --solver {' or '.join(readers)}")
+    if solver == "blll":
+        # without --trace the chain records only its first and last points
+        params = game.BlllParams(
+            epsilon=epsilon, iterations=iters, seed=seed, full_trace=bool(trace_path)
+        )
     spec = instance.load_instance(instance_file)
     _, inst = instance.build_problem(spec)
     letter = SCORE_LETTER[inst.objective]
@@ -190,10 +198,6 @@ def schedule_cmd(
             rows = ([p.iteration, names[p.x], p.label + 1, p.objective] for p in g_result.trace)
             _emit(_csv_lines(["iteration", "node", "label", "objective"], rows), trace_path)
     else:
-        # without --trace the chain records only its first and last points
-        params = game.BlllParams(
-            epsilon=epsilon, iterations=iters, seed=seed, full_trace=bool(trace_path)
-        )
         b_result = game.blll_schedule(inst, params)
         labeling = b_result.best_labeling
         report = _rescored(inst, labeling, b_result.best_potential, "blll")
@@ -238,6 +242,10 @@ def place_and_schedule_cmd(
     """Choose device sites and schedules, jointly or in two stages."""
     if csv_path and solver != "both":
         raise InputError("--csv needs --solver both")
+    # no trace is read, so the chains record only their first and last points
+    params = game.BlllParams(
+        epsilon=epsilon, iterations=iters, seed=seed, full_trace=False
+    )
     spec = instance.load_instance(instance_file)
     if sites.strip().lower() == "all":
         site_names: tuple[str, ...] = ("all",)
@@ -246,10 +254,6 @@ def place_and_schedule_cmd(
     _, inst = instance.build_problem(dataclasses.replace(spec, sensors=site_names))
     cov = inst.coverage
     letter = SCORE_LETTER[inst.objective]
-    # no trace is read, so the chains record only their first and last points
-    params = game.BlllParams(
-        epsilon=epsilon, iterations=iters, seed=seed, full_trace=False
-    )
 
     modes = {"blll-joint": ("joint",), "two-stage": ("two-stage",),
              "both": ("joint", "two-stage")}[solver]
@@ -309,10 +313,12 @@ def lifetime_cmd(
             raise InputError("--k needs --mode config")
         if _given("budget"):
             raise InputError("--budget needs --mode config")
+        domination.check_sigma(sigma)
+    elif k_value is None:
+        raise InputError("config mode needs --k")
     spec = instance.load_instance(instance_file)
     g = instance.build_graph(spec)
     if mode == "disjoint":
-        domination.check_sigma(sigma)
         dp = domination.greedy_domatic_partition(g, seed=seed if seed else None)
         cfg = domination.config_from_domatic(g, dp, sigma)
         click.echo(
@@ -326,8 +332,6 @@ def lifetime_cmd(
         )
         _emit((text,), out)
         return
-    if k_value is None:
-        raise InputError("config mode needs --k")
     result = domination.search_config(g, k_value, sigma, budget=budget, seed=seed)
     if result.status == "found":
         click.echo(f"found ({result.method}): {result.detail}")
@@ -484,7 +488,14 @@ def verify_cmd(
     run_dual: bool,
     seed: int,
 ) -> None:
-    """Run the randomized property suites; nonzero exit on any failure."""
+    """Run the randomized property suites; nonzero exit on any failure.
+
+    \f
+    The suites' module is imported here, its only caller, so no other
+    command compiles it.
+    """
+    from . import verify
+
     if not (run_potential or run_reduction or run_dual):
         run_everything = True
     reports = []

@@ -16,8 +16,7 @@ index, or with a seed to a uniform draw over the maximal-gain nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple
 
 from .coverage import CoverageGraph, restrict_x
 from .errors import InputError, VerificationError
@@ -48,8 +47,7 @@ def is_dominating(g: NetworkGraph, nodes: Iterable[int]) -> bool:
     return len(covered) == g.node_count
 
 
-@dataclass(frozen=True)
-class DomaticPartition:
+class DomaticPartition(NamedTuple):
     """Pairwise-disjoint dominating sets; their union is the vertex set."""
 
     sets: tuple[frozenset[int], ...]
@@ -116,8 +114,7 @@ def validate_partition(g: NetworkGraph, dp: DomaticPartition) -> None:
         raise InputError("partition does not cover every node")
 
 
-@dataclass(frozen=True)
-class KSigmaConfig:
+class KSigmaConfig(NamedTuple):
     """Exactly sigma distinct labels from 1..k per node (stored 0-based)."""
 
     k: int
@@ -125,8 +122,7 @@ class KSigmaConfig:
     labels: tuple[frozenset[int], ...]
 
 
-@dataclass(frozen=True)
-class ConfigCheck:
+class ConfigCheck(NamedTuple):
     ok: bool
     violations: tuple[tuple[int, int], ...]  # (node, 1-based label)
 
@@ -225,8 +221,7 @@ def config_from_domatic(
 SearchStatus = Literal["found", "nonexistent", "exhausted"]
 
 
-@dataclass(frozen=True)
-class ConfigSearchResult:
+class ConfigSearchResult(NamedTuple):
     status: SearchStatus
     config: KSigmaConfig | None
     method: str

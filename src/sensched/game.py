@@ -44,7 +44,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import islice
 from random import Random
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .coverage import CoverageGraph
 from .errors import InputError, VerificationError
@@ -432,8 +432,7 @@ def _accept_probability(x: float) -> float:
     return e / (1.0 + e)
 
 
-@dataclass(frozen=True)
-class BlllResult:
+class BlllResult(NamedTuple):
     """A BLLL run's best state, its best and final potentials and its trace.
 
     best_sites are the occupied sites in increasing order and

@@ -30,16 +30,14 @@ greedy at k = sigma = 1.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .schedule import Labeling, ProblemInstance
 from .seeds import derive_rng
 
 
-@dataclass(frozen=True)
-class GreedyPick:
+class GreedyPick(NamedTuple):
     iteration: int
     x: int
     label: int
@@ -47,8 +45,7 @@ class GreedyPick:
     objective: int
 
 
-@dataclass(frozen=True)
-class GreedyResult:
+class GreedyResult(NamedTuple):
     labeling: Labeling
     trace: tuple[GreedyPick, ...]
     objective: int

@@ -20,9 +20,9 @@ fractions); there is no floating point anywhere on this path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import SearchSpaceError, VerificationError
 from .schedule import Labeling, ProblemInstance, ScheduleReport, score as score_labeling
@@ -30,8 +30,7 @@ from .schedule import Labeling, ProblemInstance, ScheduleReport, score as score_
 SPACE_LIMIT = 10_000_000  # labelings; larger spaces are refused
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     best_score: Fraction
     best_potential: int
     optimum: Labeling  # the first optimum in lexicographic order
@@ -41,8 +40,7 @@ class OracleResult:
     report: ScheduleReport  # schedule.score of optimum
 
 
-@dataclass(frozen=True)
-class _SearchResult:
+class _SearchResult(NamedTuple):
     best: int  # the floor when no labeling reached it
     optima: tuple[Labeling, ...]
     truncated: bool

@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .coverage import CoverageGraph, build_detection
 from .errors import InputError
@@ -206,8 +206,7 @@ def check_run(trials: int, workers: int) -> None:
         raise InputError("workers must be >= 1")
 
 
-@dataclass(frozen=True)
-class RandomScheduleStats:
+class RandomScheduleStats(NamedTuple):
     mean: float
     stderr: float
     trials: int

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .coverage import CoverageGraph, Objective
 from .errors import BatteryViolation, InputError, ParseError, VerificationError
@@ -45,15 +45,13 @@ class ProblemInstance:
         return self.coverage.objective
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(NamedTuple):
     """Per-device slot label sets, aligned with the coverage X order."""
 
     by_x: tuple[frozenset[int], ...]
 
 
-@dataclass(frozen=True)
-class ScheduleReport:
+class ScheduleReport(NamedTuple):
     """Scoring breakdown for one labeling."""
 
     k: int

@@ -2,7 +2,7 @@
 
 Everything here is written straight from definitions with no shared
 code paths into the package (aside from plain data access, the result
-dataclasses and the seeded RNG derivation), so that package results can
+records and the seeded RNG derivation), so that package results can
 be checked against a second route. The BLLL reference at the end calls
 no GameState method: it scores every step from the definition of a
 player's utility, and pins the random draws and the acceptance rule of

@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -150,16 +149,56 @@ def test_refused_build_coverage_writes_no_file(runner, tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def _fresh_python(*args: str) -> str:
+    """The stdout of a new interpreter run with args and the checkout's src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only rand-experiment --workers > 1 imports the pool and its modules
     code = ("import sys, sensched.cli; "
             "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n"
+    assert _fresh_python("-c", code) == "[]\n"
+
+
+def test_cli_import_leaves_the_verify_suites_unloaded():
+    # only the verify command imports them
+    code = "import sys, sensched.cli; print('sensched.verify' in sys.modules)"
+    assert _fresh_python("-c", code) == "False\n"
+
+
+def test_cli_import_creates_only_the_dataclasses_that_need_it():
+    # the rest are NamedTuples, which cost a fraction of a frozen dataclass to
+    # create; these validate in __post_init__ (which _replace would skip), hold
+    # a cached_property, or go through dataclasses.replace in perfbench/checks.py
+    code = """
+import dataclasses, sys, sensched.cli
+print(*sorted(
+    f"{name}.{obj.__name__}"
+    for name, mod in list(sys.modules.items()) if name.startswith("sensched")
+    for obj in vars(mod).values()
+    if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == name
+))
+"""
+    assert _fresh_python("-c", code).split() == [
+        "sensched.coverage.CoverageGraph",
+        "sensched.game.BlllParams",
+        "sensched.instance.InstanceSpec",
+        "sensched.randnet.ErdosRenyiSpec",
+        "sensched.randnet.GeometricGraphSpec",
+        "sensched.schedule.ProblemInstance",
+    ]
+
+
+def test_version_from_the_source_checkout(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert result.output.endswith(", version 0.1.0\n")
 
 
 def test_schedule_oracle_output(runner):
@@ -186,7 +225,7 @@ def test_oracle_rescore_mismatch_exits_2(runner, monkeypatch):
     search = oracle._branch_and_bound
     monkeypatch.setattr(
         oracle, "_branch_and_bound",
-        lambda *args, **kwargs: replace(search(*args, **kwargs), best=0),
+        lambda *args, **kwargs: search(*args, **kwargs)._replace(best=0),
     )
     result = runner.invoke(main, ["schedule", PATH4, "--solver", "oracle"])
     assert result.exit_code == 2
@@ -262,7 +301,7 @@ def test_printed_potential_must_match_the_rescore(runner, monkeypatch, tmp_path,
 
     def off_by_one(*a, **kw):
         result = real(*a, **kw)
-        return replace(result, **{field: getattr(result, field) + 1})
+        return result._replace(**{field: getattr(result, field) + 1})
 
     monkeypatch.setattr(module, function, off_by_one)
     out = tmp_path / "out.labeling"
@@ -364,6 +403,30 @@ def test_schedule_refuses_an_option_its_solver_ignores(runner, monkeypatch, tmp_
     ])
     assert result.exit_code == 1
     assert f"error: {option} needs --solver {readers}" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["schedule", PATH4, "--solver", "blll", "--iters", "-1"], "iterations must be >= 0"),
+    (["schedule", PATH4, "--solver", "blll", "--epsilon", "2"],
+     "epsilon must be in (0, 1), got 2.0"),
+    (["place-and-schedule", STAR5, "--devices", "2", "--solver", "both", "--iters", "-1"],
+     "iterations must be >= 0"),
+    (["place-and-schedule", STAR5, "--devices", "2", "--solver", "two-stage",
+      "--epsilon", "0"], "epsilon must be in (0, 1), got 0.0"),
+    (["lifetime", PATH4, "--sigma", "1", "--mode", "config"], "config mode needs --k"),
+    (["lifetime", PATH4, "--sigma", "0", "--mode", "disjoint"], "sigma must be >= 1"),
+])
+def test_argument_errors_are_refused_before_the_instance_is_read(runner, monkeypatch,
+                                                                 tmp_path, args, message):
+    def load(*_args, **_kwargs):
+        raise RuntimeError("the instance was read")
+
+    monkeypatch.setattr(instance, "load_instance", load)
+    out = tmp_path / "refused.labeling"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 1
+    assert f"error: {message}" in result.output
     assert not out.exists()
 
 
@@ -761,6 +824,15 @@ def test_verify_single_suite(runner):
     assert result.exit_code == 0
     assert "potential-game identity" in result.output
     assert "dual-form" not in result.output
+
+
+def test_verify_in_a_fresh_process_prints_what_it_prints_in_process(runner):
+    # the tests import sensched.verify elsewhere, so only a new interpreter
+    # runs the command's own import of it
+    args = ["verify", "--potential-game", "--seed", "2"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert _fresh_python("-m", "sensched.cli", *args) == result.stdout
 
 
 def test_verify_seeded_reproducible(runner):

@@ -486,7 +486,7 @@ def test_trace_first_and_last_only(path4_instance):
         assert [i for i, _ in full.trace] == list(range(last + 1))
         assert (last == 103) if stop is None else (last < 103)
         assert ends.trace == ((0, full.trace[0][1]), (last, full.final_potential))
-        assert dataclasses.replace(ends, trace=full.trace) == full
+        assert ends._replace(trace=full.trace) == full
 
 
 def test_swap_proposals_for_large_action_spaces(monkeypatch):

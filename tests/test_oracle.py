@@ -243,7 +243,6 @@ def test_oracle_truncation_resets_on_a_better_potential():
 
 def test_oracle_rescore_mismatch_raises_under_optimize():
     code = """
-from dataclasses import replace
 from sensched import oracle
 from sensched.coverage import build_detection
 from sensched.errors import VerificationError
@@ -252,7 +251,7 @@ from sensched.schedule import ProblemInstance
 
 assert False, "asserts must be stripped in this interpreter"
 search = oracle._branch_and_bound
-oracle._branch_and_bound = lambda *a, **kw: replace(search(*a, **kw), best=0)
+oracle._branch_and_bound = lambda *a, **kw: search(*a, **kw)._replace(best=0)
 g = NetworkGraph(["1", "2", "3"], [("1", "2"), ("2", "3")])
 inst = ProblemInstance(build_detection(g, [1], all_edge_targets(g), 1), 2, 1)
 try:
