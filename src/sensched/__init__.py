@@ -4,9 +4,8 @@ from .coverage import CoverageGraph, build_detection, build_isolation, restrict_
 from .domination import (
     DomaticPartition,
     KSigmaConfig,
-    config_from_domatic,
+    disjoint_config,
     greedy_domatic_partition,
-    is_dominating,
     search_config,
     verify_config,
 )

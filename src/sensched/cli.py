@@ -6,15 +6,14 @@ is bit-reproducible, including across --workers settings. Exit codes:
 (oracle space too large, too many isolation pairs, or search budget
 exhausted). Each (k, sigma) pair passes `schedule.check_k_sigma`;
 rand-experiment checks its k range, sigma, trials, workers and geometry
-before it generates the graph, and disjoint lifetime refuses --k and
---budget and checks sigma before it reads the instance. schedule refuses, before
-it reads the instance, an option the chosen solver ignores: --seed and
---trace with the oracle, --iters and --epsilon with any solver but blll.
-The BLLL options of schedule --solver blll and place-and-schedule, and
-the --k that config lifetime needs, are checked before the instance is
-read too.
-The potential a solver prints is checked against `score` of the
-labeling it writes (exit 2).
+before it generates the graph. Before the instance is read, schedule
+refuses an option the chosen solver ignores (--seed and --trace with the
+oracle, --iters and --epsilon with any solver but blll), the BLLL
+options and place-and-schedule's --devices are checked, disjoint
+lifetime refuses --k and --budget and checks sigma, and config lifetime
+checks --k, sigma and --budget. The potential a solver prints is checked
+against `score` of the labeling it writes, and a lifetime configuration
+against `domination.verify_config` (exit 2).
 """
 
 from __future__ import annotations
@@ -246,6 +245,7 @@ def place_and_schedule_cmd(
     params = game.BlllParams(
         epsilon=epsilon, iterations=iters, seed=seed, full_trace=False
     )
+    game.check_device_count(devices)
     spec = instance.load_instance(instance_file)
     if sites.strip().lower() == "all":
         site_names: tuple[str, ...] = ("all",)
@@ -316,19 +316,21 @@ def lifetime_cmd(
         domination.check_sigma(sigma)
     elif k_value is None:
         raise InputError("config mode needs --k")
+    else:
+        check_k_sigma(k_value, sigma)
+        domination.check_budget(budget)
     spec = instance.load_instance(instance_file)
     g = instance.build_graph(spec)
     if mode == "disjoint":
-        dp = domination.greedy_domatic_partition(g, seed=seed if seed else None)
-        cfg = domination.config_from_domatic(g, dp, sigma)
+        cfg = domination.disjoint_config(g, sigma, seed=seed if seed else None)
+        sets = cfg.k // sigma
         click.echo(
-            f"disjoint dominating sets found: {len(dp.sets)}  "
+            f"disjoint dominating sets found: {sets}  "
             f"lifetime k = {cfg.k} (sigma = {sigma})"
         )
         text = format_label_table(
             g.names, cfg.labels,
-            ["mode: disjoint", f"k: {cfg.k}", f"sigma: {sigma}",
-             f"sets: {len(dp.sets)}"],
+            ["mode: disjoint", f"k: {cfg.k}", f"sigma: {sigma}", f"sets: {sets}"],
         )
         _emit((text,), out)
         return

@@ -11,12 +11,15 @@ run of the scheduling greedy (`greedy.greedy_picks`) at k = sigma = 1 on
 `randnet.node_coverage`, whose masks are the closed neighborhoods,
 restricted to the nodes not yet in a set. Ties go to the lowest node
 index, or with a seed to a uniform draw over the maximal-gain nodes.
+`disjoint_config` gives each set one block of sigma labels. Every
+configuration returned here passes `verify_config`, the one check of
+the property from its definition.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
 from .coverage import CoverageGraph, restrict_x
 from .errors import InputError, VerificationError
@@ -32,19 +35,6 @@ from .seeds import derive_seed
 # at most EXHAUSTIVE_LIMIT, and gives it up after EXHAUSTIVE_NODE_CAP nodes
 EXHAUSTIVE_LIMIT = 64
 EXHAUSTIVE_NODE_CAP = 2_000_000
-
-
-def is_dominating(g: NetworkGraph, nodes: Iterable[int]) -> bool:
-    """True iff every node is in the set or adjacent to it."""
-    chosen = set(nodes)
-    for v in chosen:
-        g._check_node(v)
-    if not chosen and g.node_count > 0:
-        return False
-    covered = set(chosen)
-    for v in chosen:
-        covered.update(g.neighbors(v))
-    return len(covered) == g.node_count
 
 
 class DomaticPartition(NamedTuple):
@@ -100,18 +90,6 @@ def _domatic_partition(cov: CoverageGraph, seed: int | None) -> DomaticPartition
     if remaining:
         sets[-1] = sets[-1] | remaining
     return DomaticPartition(tuple(sets))
-
-
-def validate_partition(g: NetworkGraph, dp: DomaticPartition) -> None:
-    seen: set[int] = set()
-    for i, s in enumerate(dp.sets):
-        if seen & s:
-            raise InputError(f"partition sets overlap at set {i}")
-        seen |= s
-        if not is_dominating(g, s):
-            raise InputError(f"set {i} is not dominating")
-    if seen != set(range(g.node_count)):
-        raise InputError("partition does not cover every node")
 
 
 class KSigmaConfig(NamedTuple):
@@ -173,16 +151,17 @@ def _checked(g: NetworkGraph, cfg: KSigmaConfig, method: str) -> KSigmaConfig:
     return cfg
 
 
-def _config_from_partition(dp: DomaticPartition, k: int, sigma: int) -> KSigmaConfig:
+def _config_from_partition(dp: DomaticPartition, n: int, k: int, sigma: int) -> KSigmaConfig:
     """Block construction: set i supplies labels (i-1)*sigma+1 .. i*sigma.
 
     Works for any k <= sigma * len(sets): full blocks go to the first
     k // sigma sets, the next set takes the k % sigma leftover labels
     padded with low labels, and later sets reuse the first block.
+    VerificationError unless the sets hold each node 0..n-1 exactly once.
     """
     q, r = divmod(k, sigma)
-    labels_by_set: list[frozenset[int]] = []
-    for i, _ in enumerate(dp.sets):
+    node_labels: dict[int, frozenset[int]] = {}
+    for i, nodes in enumerate(dp.sets):
         if i < q:
             block = frozenset(range(i * sigma, (i + 1) * sigma))
         elif i == q and r > 0:
@@ -191,12 +170,10 @@ def _config_from_partition(dp: DomaticPartition, k: int, sigma: int) -> KSigmaCo
             )
         else:
             block = frozenset(range(sigma))
-        labels_by_set.append(block)
-    node_labels: dict[int, frozenset[int]] = {}
-    for block, nodes in zip(labels_by_set, dp.sets):
-        for v in nodes:
-            node_labels[v] = block
-    n = len(node_labels)
+        node_labels.update(dict.fromkeys(nodes, block))
+    # the sizes add up to n and the union is 0..n-1: no overlap, no gap
+    if sum(map(len, dp.sets)) != n or node_labels.keys() != set(range(n)):
+        raise VerificationError("a node is in two partition sets or in none")
     return KSigmaConfig(
         k=k, sigma=sigma, labels=tuple(node_labels[v] for v in range(n))
     )
@@ -208,13 +185,18 @@ def check_sigma(sigma: int) -> None:
         raise InputError("sigma must be >= 1")
 
 
-def config_from_domatic(
-    g: NetworkGraph, dp: DomaticPartition, sigma: int
-) -> KSigmaConfig:
-    """Lifetime sigma * #sets: each set holds one block of sigma labels."""
+def check_budget(budget: int) -> None:
+    """InputError unless search_config's stochastic budget is at least 0."""
+    if budget < 0:
+        raise InputError(f"budget must be at least 0, got {budget}")
+
+
+def disjoint_config(g: NetworkGraph, sigma: int, seed: int | None = None) -> KSigmaConfig:
+    """Lifetime sigma * #sets: each set of `greedy_domatic_partition(g, seed)`
+    holds one block of sigma labels."""
     check_sigma(sigma)
-    validate_partition(g, dp)
-    cfg = _config_from_partition(dp, sigma * len(dp.sets), sigma)
+    dp = greedy_domatic_partition(g, seed)
+    cfg = _config_from_partition(dp, g.node_count, sigma * len(dp.sets), sigma)
     return _checked(g, cfg, "disjoint")
 
 
@@ -237,23 +219,23 @@ def search_config(
 ) -> ConfigSearchResult:
     """Find a (k, sigma)-configuration or report why none was found.
 
-    Order of attack: necessary-condition prechecks (proven nonexistent),
-    the constructive path through a greedy domatic partition (covers any
-    k up to sigma times the partition size), the oracle's branch and
-    bound on `node_coverage(g)` when n * C(k, sigma) is at most
-    EXHAUSTIVE_LIMIT (the first labeling of potential n * k in
-    lexicographic order; a search that ends within EXHAUSTIVE_NODE_CAP
-    nodes without one proves nonexistence), then stochastic label search
-    in chains until the iteration budget runs out. `exhausted` never
-    claims nonexistence. A device of `node_coverage(g)` covers exactly
-    its closed neighborhood, so full coverage in all k slots is the
-    configuration property.
+    After `check_k_sigma` and `check_budget`, the order of attack:
+    necessary-condition prechecks (proven nonexistent), the constructive
+    path through a greedy domatic partition (covers any k up to sigma
+    times the partition size), the oracle's branch and bound on
+    `node_coverage(g)` when n * C(k, sigma) is at most EXHAUSTIVE_LIMIT
+    (the first labeling of potential n * k in lexicographic order; a
+    search that ends within EXHAUSTIVE_NODE_CAP nodes without one proves
+    nonexistence), then stochastic label search in chains until the
+    iteration budget runs out. `exhausted` never claims nonexistence. A
+    device of `node_coverage(g)` covers exactly its closed neighborhood,
+    so full coverage in all k slots is the configuration property; a
+    found configuration has passed `verify_config`.
     """
     if g.node_count == 0:
         raise InputError("empty graph")
     check_k_sigma(k, sigma)
-    if budget < 0:
-        raise InputError(f"budget must be at least 0, got {budget}")
+    check_budget(budget)
 
     # every label must appear in the closed neighborhood of a
     # minimum-degree node, which holds at most sigma * (deg + 1) labels
@@ -274,7 +256,9 @@ def search_config(
     if k <= sigma * len(dp.sets):
         return ConfigSearchResult(
             status="found",
-            config=_checked(g, _config_from_partition(dp, k, sigma), "constructive"),
+            config=_checked(
+                g, _config_from_partition(dp, g.node_count, k, sigma), "constructive"
+            ),
             method="constructive",
             detail=f"from a {len(dp.sets)}-set greedy domatic partition",
         )

@@ -136,13 +136,18 @@ def _aligned(
     return tuple(s for s, _ in ordered), Labeling(tuple(a for _, a in ordered))
 
 
+def check_device_count(device_count: int) -> None:
+    """InputError unless at least one device is to be placed."""
+    if device_count < 1:
+        raise InputError("device_count must be >= 1")
+
+
 def _check_device_count(cov: CoverageGraph, device_count: int) -> None:
     if device_count > cov.n_x:
         raise InputError(
             f"cannot place {device_count} devices on {cov.n_x} candidate sites"
         )
-    if device_count < 1:
-        raise InputError("device_count must be >= 1")
+    check_device_count(device_count)
 
 
 class GameState:

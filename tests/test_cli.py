@@ -416,6 +416,14 @@ def test_schedule_refuses_an_option_its_solver_ignores(runner, monkeypatch, tmp_
       "--epsilon", "0"], "epsilon must be in (0, 1), got 0.0"),
     (["lifetime", PATH4, "--sigma", "1", "--mode", "config"], "config mode needs --k"),
     (["lifetime", PATH4, "--sigma", "0", "--mode", "disjoint"], "sigma must be >= 1"),
+    (["lifetime", PATH4, "--sigma", "3", "--mode", "config", "--k", "2"],
+     "battery sigma must satisfy 1 <= sigma <= k, got sigma=3, k=2"),
+    (["lifetime", PATH4, "--sigma", "1", "--mode", "config", "--k", "2", "--budget", "-1"],
+     "budget must be at least 0, got -1"),
+    (["place-and-schedule", STAR5, "--devices", "0", "--solver", "both"],
+     "device_count must be >= 1"),
+    (["place-and-schedule", STAR5, "--devices", "-1", "--solver", "blll-joint"],
+     "device_count must be >= 1"),
 ])
 def test_argument_errors_are_refused_before_the_instance_is_read(runner, monkeypatch,
                                                                  tmp_path, args, message):
@@ -561,6 +569,20 @@ def test_lifetime_failed_config_check_exits_2(runner, monkeypatch, args, method)
         f"verification failed: verify_config rejected the {method} configuration"
         in result.output
     )
+
+
+def test_lifetime_disjoint_non_partition_exits_2(runner, monkeypatch, tmp_path):
+    overlapping = domination.DomaticPartition((frozenset({0, 1}), frozenset({1, 2, 3})))
+    monkeypatch.setattr(domination, "greedy_domatic_partition", lambda g, seed: overlapping)
+    out = tmp_path / "config.labeling"
+    result = runner.invoke(
+        main, ["lifetime", PATH4, "--sigma", "1", "--mode", "disjoint", "--out", str(out)]
+    )
+    assert result.exit_code == 2
+    assert (
+        "verification failed: a node is in two partition sets or in none" in result.output
+    )
+    assert not out.exists()
 
 
 def test_lifetime_config_nonexistent(runner):

@@ -9,13 +9,13 @@ from sensched.domination import (
     EXHAUSTIVE_LIMIT,
     DomaticPartition,
     KSigmaConfig,
-    config_from_domatic,
+    _config_from_partition,
+    disjoint_config,
     greedy_domatic_partition,
-    is_dominating,
     search_config,
     verify_config,
 )
-from sensched.errors import InputError
+from sensched.errors import InputError, VerificationError
 from sensched.graph import NetworkGraph
 from sensched.randnet import GeometricGraphSpec, gen_geometric, node_coverage
 from sensched.schedule import Labeling, ProblemInstance, score
@@ -25,16 +25,9 @@ from sensched.verify import random_graph
 from ._brute import (
     brute_first_config,
     brute_greedy_domatic_partition,
+    brute_is_dominating,
     brute_max_disjoint_dominating,
 )
-
-
-def test_is_dominating_cases(path4):
-    assert is_dominating(path4, range(4))
-    assert is_dominating(path4, [1, 2])
-    assert is_dominating(path4, [0, 3])
-    assert not is_dominating(path4, [0])
-    assert not is_dominating(path4, [])
 
 
 def test_greedy_partition_path(path4):
@@ -53,9 +46,8 @@ def test_greedy_partition_star(star5):
     # the center alone dominates, and so does the set of all leaves
     dp = greedy_domatic_partition(star5)
     assert len(dp.sets) >= 1
-    assert all(is_dominating(star5, s) for s in dp.sets)
-    union = set().union(*dp.sets)
-    assert union == set(range(5))
+    assert all(brute_is_dominating(star5, s) for s in dp.sets)
+    assert sorted(v for s in dp.sets for v in s) == list(range(5))
     assert brute_max_disjoint_dominating(star5, upper=star5.min_degree() + 1) == 2
 
 
@@ -70,7 +62,8 @@ def test_greedy_never_beats_exact_on_tiny_graphs():
     for _ in range(10):
         g = random_graph(rng, rng.randint(3, 7), 0.5)
         dp = greedy_domatic_partition(g)
-        domination.validate_partition(g, dp)
+        assert all(brute_is_dominating(g, s) for s in dp.sets)
+        assert sorted(v for s in dp.sets for v in s) == list(range(g.node_count))
         assert len(dp.sets) <= brute_max_disjoint_dominating(g, upper=g.min_degree() + 1)
 
 
@@ -127,32 +120,42 @@ def test_verify_config_rejects_malformed(path4):
 
 
 def test_config_from_domatic_path(path4):
-    dp = greedy_domatic_partition(path4)
     for sigma in (1, 2, 3, 4):
-        cfg = config_from_domatic(path4, dp, sigma)
+        cfg = disjoint_config(path4, sigma)
         assert cfg.k == sigma * 2
         assert verify_config(path4, cfg).ok
 
 
 def test_config_from_domatic_sigma_one_is_partition_index(path4):
     dp = greedy_domatic_partition(path4)
-    cfg = config_from_domatic(path4, dp, 1)
+    cfg = disjoint_config(path4, 1)
     for i, nodes in enumerate(dp.sets):
         for v in nodes:
             assert cfg.labels[v] == frozenset({i})
 
 
 def test_config_from_domatic_k4(k4):
-    dp = greedy_domatic_partition(k4)
-    cfg = config_from_domatic(k4, dp, 2)
+    cfg = disjoint_config(k4, 2)
     assert cfg.k == 8
     assert verify_config(k4, cfg).ok
 
 
-def test_config_from_domatic_rejects_invalid(path4):
-    bogus = DomaticPartition((frozenset({0}), frozenset({1, 2, 3})))
-    with pytest.raises(InputError):
-        config_from_domatic(path4, bogus, 1)
+def test_disjoint_config_seed_draws_the_partition_ties(petersen):
+    for seed in (None, 3):
+        dp = greedy_domatic_partition(petersen, seed)
+        cfg = disjoint_config(petersen, 2, seed)
+        assert cfg == _config_from_partition(dp, petersen.node_count, 2 * len(dp.sets), 2)
+
+
+@pytest.mark.parametrize("sets", [
+    pytest.param(({0, 1}, {1, 2, 3}), id="overlap"),
+    pytest.param(({0, 1}, {2}), id="gap"),
+    pytest.param(({0, 1}, {2, 3, 4}), id="outside"),
+])
+def test_config_from_partition_refuses_a_non_partition(sets):
+    dp = DomaticPartition(tuple(map(frozenset, sets)))
+    with pytest.raises(VerificationError, match="a node is in two partition sets or in none"):
+        _config_from_partition(dp, 4, 2, 1)
 
 
 def test_search_constructive_fast_path(petersen):

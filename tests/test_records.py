@@ -20,7 +20,7 @@ def records(path4_instance, petersen):
     inst = path4_instance
     g_result = greedy.greedy_schedule(inst)
     dp = domination.greedy_domatic_partition(petersen)
-    cfg = domination.config_from_domatic(petersen, dp, 1)
+    cfg = domination.disjoint_config(petersen, 1)
     return [
         g_result,
         g_result.trace[0],
