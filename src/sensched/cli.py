@@ -12,8 +12,8 @@ oracle, --iters and --epsilon with any solver but blll), the BLLL
 options and place-and-schedule's --devices are checked, disjoint
 lifetime refuses --k and --budget and checks sigma, and config lifetime
 checks --k, sigma and --budget. The potential a solver prints is checked
-against `score` of the labeling it writes, and a lifetime configuration
-against `domination.verify_config` (exit 2).
+by `schedule.rescored` against `score` of the labeling it writes, and a
+lifetime configuration against `domination.verify_config` (exit 2).
 """
 
 from __future__ import annotations
@@ -32,34 +32,15 @@ from .coverage import adjacency_lines, restrict_x
 from .errors import InputError, ParseError, SearchSpaceError, VerificationError
 from .seeds import derive_seed
 from .schedule import (
-    Labeling,
     ProblemInstance,
-    ScheduleReport,
     check_k_sigma,
     format_label_table,
     format_labeling,
     format_score,
-    score,
+    rescored,
 )
 
 SCORE_LETTER = {"detection": "D", "isolation": "I"}
-
-
-def _rescored(
-    inst: ProblemInstance, labeling: Labeling, claimed: int, solver: str
-) -> ScheduleReport:
-    """score(inst, labeling); VerificationError unless its potential is claimed.
-
-    claimed is the potential the solver reports for labeling, so the
-    printed score and the labeling's report block cannot disagree.
-    """
-    report = score(inst, labeling)
-    if report.potential != claimed:
-        raise VerificationError(
-            f"{solver} potential {claimed} differs from the re-scored "
-            f"potential {report.potential} of its labeling"
-        )
-    return report
 
 
 def _given(name: str) -> bool:
@@ -183,14 +164,14 @@ def schedule_cmd(
         result = oracle.exact_optimal_schedule(inst)
         labeling, report = result.optimum, result.report
         click.echo(
-            f"{letter} = {format_score(result.best_score)}  "
+            f"{letter} = {format_score(report.score)}  "
             f"optima: {result.n_optima}{'+' if result.truncated else ''}  "
             f"space: {result.space}"
         )
     elif solver == "greedy":
         g_result = greedy.greedy_schedule(inst, seed=seed if seed else None)
         labeling = g_result.labeling
-        report = _rescored(inst, labeling, g_result.objective, "greedy")
+        report = rescored(inst, labeling, g_result.objective, "greedy")
         click.echo(f"{letter} = {format_score(report.score)}")
         if trace_path:
             names = inst.coverage.x_names
@@ -199,7 +180,7 @@ def schedule_cmd(
     else:
         b_result = game.blll_schedule(inst, params)
         labeling = b_result.best_labeling
-        report = _rescored(inst, labeling, b_result.best_potential, "blll")
+        report = rescored(inst, labeling, b_result.best_potential, "blll")
         denom = inst.k * inst.coverage.n_y
         click.echo(
             f"{letter} = {format_score(report.score)}  "
@@ -268,7 +249,7 @@ def place_and_schedule_cmd(
             sub = dataclasses.replace(inst, coverage=restrict_x(cov, picked))
             run = game.blll_schedule(sub, params)
         labeling = run.best_labeling
-        scores[mode] = _rescored(sub, labeling, run.best_potential, mode).score
+        scores[mode] = rescored(sub, labeling, run.best_potential, mode).score
         names = sub.coverage.x_names
         shown = format_score(scores[mode])
         click.echo(f"{mode}: sites = {', '.join(names)}  {letter} = {shown}")
@@ -477,14 +458,12 @@ def convert_edgelist_cmd(
 
 
 @main.command("verify")
-@click.option("--all", "run_everything", is_flag=True, default=False)
 @click.option("--potential-game", "run_potential", is_flag=True, default=False)
 @click.option("--reduction", "run_reduction", is_flag=True, default=False)
-@click.option("--proposition1", "--dual-form", "run_dual", is_flag=True, default=False)
+@click.option("--dual-form", "run_dual", is_flag=True, default=False)
 @click.option("--seed", type=int, default=0, show_default=True)
 @handle_errors
 def verify_cmd(
-    run_everything: bool,
     run_potential: bool,
     run_reduction: bool,
     run_dual: bool,
@@ -498,8 +477,7 @@ def verify_cmd(
     """
     from . import verify
 
-    if not (run_potential or run_reduction or run_dual):
-        run_everything = True
+    run_everything = not (run_potential or run_reduction or run_dual)
     reports = []
     if run_everything or run_potential:
         reports.append(verify.check_potential_game(seed))

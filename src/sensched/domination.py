@@ -19,6 +19,7 @@ the property from its definition.
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 from typing import Literal, NamedTuple
 
 from .coverage import CoverageGraph, restrict_x
@@ -152,24 +153,19 @@ def _checked(g: NetworkGraph, cfg: KSigmaConfig, method: str) -> KSigmaConfig:
 
 
 def _config_from_partition(dp: DomaticPartition, n: int, k: int, sigma: int) -> KSigmaConfig:
-    """Block construction: set i supplies labels (i-1)*sigma+1 .. i*sigma.
+    """Block construction: set i holds the sigma labels (start + j) % k, j < sigma.
 
-    Works for any k <= sigma * len(sets): full blocks go to the first
-    k // sigma sets, the next set takes the k % sigma leftover labels
-    padded with low labels, and later sets reuse the first block.
-    VerificationError unless the sets hold each node 0..n-1 exactly once.
+    start is i * sigma while that is below k, and 0 for every later set.
+    So for any k <= sigma * len(sets) every label is held by some set:
+    the first k // sigma sets hold full blocks, a block that passes k
+    wraps around to the low labels, and later sets repeat the first
+    block. VerificationError unless the sets hold each node 0..n-1
+    exactly once.
     """
-    q, r = divmod(k, sigma)
     node_labels: dict[int, frozenset[int]] = {}
-    for i, nodes in enumerate(dp.sets):
-        if i < q:
-            block = frozenset(range(i * sigma, (i + 1) * sigma))
-        elif i == q and r > 0:
-            block = frozenset(range(q * sigma, q * sigma + r)) | frozenset(
-                range(sigma - r)
-            )
-        else:
-            block = frozenset(range(sigma))
+    starts = chain(range(0, k, sigma), repeat(0))
+    for nodes, start in zip(dp.sets, starts):
+        block = frozenset((start + j) % k for j in range(sigma))
         node_labels.update(dict.fromkeys(nodes, block))
     # the sizes add up to n and the union is 0..n-1: no overlap, no gap
     if sum(map(len, dp.sets)) != n or node_labels.keys() != set(range(n)):

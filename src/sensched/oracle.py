@@ -20,24 +20,23 @@ fractions); there is no floating point anywhere on this path.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import SearchSpaceError, VerificationError
-from .schedule import Labeling, ProblemInstance, ScheduleReport, score as score_labeling
+from .errors import SearchSpaceError
+from .schedule import Labeling, ProblemInstance, ScheduleReport, rescored
 
 SPACE_LIMIT = 10_000_000  # labelings; larger spaces are refused
 
 
 class OracleResult(NamedTuple):
-    best_score: Fraction
-    best_potential: int
+    """The optimum of the whole space; `report` holds its potential and score."""
+
     optimum: Labeling  # the first optimum in lexicographic order
     n_optima: int  # the number of optima, capped at max_optima
     space: int
     truncated: bool  # more than max_optima optima
-    report: ScheduleReport  # schedule.score of optimum
+    report: ScheduleReport  # schedule.rescored of optimum against the search's best
 
 
 class _SearchResult(NamedTuple):
@@ -178,7 +177,7 @@ def _class_size(canonical: Labeling, k: int) -> int:
 def exact_optimal_schedule(
     inst: ProblemInstance, max_optima: int = 64
 ) -> OracleResult:
-    """Best score, first optimum and number of optima of the exactly-sigma labelings.
+    """First optimum, its checked report and the number of optima of the exactly-sigma labelings.
 
     The space has C(k, sigma)^|X| points; anything above SPACE_LIMIT is
     refused with the size in the message. One pass of the branch and
@@ -194,9 +193,10 @@ def exact_optimal_schedule(
     labels are in use before device x and j_x are new at x
     (`_class_size`). It is capped at max_optima, with `truncated` set
     when the canonical pass overflowed or the sum exceeds max_optima.
-    The first optimum is re-scored with `schedule.score`; a different
-    potential raises VerificationError, and the result carries that
-    report.
+    The first optimum is checked by `schedule.rescored` against the
+    best potential of the search (VerificationError if they differ), and
+    the result carries that report: `report.potential` and
+    `report.score` are the optimum's.
     """
     cov = inst.coverage
     n_actions = math.comb(inst.k, inst.sigma)
@@ -211,18 +211,10 @@ def exact_optimal_schedule(
     # each, so the sum reaches the cap either way
     count = sum(_class_size(labeling, inst.k) for labeling in search.optima)
     optimum = search.optima[0]
-    report = score_labeling(inst, optimum)
-    if report.potential != search.best:
-        raise VerificationError(
-            f"oracle potential {search.best} differs from the re-scored "
-            f"potential {report.potential} of its first optimum"
-        )
     return OracleResult(
-        best_score=Fraction(search.best, inst.k * cov.n_y),
-        best_potential=search.best,
         optimum=optimum,
         n_optima=min(count, max_optima),
         space=space,
         truncated=search.truncated or count > max_optima,
-        report=report,
+        report=rescored(inst, optimum, search.best, "oracle"),
     )

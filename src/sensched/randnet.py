@@ -148,16 +148,22 @@ def gen_geometric(
     return g, tuple(coords)
 
 
+def random_graph(rng: Random, n: int, p: float) -> NetworkGraph:
+    """G(n, p) on nodes "0".."n-1": each pair i < j, in order, is an edge
+    when rng.random() < p."""
+    names = [str(i) for i in range(n)]
+    edges = [
+        (names[i], names[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < p
+    ]
+    return NetworkGraph(names, edges)
+
+
 def gen_erdos_renyi(spec: ErdosRenyiSpec) -> NetworkGraph:
     """Each unordered node pair is an edge independently with probability p."""
-    rng = derive_rng(spec.seed, "erdos-renyi")
-    edges = [
-        (str(i), str(j))
-        for i in range(spec.n)
-        for j in range(i + 1, spec.n)
-        if rng.random() < spec.p
-    ]
-    return NetworkGraph([str(i) for i in range(spec.n)], edges)
+    return random_graph(derive_rng(spec.seed, "erdos-renyi"), spec.n, spec.p)
 
 
 def gen_connected_gnm(n: int, m: int, seed: int = 0) -> NetworkGraph:

@@ -157,6 +157,23 @@ def score(inst: ProblemInstance, labeling: Labeling) -> ScheduleReport:
     )
 
 
+def rescored(
+    inst: ProblemInstance, labeling: Labeling, claimed: int, solver: str
+) -> ScheduleReport:
+    """score(inst, labeling); VerificationError unless its potential is claimed.
+
+    claimed is the potential the solver reports for labeling, so the
+    printed score and the labeling's report block cannot disagree.
+    """
+    report = score(inst, labeling)
+    if report.potential != claimed:
+        raise VerificationError(
+            f"{solver} potential {claimed} differs from the re-scored "
+            f"potential {report.potential} of its labeling"
+        )
+    return report
+
+
 def format_score(value: Fraction) -> str:
     """Exact fraction plus 6-significant-digit decimal, e.g. `2/3 (0.666667)`."""
     return f"{value.numerator}/{value.denominator} ({float(value):.6g})"

@@ -26,6 +26,7 @@ from .errors import InputError, SearchSpaceError
 from .game import GameState, check_potential_identity, random_placement_state, random_state
 from .graph import NetworkGraph, Target, all_edge_targets, all_node_targets
 from .oracle import exact_optimal_schedule
+from .randnet import random_graph
 from .schedule import Labeling, ProblemInstance, score
 from .seeds import derive_rng, label_sampler
 
@@ -58,17 +59,6 @@ class CheckReport:
         if self.failures:
             line += f", {len(self.failures)} failures"
         return line
-
-
-def random_graph(rng: Random, n: int, p: float) -> NetworkGraph:
-    names = [f"v{i}" for i in range(n)]
-    edges = [
-        (names[i], names[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < p
-    ]
-    return NetworkGraph(names, edges)
 
 
 def random_triangle_free_graph(rng: Random, n: int, p: float) -> NetworkGraph:
@@ -294,7 +284,7 @@ def reduction_check(g: NetworkGraph) -> ReductionReport:
         edges=m,
         triangle_free=not has_triangle(g),
         max_cut=max_cut,
-        optimal_score=exact_optimal_schedule(inst, max_optima=1).best_score,
+        optimal_score=exact_optimal_schedule(inst, max_optima=1).report.score,
         cut_formula=Fraction(1, 2) + Fraction(max_cut, 2 * m),
         labelings_checked=(1 << (n - 1)) if per_labeling else 0,
         per_labeling_equal=per_equal,

@@ -420,6 +420,21 @@ def brute_first_config(g, k: int, sigma: int):
     return None
 
 
+def brute_block_labels(n_sets: int, k: int, sigma: int) -> list[frozenset[int]]:
+    """Label set of each partition set under the block construction.
+
+    The first k // sigma sets take the full blocks of sigma consecutive
+    labels in order; when sigma does not divide k, the next set takes
+    the k % sigma labels left over and the lowest labels up to sigma;
+    every set after that takes the first block.
+    """
+    full, left = divmod(k, sigma)
+    blocks = [frozenset(range(i * sigma, i * sigma + sigma)) for i in range(full)]
+    if left:
+        blocks.append(frozenset(range(full * sigma, k)) | frozenset(range(sigma - left)))
+    return [blocks[i] if i < len(blocks) else blocks[0] for i in range(n_sets)]
+
+
 # --- BLLL reference: each step scored from the definition of utility ---------
 
 

@@ -104,7 +104,7 @@ def test_criterion_04_solver_quality():
         best = exact_optimal_schedule(inst, max_optima=1)
         got = greedy_schedule(inst)
         ratios.append(
-            got.objective / best.best_potential if best.best_potential else 1.0
+            got.objective / best.report.potential if best.report.potential else 1.0
         )
         for chain in range(2):
             run = blll_schedule(
@@ -113,7 +113,7 @@ def test_criterion_04_solver_quality():
                            seed=derive_seed(104, "blll", made, chain)),
             )
             pairs += 1
-            if run.best_potential == best.best_potential:
+            if run.best_potential == best.report.potential:
                 hits += 1
     elapsed = time.monotonic() - start
     mean_ratio = sum(ratios) / len(ratios)

@@ -848,6 +848,15 @@ def test_verify_single_suite(runner):
     assert "dual-form" not in result.output
 
 
+@pytest.mark.parametrize("option", ["--all", "--proposition1"])
+def test_verify_has_one_spelling_per_selection(runner, option):
+    # no selection runs every suite, and --dual-form selects the dual form
+    assert option not in runner.invoke(main, ["verify", "--help"]).output
+    result = runner.invoke(main, ["verify", option])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and option in result.output
+
+
 def test_verify_in_a_fresh_process_prints_what_it_prints_in_process(runner):
     # the tests import sensched.verify elsewhere, so only a new interpreter
     # runs the command's own import of it

@@ -23,6 +23,7 @@ from sensched.seeds import derive_rng
 from sensched.verify import random_graph
 
 from ._brute import (
+    brute_block_labels,
     brute_first_config,
     brute_greedy_domatic_partition,
     brute_is_dominating,
@@ -164,6 +165,36 @@ def test_search_constructive_fast_path(petersen):
     result = search_config(petersen, k, 2, seed=0)
     assert result.status == "found" and result.method == "constructive"
     assert verify_config(petersen, result.config).ok
+
+
+@pytest.mark.parametrize("k, blocks", [
+    pytest.param(2, ({0, 1}, {0, 1}), id="surplus-set-repeats-the-first-block"),
+    pytest.param(3, ({0, 1}, {2, 0}), id="partial-block-wraps-to-the-low-labels"),
+])
+def test_search_constructive_below_the_partition_lifetime(petersen, k, blocks):
+    dp = greedy_domatic_partition(petersen)
+    assert len(dp.sets) == 2
+    result = search_config(petersen, k, 2, seed=0)
+    assert result.status == "found" and result.method == "constructive"
+    assert verify_config(petersen, result.config).ok
+    for nodes, block in zip(dp.sets, blocks):
+        assert all(result.config.labels[v] == block for v in nodes)
+
+
+def test_constructive_labels_every_k_up_to_the_partition_lifetime():
+    rng = derive_rng(36, "constructive-blocks")
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(4, 10), rng.uniform(0.4, 0.9))
+        sigma = rng.randint(1, 3)
+        dp = greedy_domatic_partition(g)
+        for k in range(sigma, sigma * len(dp.sets) + 1):
+            result = search_config(g, k, sigma, seed=0)
+            assert result.method == "constructive"
+            assert verify_config(g, result.config).ok
+            assert all(len(labels) == sigma for labels in result.config.labels)
+            blocks = brute_block_labels(len(dp.sets), k, sigma)
+            for nodes, block in zip(dp.sets, blocks):
+                assert all(result.config.labels[v] == block for v in nodes)
 
 
 def test_search_petersen_five_two(petersen):

@@ -399,7 +399,7 @@ def test_blll_sigma_equals_k_constant(path4_instance):
 def test_blll_single_player_hill_climbs(path4):
     cov = build_detection(path4, [1], all_node_targets(path4), 1)
     inst = ProblemInstance(cov, k=4, sigma=1)
-    best = exact_optimal_schedule(inst).best_potential
+    best = exact_optimal_schedule(inst).report.potential
     result = blll_schedule(inst, BlllParams(iterations=2000, seed=3, epsilon=0.01))
     assert result.best_potential == best
 

@@ -16,7 +16,7 @@ from ._brute import brute_greedy
 def test_path_fixture_reaches_optimum(path4_instance):
     result = greedy_schedule(path4_instance)
     assert score(path4_instance, result.labeling).score == Fraction(2, 3)
-    assert exact_optimal_schedule(path4_instance).best_score == Fraction(2, 3)
+    assert exact_optimal_schedule(path4_instance).report.score == Fraction(2, 3)
 
 
 def test_single_slot_forces_label_one(path4):
@@ -67,7 +67,7 @@ def test_never_beats_oracle():
         checked += 1
         best = exact_optimal_schedule(inst, max_optima=1)
         got = greedy_schedule(inst)
-        assert got.objective <= best.best_potential
+        assert got.objective <= best.report.potential
 
 
 def test_deterministic_without_seed(path4_instance):
@@ -143,7 +143,7 @@ def test_within_half_of_oracle():
         if math.comb(inst.k, inst.sigma) ** inst.coverage.n_x > 50_000:
             continue
         checked += 1
-        best = exact_optimal_schedule(inst, max_optima=1).best_potential
+        best = exact_optimal_schedule(inst, max_optima=1).report.potential
         for seed in (None, 3):
             got = greedy_schedule(inst, seed=seed).objective
             assert 2 * got >= best >= got

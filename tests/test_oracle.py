@@ -26,7 +26,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_oracle_path_fixture(path4_instance):
     result = exact_optimal_schedule(path4_instance)
-    assert result.best_score == Fraction(2, 3)
+    assert result.report.score == Fraction(2, 3)
     assert result.space == 4
     # the optima are {0},{1} and its slot swap {1},{0}
     assert result.optimum == Labeling((frozenset({0}), frozenset({1})))
@@ -38,7 +38,7 @@ def test_oracle_sigma_equals_k(path4):
     inst = ProblemInstance(cov, k=3, sigma=3)
     result = exact_optimal_schedule(inst)
     coverable = len(set().union(*cov.adj))
-    assert result.best_score == Fraction(coverable, cov.n_y)
+    assert result.report.score == Fraction(coverable, cov.n_y)
 
 
 def test_oracle_refuses_large_spaces(monkeypatch, path4_instance):
@@ -67,7 +67,7 @@ def test_oracle_matches_brute_force_enumeration():
             want = [Labeling(tuple(frozenset(a) for a in w)) for w in winners]
             for max_optima in (1, 2, 64, len(want) + 1):
                 result = exact_optimal_schedule(inst, max_optima=max_optima)
-                assert result.best_score == best
+                assert result.report.score == best
                 assert result.optimum == want[0]
                 assert result.n_optima == min(len(want), max_optima)
                 assert result.truncated == (len(want) > max_optima)
@@ -150,7 +150,7 @@ def test_oracle_passes_visit_few_nodes(petersen, monkeypatch):
     cov = build_detection(petersen, range(7), all_node_targets(petersen), 1)
     result = exact_optimal_schedule(ProblemInstance(cov, k=5, sigma=2))
     assert result.space == 10**7
-    assert result.best_score == Fraction(9, 10)
+    assert result.report.score == Fraction(9, 10)
     assert result.n_optima == 64 and result.truncated
     assert [(len(run.optima), run.truncated, run.nodes) for run in runs] == [
         (42, False, 48_601)
@@ -225,7 +225,7 @@ def test_oracle_all_ties_caps_the_count_and_stops_early(monkeypatch):
     result = exact_optimal_schedule(ProblemInstance(cov, k=5, sigma=2))
     assert result.optimum == Labeling((frozenset({0, 1}),) * 7)
     assert result.n_optima == 64 and result.truncated
-    assert result.best_score == Fraction(2, 5)
+    assert result.report.score == Fraction(2, 5)
     assert [run.nodes for run in runs] == [97]
 
 
@@ -236,7 +236,7 @@ def test_oracle_truncation_resets_on_a_better_potential():
     inst = ProblemInstance(build_detection(g, range(4), all_node_targets(g), 1), 2, 1)
     result = exact_optimal_schedule(inst, max_optima=2)
     center, leaf = frozenset({0}), frozenset({1})
-    assert result.best_potential == 8
+    assert result.report.potential == 8
     assert result.optimum == Labeling((center, leaf, leaf, leaf))
     assert result.n_optima == 2 and not result.truncated
 
@@ -272,7 +272,7 @@ except VerificationError as exc:
 def test_oracle_single_player_matches_blll_limit(path4):
     cov = build_detection(path4, [1], all_node_targets(path4), 1)
     inst = ProblemInstance(cov, k=4, sigma=2)
-    best = exact_optimal_schedule(inst).best_potential
+    best = exact_optimal_schedule(inst).report.potential
     run = blll_schedule(inst, BlllParams(iterations=3000, seed=2, epsilon=0.01))
     assert run.best_potential == best
 
@@ -284,6 +284,6 @@ def test_oracle_invariant_under_node_relabeling(path4, path4_instance):
     cov = build_detection(renamed, [1, 2], all_edge_targets(renamed), 1)
     inst = ProblemInstance(cov, k=2, sigma=1)
     assert (
-        exact_optimal_schedule(inst).best_score
-        == exact_optimal_schedule(path4_instance).best_score
+        exact_optimal_schedule(inst).report.score
+        == exact_optimal_schedule(path4_instance).report.score
     )
