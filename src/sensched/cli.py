@@ -1,25 +1,22 @@
 """Command-line interface.
 
 One synchronous command per invocation; every command that takes a seed
-is bit-reproducible, including across --workers settings. Exit codes:
-0 success, 1 input error, 2 verification failure, 3 resource refusal
-(oracle space too large, too many isolation pairs, or search budget
-exhausted). Each (k, sigma) pair passes `schedule.check_k_sigma`;
-rand-experiment checks its k range, sigma, trials, workers and geometry
-before it generates the graph. Before the instance is read, schedule
-refuses an option the chosen solver ignores (--seed and --trace with the
-oracle, --iters and --epsilon with any solver but blll), the BLLL
-options and place-and-schedule's --devices are checked, disjoint
-lifetime refuses --k and --budget and checks sigma, and config lifetime
-checks --k, sigma and --budget. The potential a solver prints is checked
-by `schedule.rescored` against `score` of the labeling it writes, and a
-lifetime configuration against `domination.verify_config` (exit 2).
+is bit-reproducible, including across --workers settings. `main` maps
+errors to exit codes: 0 success, 1 input error (a click usage error is
+one too), 2 verification failure, 3 resource refusal (oracle space too
+large, too many isolation pairs, or search budget exhausted). Options
+are checked before the instance is read or the graph generated, and
+`_refuse_unread` refuses one the chosen mode ignores, even at its
+default (rand-experiment's --p needs --family er, and its --area,
+--radius and --torus need --family geometric). A solver's printed
+potential is checked by `schedule.rescored` against `score` of the
+labeling it writes, and a lifetime configuration against
+`domination.verify_config` (exit 2).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import sys
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -43,10 +40,17 @@ from .schedule import (
 SCORE_LETTER = {"detection": "D", "isolation": "I"}
 
 
-def _given(name: str) -> bool:
-    """Whether the running command's parameter name was set, not defaulted."""
-    source = click.get_current_context().get_parameter_source(name)
-    return source is not ParameterSource.DEFAULT
+def _refuse_unread(switch: str, **readers: tuple[str, ...]) -> None:
+    """InputError for a parameter given, even at its default, that the switch's value skips.
+
+    readers maps each parameter name to the switch values that read it.
+    """
+    ctx = click.get_current_context()
+    opts = {param.name: param.opts[0] for param in ctx.command.params}
+    for name, values in readers.items():
+        given = ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
+        if given and ctx.params[switch] not in values:
+            raise InputError(f"{opts[name]} needs {opts[switch]} {' or '.join(values)}")
 
 
 def _fmt(value: float) -> str:
@@ -82,11 +86,23 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
         stream.flush()
 
 
-def handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _ExitCodes(click.Group):
+    """The one place an error becomes an exit code; a usage error exits 1, as input errors do."""
+
+    def make_context(self, *args, **kwargs) -> click.Context:
+        # the group's own arguments are parsed here, a command's in invoke
         try:
-            return fn(*args, **kwargs)
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
         except SearchSpaceError as exc:
             click.echo(f"refused: {exc}", err=True)
             sys.exit(3)
@@ -97,10 +113,8 @@ def handle_errors(fn):
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 
-    return wrapper
 
-
-@click.group()
+@click.group(cls=_ExitCodes)
 @click.version_option(version=__version__)
 def main() -> None:
     """Activation scheduling for battery-limited monitoring devices."""
@@ -109,7 +123,6 @@ def main() -> None:
 @main.command("build-coverage")
 @click.argument("instance_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), help="Write adjacency text here.")
-@handle_errors
 def build_coverage_cmd(instance_file: str, out: str | None) -> None:
     """Build the device/target coverage graph and emit its adjacency."""
     spec = instance.load_instance(instance_file)
@@ -126,12 +139,11 @@ def build_coverage_cmd(instance_file: str, out: str | None) -> None:
 @click.argument("instance_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--solver", type=click.Choice(["greedy", "blll", "oracle"]), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--iters", type=int, default=20_000, show_default=True)
-@click.option("--epsilon", type=float, default=0.015, show_default=True)
+@click.option("--iters", type=int, default=game.BlllParams.iterations, show_default=True)
+@click.option("--epsilon", type=float, default=game.BlllParams.epsilon, show_default=True)
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False),
               help="Write the solver trace as CSV.")
 @click.option("--out", type=click.Path(dir_okay=False), help="Write the labeling here.")
-@handle_errors
 def schedule_cmd(
     instance_file: str,
     solver: str,
@@ -142,15 +154,8 @@ def schedule_cmd(
     out: str | None,
 ) -> None:
     """Solve one instance and emit the labeling plus its report."""
-    # an option the solver ignores is refused when given, even at its default
-    for name, option, readers in (
-        ("seed", "--seed", ("greedy", "blll")),
-        ("iters", "--iters", ("blll",)),
-        ("epsilon", "--epsilon", ("blll",)),
-        ("trace_path", "--trace", ("greedy", "blll")),
-    ):
-        if solver not in readers and _given(name):
-            raise InputError(f"{option} needs --solver {' or '.join(readers)}")
+    _refuse_unread("solver", seed=("greedy", "blll"), iters=("blll",),
+                   epsilon=("blll",), trace_path=("greedy", "blll"))
     if solver == "blll":
         # without --trace the chain records only its first and last points
         params = game.BlllParams(
@@ -201,13 +206,12 @@ def schedule_cmd(
 @click.option("--solver", type=click.Choice(["blll-joint", "two-stage", "both"]),
               required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--iters", type=int, default=20_000, show_default=True)
-@click.option("--epsilon", type=float, default=0.015, show_default=True)
+@click.option("--iters", type=int, default=game.BlllParams.iterations, show_default=True)
+@click.option("--epsilon", type=float, default=game.BlllParams.epsilon, show_default=True)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False),
               help="Write a (k, D_joint, D_twostage) comparison row "
                    "(needs --solver both).")
 @click.option("--out", type=click.Path(dir_okay=False))
-@handle_errors
 def place_and_schedule_cmd(
     instance_file: str,
     devices: int,
@@ -220,8 +224,7 @@ def place_and_schedule_cmd(
     out: str | None,
 ) -> None:
     """Choose device sites and schedules, jointly or in two stages."""
-    if csv_path and solver != "both":
-        raise InputError("--csv needs --solver both")
+    _refuse_unread("solver", csv_path=("both",))
     # no trace is read, so the chains record only their first and last points
     params = game.BlllParams(
         epsilon=epsilon, iterations=iters, seed=seed, full_trace=False
@@ -278,7 +281,6 @@ def place_and_schedule_cmd(
 @click.option("--budget", type=int, default=200_000, show_default=True,
               help="Total stochastic-search iterations (config mode).")
 @click.option("--out", type=click.Path(dir_okay=False))
-@handle_errors
 def lifetime_cmd(
     instance_file: str,
     sigma: int,
@@ -289,11 +291,8 @@ def lifetime_cmd(
     out: str | None,
 ) -> None:
     """Maximize lifetime under complete coverage of all nodes."""
+    _refuse_unread("mode", k_value=("config",), budget=("config",))
     if mode == "disjoint":
-        if k_value is not None:
-            raise InputError("--k needs --mode config")
-        if _given("budget"):
-            raise InputError("--budget needs --mode config")
         domination.check_sigma(sigma)
     elif k_value is None:
         raise InputError("config mode needs --k")
@@ -344,7 +343,6 @@ def lifetime_cmd(
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), help="CSV output path.")
-@handle_errors
 def rand_experiment_cmd(
     family: str,
     n: int,
@@ -360,6 +358,8 @@ def rand_experiment_cmd(
     out: str | None,
 ) -> None:
     """Random-scheduling experiment: closed form vs Monte-Carlo, one row per k."""
+    _refuse_unread("family", p=("er",), area=("geometric",), radius=("geometric",),
+                   torus=("geometric",))
     try:
         lo_text, _, hi_text = k_range.partition("..")
         lo, hi = int(lo_text), int(hi_text)
@@ -402,7 +402,6 @@ def rand_experiment_cmd(
 @click.option("--objective", type=click.Choice(["detection", "isolation"]),
               default="detection", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False))
-@handle_errors
 def convert_edgelist_cmd(
     edgelist: str,
     range_limit: int,
@@ -462,7 +461,6 @@ def convert_edgelist_cmd(
 @click.option("--reduction", "run_reduction", is_flag=True, default=False)
 @click.option("--dual-form", "run_dual", is_flag=True, default=False)
 @click.option("--seed", type=int, default=0, show_default=True)
-@handle_errors
 def verify_cmd(
     run_potential: bool,
     run_reduction: bool,

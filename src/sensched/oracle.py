@@ -180,7 +180,9 @@ def exact_optimal_schedule(
     """First optimum, its checked report and the number of optima of the exactly-sigma labelings.
 
     The space has C(k, sigma)^|X| points; anything above SPACE_LIMIT is
-    refused with the size in the message. One pass of the branch and
+    refused with the size in the message. At sigma = k the space is one
+    labeling, every device in every slot, which is returned without a
+    walk at any device count. Otherwise one pass of the branch and
     bound walks the canonical labelings only (labels enter in order); it
     finds the best potential without its up to k! slot permutations and
     keeps the first max_optima canonical optima. Renaming a labeling's
@@ -206,7 +208,15 @@ def exact_optimal_schedule(
             f"search space {n_actions}^{cov.n_x} = {space} exceeds limit {SPACE_LIMIT}"
         )
 
-    search = _branch_and_bound(inst, floor=-1, max_optima=max_optima, canonical=True)
+    if n_actions == 1:
+        # the walk would recurse once per device, past Python's stack limit
+        union = 0
+        for mask in cov.masks:
+            union |= mask
+        only = Labeling((frozenset(range(inst.k)),) * cov.n_x)
+        search = _SearchResult(inst.k * union.bit_count(), (only,), False, False, 1)
+    else:
+        search = _branch_and_bound(inst, floor=-1, max_optima=max_optima, canonical=True)
     # an overflowed pass kept max_optima classes of at least one labeling
     # each, so the sum reaches the cap either way
     count = sum(_class_size(labeling, inst.k) for labeling in search.optima)

@@ -438,6 +438,22 @@ def test_argument_errors_are_refused_before_the_instance_is_read(runner, monkeyp
     assert not out.exists()
 
 
+def test_schedule_oracle_answers_sigma_equal_to_k_on_1000_devices(runner, tmp_path):
+    # C(k, sigma) = 1 passes any device count; the one labeling is the answer
+    names = [f"v{i}" for i in range(1000)]
+    inst = tmp_path / "path1000.instance"
+    inst.write_text("\n".join([
+        f"nodes: {', '.join(names)}",
+        f"edges: {', '.join(f'{a}-{b}' for a, b in zip(names, names[1:]))}",
+        "sensors: all", "targets: all-nodes", "lambda: 1", "k: 2", "sigma: 2",
+        "objective: detection",
+    ]) + "\n")
+    result = runner.invoke(main, ["schedule", str(inst), "--solver", "oracle"])
+    assert (result.exit_code, result.exception) == (0, None), result.output
+    assert result.output.startswith("D = 1/1 (1)  optima: 1  space: 1\n")
+    assert "v999: 1,2\n" in result.output
+
+
 def test_schedule_oracle_refusal_exit_code(runner, tmp_path):
     text = Path(PETERSEN).read_text().replace("k: 5", "k: 12").replace("sigma: 2", "sigma: 6")
     inst = tmp_path / "big.instance"
@@ -495,6 +511,16 @@ def test_place_and_schedule_csv_needs_both(runner, tmp_path, solver):
         assert result.exit_code == 1
         assert "error: --csv needs --solver both" in result.output
         assert not csv_path.exists()
+
+
+def test_place_and_schedule_refuses_an_empty_csv_path(runner):
+    # --csv is refused because it was given, not because its value is a path
+    result = runner.invoke(main, [
+        "place-and-schedule", STAR5, "--devices", "1", "--solver", "blll-joint",
+        "--iters", "50", "--csv", "",
+    ])
+    assert result.exit_code == 1
+    assert "error: --csv needs --solver both" in result.output
 
 
 def test_place_and_schedule_too_many_devices(runner):
@@ -718,11 +744,27 @@ GEOMETRY_REFUSALS = [
 ]
 
 
+# an option of the other family, refused even at its default value
+FAMILY_REFUSALS = [
+    ("p", "geometric", ["--p", "0.9"], "--p needs --family er"),
+    ("p-default", "geometric", ["--p", "0.05"], "--p needs --family er"),
+    ("area", "er", ["--area", "1", "--radius", "5", "--torus"],
+     "--area needs --family geometric"),
+    ("area-default", "er", ["--area", "10.0"], "--area needs --family geometric"),
+    ("radius", "er", ["--radius", "5"], "--radius needs --family geometric"),
+    ("radius-default", "er", ["--radius", "2.0"], "--radius needs --family geometric"),
+    ("torus", "er", ["--torus"], "--torus needs --family geometric"),
+]
+
+
 @pytest.mark.parametrize("family, args, message", [
     *(pytest.param(family, args, message, id=f"{name}-{family}")
       for name, args, message in RUN_REFUSALS for family in ("er", "geometric")),
     *(pytest.param("geometric", args, message, id=f"{name}-geometric")
       for name, args, message in GEOMETRY_REFUSALS),
+    *(pytest.param(family, [*args, "--k-range", "2..2", "--sigma", "1"], message,
+                   id=f"{name}-{family}")
+      for name, family, args, message in FAMILY_REFUSALS),
 ])
 def test_rand_experiment_refuses_before_generating(runner, monkeypatch, family, args,
                                                    message):
@@ -853,8 +895,23 @@ def test_verify_has_one_spelling_per_selection(runner, option):
     # no selection runs every suite, and --dual-form selects the dual form
     assert option not in runner.invoke(main, ["verify", "--help"]).output
     result = runner.invoke(main, ["verify", option])
-    assert result.exit_code == 2
+    assert result.exit_code == 1
     assert "No such option" in result.output and option in result.output
+
+
+@pytest.mark.parametrize("args, shown", [
+    pytest.param(["schedule", PATH4, "--solver", "greedy", "--bogus"],
+                 "No such option '--bogus'", id="command-option"),
+    pytest.param(["verify", "--all"], "No such option '--all'", id="verify-option"),
+    pytest.param(["--bogus"], "No such option '--bogus'", id="group-option"),
+    pytest.param(["bogus"], "No such command 'bogus'", id="command"),
+    pytest.param([], "Commands:", id="bare"),
+])
+def test_usage_errors_are_input_errors(runner, args, shown):
+    # click's text is kept, only the exit code is that of an input error
+    result = runner.invoke(main, args)
+    assert (result.exit_code, type(result.exception)) == (1, SystemExit)
+    assert "Usage:" in result.output and shown in result.output
 
 
 def test_verify_in_a_fresh_process_prints_what_it_prints_in_process(runner):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -39,6 +40,18 @@ def test_oracle_sigma_equals_k(path4):
     result = exact_optimal_schedule(inst)
     coverable = len(set().union(*cov.adj))
     assert result.report.score == Fraction(coverable, cov.n_y)
+
+
+def test_oracle_sigma_equal_to_k_matches_the_walk():
+    # with one label set per device the walk is skipped; its answer stays
+    rng = derive_rng(43, "oracle-sigma-k")
+    for _ in range(40):
+        base = random_instance(rng, max_nodes=8, max_k=4)
+        inst = dataclasses.replace(base, sigma=base.k)
+        search = oracle._branch_and_bound(inst, floor=-1, max_optima=64, canonical=True)
+        result = exact_optimal_schedule(inst)
+        assert (result.optimum, result.report.potential) == (search.optima[0], search.best)
+        assert (result.n_optima, result.space, result.truncated) == (1, 1, False)
 
 
 def test_oracle_refuses_large_spaces(monkeypatch, path4_instance):
