@@ -4,10 +4,11 @@ One synchronous command per invocation; every command that takes a seed
 is bit-reproducible, including across --workers settings. `main` maps
 errors to exit codes: 0 success, 1 input error (a click usage error is
 one too), 2 verification failure, 3 resource refusal (oracle space too
-large, too many isolation pairs, or search budget exhausted). Options
-are checked before the instance is read or the graph generated, and
-`_refuse_unread` refuses one the chosen mode ignores, even at its
-default (rand-experiment's --p needs --family er, and its --area,
+large, too many isolation pairs or coverage edges, or search budget
+exhausted). Options are checked before the instance is read or the
+graph generated: `_refuse_options` refuses an empty output path
+(--out, --trace, --csv) and an option the chosen mode ignores, even at
+its default (rand-experiment's --p needs --family er, and its --area,
 --radius and --torus need --family geometric). A solver's printed
 potential is checked by `schedule.rescored` against `score` of the
 labeling it writes, and a lifetime configuration against
@@ -40,8 +41,9 @@ from .schedule import (
 SCORE_LETTER = {"detection": "D", "isolation": "I"}
 
 
-def _refuse_unread(switch: str, **readers: tuple[str, ...]) -> None:
-    """InputError for a parameter given, even at its default, that the switch's value skips.
+def _refuse_options(switch: str | None = None, **readers: tuple[str, ...]) -> None:
+    """InputError for a parameter given, even at its default, that the switch's
+    value skips, then for an empty path (an input argument's would not exist).
 
     readers maps each parameter name to the switch values that read it.
     """
@@ -51,6 +53,9 @@ def _refuse_unread(switch: str, **readers: tuple[str, ...]) -> None:
         given = ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
         if given and ctx.params[switch] not in values:
             raise InputError(f"{opts[name]} needs {opts[switch]} {' or '.join(values)}")
+    for param in ctx.command.params:
+        if isinstance(param.type, click.Path) and ctx.params[param.name] == "":
+            raise InputError(f"{param.opts[0]} needs a file name, got an empty one")
 
 
 def _fmt(value: float) -> str:
@@ -125,6 +130,7 @@ def main() -> None:
 @click.option("--out", type=click.Path(dir_okay=False), help="Write adjacency text here.")
 def build_coverage_cmd(instance_file: str, out: str | None) -> None:
     """Build the device/target coverage graph and emit its adjacency."""
+    _refuse_options()
     spec = instance.load_instance(instance_file)
     g = instance.build_graph(spec)
     cov = instance.build_coverage(spec, g)
@@ -154,13 +160,10 @@ def schedule_cmd(
     out: str | None,
 ) -> None:
     """Solve one instance and emit the labeling plus its report."""
-    _refuse_unread("solver", seed=("greedy", "blll"), iters=("blll",),
-                   epsilon=("blll",), trace_path=("greedy", "blll"))
+    _refuse_options("solver", seed=("greedy", "blll"), iters=("blll",),
+                    epsilon=("blll",), trace_path=("greedy", "blll"))
     if solver == "blll":
-        # without --trace the chain records only its first and last points
-        params = game.BlllParams(
-            epsilon=epsilon, iterations=iters, seed=seed, full_trace=bool(trace_path)
-        )
+        params = game.BlllParams(epsilon=epsilon, iterations=iters, seed=seed)
     spec = instance.load_instance(instance_file)
     _, inst = instance.build_problem(spec)
     letter = SCORE_LETTER[inst.objective]
@@ -189,11 +192,15 @@ def schedule_cmd(
         denom = inst.k * inst.coverage.n_y
         click.echo(
             f"{letter} = {format_score(report.score)}  "
-            f"(final {format_score(Fraction(b_result.final_potential, denom))}, "
+            f"(final {format_score(Fraction(b_result.trace[-1][1], denom))}, "
             f"accepted {b_result.accepted}/{iters})"
         )
         if trace_path:
-            rows = ([i, phi, _fmt(phi / denom)] for i, phi in b_result.trace)
+            # a row per iteration, from the latest change point at or before it
+            trace = b_result.trace
+            ends = [i for i, _ in trace[1:]] + [trace[-1][0] + 1]
+            rows = ([i, phi, _fmt(phi / denom)]
+                    for (start, phi), end in zip(trace, ends) for i in range(start, end))
             _emit(_csv_lines(["iteration", "phi", "score"], rows), trace_path)
     _emit((format_labeling(inst, labeling, report),), out)
 
@@ -224,17 +231,11 @@ def place_and_schedule_cmd(
     out: str | None,
 ) -> None:
     """Choose device sites and schedules, jointly or in two stages."""
-    _refuse_unread("solver", csv_path=("both",))
-    # no trace is read, so the chains record only their first and last points
-    params = game.BlllParams(
-        epsilon=epsilon, iterations=iters, seed=seed, full_trace=False
-    )
+    _refuse_options("solver", csv_path=("both",))
+    params = game.BlllParams(epsilon=epsilon, iterations=iters, seed=seed)
     game.check_device_count(devices)
     spec = instance.load_instance(instance_file)
-    if sites.strip().lower() == "all":
-        site_names: tuple[str, ...] = ("all",)
-    else:
-        site_names = tuple(tok.strip() for tok in sites.split(",") if tok.strip())
+    site_names = instance.parse_sensors(sites)
     _, inst = instance.build_problem(dataclasses.replace(spec, sensors=site_names))
     cov = inst.coverage
     letter = SCORE_LETTER[inst.objective]
@@ -291,7 +292,7 @@ def lifetime_cmd(
     out: str | None,
 ) -> None:
     """Maximize lifetime under complete coverage of all nodes."""
-    _refuse_unread("mode", k_value=("config",), budget=("config",))
+    _refuse_options("mode", k_value=("config",), budget=("config",))
     if mode == "disjoint":
         domination.check_sigma(sigma)
     elif k_value is None:
@@ -358,8 +359,8 @@ def rand_experiment_cmd(
     out: str | None,
 ) -> None:
     """Random-scheduling experiment: closed form vs Monte-Carlo, one row per k."""
-    _refuse_unread("family", p=("er",), area=("geometric",), radius=("geometric",),
-                   torus=("geometric",))
+    _refuse_options("family", p=("er",), area=("geometric",), radius=("geometric",),
+                    torus=("geometric",))
     try:
         lo_text, _, hi_text = k_range.partition("..")
         lo, hi = int(lo_text), int(hi_text)
@@ -418,6 +419,7 @@ def convert_edgelist_cmd(
     anything is written, so a file the loader would refuse (a self-loop,
     a repeated edge, k, sigma or lambda out of range) is never written.
     """
+    _refuse_options()
     nodes: list[str] = []
     seen: set[str] = set()
     edges: list[tuple[str, str]] = []

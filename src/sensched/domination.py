@@ -284,15 +284,13 @@ def search_config(
     chain = 0
     while used < budget:
         iters = min(chain_iters, budget - used)
-        # only the stopping iteration, trace[-1][0], is read, so the chain
-        # records its first and last points
         params = BlllParams(
             iterations=iters,
             seed=derive_seed(seed, "config-search", chain),
-            full_trace=False,
             stop_at_potential=target,
         )
         result = blll_schedule(inst, params)
+        # the trace ends at the last iteration run
         used += result.trace[-1][0]
         chain += 1
         if result.best_potential >= target:

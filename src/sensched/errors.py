@@ -2,6 +2,9 @@
 
 The CLI maps these onto exit codes: InputError (and subclasses) -> 1,
 VerificationError -> 2, SearchSpaceError / exhausted budgets -> 3.
+SearchSpaceError is raised for an oracle space above its limit, an
+isolation coverage with more than PAIR_LIMIT target pairs or EDGE_LIMIT
+coverage edges, and a max-cut check on too many nodes.
 """
 
 

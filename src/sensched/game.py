@@ -62,8 +62,6 @@ UNIFORM_PROPOSAL_LIMIT = 1_000_000
 class BlllParams:
     """Knobs for a binary log-linear learning run.
 
-    full_trace records the potential after every iteration; without it
-    the trace holds only the first and the last iteration run.
     stop_at_potential lets callers that know the global maximum (the
     configuration search) end a chain as soon as it is reached; the
     default is a fixed iteration budget.
@@ -72,7 +70,6 @@ class BlllParams:
     epsilon: float = 0.015
     iterations: int = 20_000
     seed: int = 0
-    full_trace: bool = True
     stop_at_potential: int | None = None
 
     def __post_init__(self) -> None:
@@ -438,17 +435,17 @@ def _accept_probability(x: float) -> float:
 
 
 class BlllResult(NamedTuple):
-    """A BLLL run's best state, its best and final potentials and its trace.
+    """A BLLL run's best state, its best potential and its trace.
 
     best_sites are the occupied sites in increasing order and
     best_labeling is aligned to them; a fixed-location run holds every
-    site. trace holds (iteration, potential) pairs and ends at the last
-    iteration run.
+    site. trace holds the (iteration, potential) points where the
+    potential changed, opened by iteration 0 and closed by the last
+    iteration run; each iteration's potential is the latest point's.
     """
 
     best_sites: tuple[int, ...]
     best_labeling: Labeling
-    final_potential: int
     best_potential: int
     trace: tuple[tuple[int, int], ...]
     accepted: int
@@ -470,16 +467,16 @@ def _run_chain(
     through state._apply. The acceptance probability of each delta is
     computed on its first trial and kept for the rest of this chain.
     The best state is an undo log of the accepted moves since the last
-    best, replayed backwards at the end. The trace gets a point after
-    every iteration with params.full_trace, else only after the last one
-    run (the budget's last, or where the chain reached
-    params.stop_at_potential).
+    best, replayed backwards at the end. The potential moves only on an
+    accepted trial with a nonzero delta, so the trace gets a point there
+    and is closed by the last iteration run (the budget's last, or the
+    first where the potential reached params.stop_at_potential).
 
-    Returns the best state seen, the best and final potentials, the
-    trace and the accepted-move count; state is left at the final one.
+    Returns the best state seen, its potential, the trace and the
+    accepted-move count; state is left at the final one.
     """
     log_base = params.log_base()
-    iterations, full_trace = params.iterations, params.full_trace
+    iterations = params.iterations
     stop = params.stop_at_potential
     audit_interval = AUDIT_INTERVAL
     getrandbits, random = rng.getrandbits, rng.random
@@ -494,6 +491,7 @@ def _run_chain(
     # (player, site, labels) before each accepted move since the best state
     undo: list[tuple[int, int, frozenset[int]]] = []
     accepted = 0
+    i = 0
     for i in range(1, iterations + 1):
         player = getrandbits(player_bits)
         while player >= n_players:
@@ -511,18 +509,17 @@ def _run_chain(
             apply(player, new_labels, new_site, delta)
             phi = state.phi
             accepted += 1
+            if delta:
+                trace.append((i, phi))
             if accepted % audit_interval == 0:
                 state.recount()
             if phi > best_phi:
                 best_phi = phi
                 undo.clear()
-
-        if full_trace or i == iterations:
-            trace.append((i, phi))
         if stop is not None and phi >= stop:
-            if trace[-1][0] != i:
-                trace.append((i, phi))
             break
+    if trace[-1][0] != i:
+        trace.append((i, phi))
     best_sites, best_actions = list(sites), list(actions)
     for player, site, labels in reversed(undo):
         best_sites[player] = site
@@ -531,7 +528,6 @@ def _run_chain(
     return BlllResult(
         best_sites=best_sites,
         best_labeling=best_labeling,
-        final_potential=phi,
         best_potential=best_phi,
         trace=tuple(trace),
         accepted=accepted,
@@ -541,10 +537,9 @@ def _run_chain(
 def blll_schedule(inst: ProblemInstance, params: BlllParams | None = None) -> BlllResult:
     """Binary log-linear learning over exactly-sigma labelings.
 
-    Reproducible given the seed; the trace holds (iteration, potential)
-    pairs, every iteration's or (without params.full_trace) the first
-    and last, and the best state seen anywhere in the chain is returned
-    with the final potential.
+    Reproducible given the seed; the trace holds the (iteration,
+    potential) change points (see BlllResult), and the best state seen
+    anywhere in the chain is returned with its potential.
     """
     params = params or BlllParams()
     rng = derive_rng(params.seed, "blll-schedule")

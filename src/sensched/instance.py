@@ -50,6 +50,16 @@ class InstanceSpec:
     objective: str | None
 
 
+def _split_list(value: str) -> list[str]:
+    """Comma-separated tokens, stripped, blanks dropped."""
+    return [tok for tok in map(str.strip, value.split(",")) if tok]
+
+
+def parse_sensors(value: str) -> tuple[str, ...]:
+    """A `sensors` value: ("all",) for `all` in any case, else its node names."""
+    return ("all",) if value.strip().lower() == "all" else tuple(_split_list(value))
+
+
 def parse_instance(text: str) -> InstanceSpec:
     entries: dict[str, tuple[int, str]] = {}
     current_key: str | None = None
@@ -82,11 +92,8 @@ def parse_instance(text: str) -> InstanceSpec:
             raise ParseError(None, f"missing required key {key!r}")
         return entries[key]
 
-    def split_list(value: str) -> list[str]:
-        return [tok for tok in map(str.strip, value.split(",")) if tok]
-
     line_no, nodes_val = require("nodes")
-    nodes = split_list(nodes_val)
+    nodes = _split_list(nodes_val)
     if not nodes:
         raise ParseError(line_no, "node list is empty")
     for name in nodes:
@@ -95,7 +102,7 @@ def parse_instance(text: str) -> InstanceSpec:
 
     line_no, edges_val = require("edges")
     edges: list[tuple[str, str]] = []
-    for tok in split_list(edges_val):
+    for tok in _split_list(edges_val):
         a, dash, b = tok.partition("-")
         if not dash or "-" in b:
             raise ParseError(line_no, f"bad edge token {tok!r} (expected a-b)")
@@ -115,16 +122,10 @@ def parse_instance(text: str) -> InstanceSpec:
         return parsed
 
     sensors_entry = get("sensors")
-    sensors = None
-    if sensors_entry is not None:
-        _, value = sensors_entry
-        sensors = ("all",) if value.lower() == "all" else tuple(split_list(value))
+    sensors = None if sensors_entry is None else parse_sensors(sensors_entry[1])
 
     targets_entry = get("targets")
-    targets = None
-    if targets_entry is not None:
-        _, value = targets_entry
-        targets = tuple(split_list(value))
+    targets = None if targets_entry is None else tuple(_split_list(targets_entry[1]))
 
     objective_entry = get("objective")
     objective = None

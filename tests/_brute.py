@@ -504,7 +504,8 @@ def _run_chain(cov, sites, actions, params: BlllParams, rng: Random, propose):
 
     sites and actions are changed in place. phi starts at brute_potential
     and moves by the accepted utility changes; the final one must equal
-    brute_potential again.
+    brute_potential again. The trace holds phi after every iteration
+    run, from 0 on.
     """
     masks = cov.masks
     log_base = params.log_base()
@@ -527,14 +528,21 @@ def _run_chain(cov, sites, actions, params: BlllParams, rng: Random, propose):
         if phi > best_phi:
             best_phi = phi
             best_snapshot = (list(sites), list(actions))
-        if params.full_trace or i == params.iterations:
-            trace.append((i, phi))
+        trace.append((i, phi))
         if params.stop_at_potential is not None and phi >= params.stop_at_potential:
-            if trace[-1][0] != i:
-                trace.append((i, phi))
             break
     assert phi == brute_potential(cov, _labels_by_x(cov.n_x, sites, actions))
     return trace, best_phi, accepted, _aligned(*best_snapshot)
+
+
+def change_points(trace):
+    """A per-iteration BLLL trace reduced to the points where phi changed,
+    plus its first and last points."""
+    points = [trace[0]]
+    points += [now for before, now in zip(trace, trace[1:]) if now[1] != before[1]]
+    if points[-1] != trace[-1]:
+        points.append(trace[-1])
+    return tuple(points)
 
 
 def _random_labels(rng: Random, k: int, sigma: int, count: int) -> list[frozenset[int]]:
@@ -557,7 +565,6 @@ def brute_blll_schedule(inst, params: BlllParams) -> BlllResult:
     return BlllResult(
         best_sites=best_sites,
         best_labeling=best_labeling,
-        final_potential=trace[-1][1],
         best_potential=best_phi,
         trace=tuple(trace),
         accepted=accepted,
@@ -585,7 +592,6 @@ def brute_blll_place_and_schedule(
     return BlllResult(
         best_sites=best_sites,
         best_labeling=best_labeling,
-        final_potential=trace[-1][1],
         best_potential=best_phi,
         trace=tuple(trace),
         accepted=accepted,

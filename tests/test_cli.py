@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,9 @@ from sensched import (
 from sensched.cli import main
 from sensched.coverage import to_adjacency_text
 from sensched.domination import ConfigCheck
-from sensched.seeds import derive_seed
+from sensched.seeds import derive_rng, derive_seed
+
+from ._brute import brute_blll_schedule
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 PATH4 = str(INSTANCES / "path4.instance")
@@ -344,6 +347,52 @@ def test_schedule_blll_deterministic_outputs(runner, tmp_path):
     assert tr1.read_text().splitlines()[0] == "iteration,phi,score"
 
 
+def _random_instance_text(rng) -> str:
+    """A small instance file: a random graph, random sensors and sigma < k."""
+    n = rng.randint(5, 8)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = rng.sample(pairs, rng.randint(n, 2 * n))
+    sensors = rng.sample(range(n), rng.randint(3, n))
+    k = rng.randint(3, 5)
+    return "\n".join([
+        f"nodes: {', '.join(f'n{v}' for v in range(n))}",
+        f"edges: {', '.join(f'n{a}-n{b}' for a, b in edges)}",
+        f"sensors: {', '.join(f'n{v}' for v in sensors)}",
+        f"targets: {rng.choice(['all-nodes', 'all-edges'])}",
+        f"lambda: {rng.randint(1, 2)}",
+        f"k: {k}",
+        f"sigma: {rng.randint(1, k - 1)}",
+        f"objective: {rng.choice(['detection', 'isolation'])}",
+    ]) + "\n"
+
+
+# (instance draw, --iters, --seed); the last run's final iterations move no potential
+BLLL_TRACE_RUNS = [(0, 0, 5), (1, 1, 2), (3, 400, 3), (0, 250, 1), (4, 250, 1), (7, 400, 3)]
+
+
+@pytest.mark.parametrize("draw, iters, seed", BLLL_TRACE_RUNS)
+def test_schedule_blll_trace_has_a_row_per_iteration(runner, tmp_path, draw, iters, seed):
+    # the CSV against the reference chain's potential after every iteration
+    path = tmp_path / "random.instance"
+    path.write_text(_random_instance_text(derive_rng(44, "blll-trace-csv", draw)))
+    _, inst = instance.build_problem(instance.load_instance(path))
+    every = brute_blll_schedule(inst, game.BlllParams(iterations=iters, seed=seed)).trace
+    denom = inst.k * inst.coverage.n_y
+    trace = tmp_path / "trace.csv"
+    result = runner.invoke(main, [
+        "schedule", str(path), "--solver", "blll", "--iters", str(iters),
+        "--seed", str(seed), "--trace", str(trace),
+    ])
+    assert result.exit_code == 0, result.output
+    rows = [f"{i},{phi},{phi / denom:.6g}" for i, phi in every]
+    assert trace.read_text().splitlines() == ["iteration,phi,score", *rows]
+    assert len(rows) == iters + 1
+    final = schedule.format_score(Fraction(every[-1][1], denom))
+    assert f"(final {final}, " in result.output
+    if (draw, iters, seed) == BLLL_TRACE_RUNS[-1]:
+        assert len({phi for _, phi in every[-20:]}) == 1
+
+
 def test_schedule_emitted_labeling_round_trips(runner, tmp_path):
     out = tmp_path / "lab.labeling"
     result = runner.invoke(
@@ -521,6 +570,49 @@ def test_place_and_schedule_refuses_an_empty_csv_path(runner):
     ])
     assert result.exit_code == 1
     assert "error: --csv needs --solver both" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["build-coverage", PATH4, "--out"],
+    ["schedule", PATH4, "--solver", "greedy", "--out"],
+    ["schedule", PATH4, "--solver", "blll", "--trace"],
+    ["place-and-schedule", STAR5, "--devices", "1", "--solver", "two-stage", "--out"],
+    ["place-and-schedule", STAR5, "--devices", "1", "--solver", "both", "--csv"],
+    ["lifetime", PATH4, "--sigma", "1", "--mode", "disjoint", "--out"],
+    ["rand-experiment", "--family", "er", "--k-range", "2..2", "--sigma", "1", "--out"],
+    ["convert-edgelist", PATH4, "--out"],
+])
+def test_an_empty_output_path_is_refused_before_any_input_is_read(runner, monkeypatch,
+                                                                   args):
+    def read(*_args, **_kwargs):
+        raise RuntimeError("an input was read")
+
+    for module, name in ((instance, "load_instance"), (instance, "read_input_text"),
+                         (randnet, "gen_erdos_renyi")):
+        monkeypatch.setattr(module, name, read)
+    result = runner.invoke(main, [*args, ""])
+    assert result.exit_code == 1
+    assert result.output == f"error: {args[-1]} needs a file name, got an empty one\n"
+
+
+@pytest.mark.parametrize("value, names", [
+    ("ALL", ("all",)), (" a, ,b ", ("a", "b")), ("", ()),
+])
+def test_sites_and_the_sensors_key_share_one_parser(runner, monkeypatch, value, names):
+    text = Path(PATH4).read_text().replace("sensors: 2, 3", f"sensors: {value}")
+    assert instance.parse_instance(text).sensors == names
+    seen = []
+
+    def build_problem(spec):
+        seen.append(spec.sensors)
+        raise RuntimeError("stop after the sites are parsed")
+
+    monkeypatch.setattr(instance, "build_problem", build_problem)
+    runner.invoke(main, [
+        "place-and-schedule", PATH4, "--devices", "1", "--solver", "two-stage",
+        "--sites", value,
+    ])
+    assert seen == [names]
 
 
 def test_place_and_schedule_too_many_devices(runner):

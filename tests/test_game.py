@@ -36,6 +36,7 @@ from ._brute import (
     brute_potential,
     brute_slot_planes,
     brute_utility,
+    change_points,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -363,8 +364,7 @@ def test_phi_equals_score_times_denominator():
 
 def test_blll_zero_iterations(path4_instance, chain_states):
     result = blll_schedule(path4_instance, BlllParams(iterations=0, seed=4))
-    assert result.trace == ((0, result.final_potential),)
-    assert result.best_potential == result.final_potential
+    assert result.trace == ((0, result.best_potential),)
     [state] = chain_states
     assert result.best_sites == tuple(state.sites) == (0, 1)
     assert result.best_labeling == Labeling(tuple(state.actions))
@@ -384,7 +384,7 @@ def test_blll_path_fixture_finds_optimum_with_high_frequency(path4_instance):
         result = blll_schedule(
             path4_instance, BlllParams(iterations=2000, seed=seed)
         )
-        if result.final_potential == 4:
+        if result.trace[-1][1] == 4:
             hits += 1
     assert hits >= 95
 
@@ -392,8 +392,8 @@ def test_blll_path_fixture_finds_optimum_with_high_frequency(path4_instance):
 def test_blll_sigma_equals_k_constant(path4_instance):
     inst = ProblemInstance(path4_instance.coverage, k=2, sigma=2)
     result = blll_schedule(inst, BlllParams(iterations=200, seed=1))
-    phis = {phi for _, phi in result.trace}
-    assert phis == {result.final_potential}
+    phi = result.best_potential
+    assert result.trace == ((0, phi), (200, phi))
 
 
 def test_blll_single_player_hill_climbs(path4):
@@ -477,16 +477,45 @@ def test_placement_masks_match_brute_force(monkeypatch):
         assert len(pulled) == devices  # stops at the last site it needs
 
 
-def test_trace_first_and_last_only(path4_instance):
+def _reference_schedule(inst, params):
+    """brute_blll_schedule with its per-iteration trace reduced to the change points."""
+    run = brute_blll_schedule(inst, params)
+    return run._replace(trace=change_points(run.trace))
+
+
+def _reference_placement(inst, devices, params):
+    """brute_blll_place_and_schedule with its trace reduced to the change points."""
+    run = brute_blll_place_and_schedule(inst, devices, params)
+    return run._replace(trace=change_points(run.trace))
+
+
+def test_trace_starts_at_0_and_ends_at_the_last_iteration_run(path4_instance):
     for stop in (None, 4):
         params = BlllParams(iterations=103, seed=4, stop_at_potential=stop)
-        full = blll_schedule(path4_instance, params)
-        ends = blll_schedule(path4_instance, dataclasses.replace(params, full_trace=False))
-        last = full.trace[-1][0]
-        assert [i for i, _ in full.trace] == list(range(last + 1))
+        run = blll_schedule(path4_instance, params)
+        every = brute_blll_schedule(path4_instance, params).trace
+        last = every[-1][0]
+        assert [i for i, _ in every] == list(range(last + 1))
         assert (last == 103) if stop is None else (last < 103)
-        assert ends.trace == ((0, full.trace[0][1]), (last, full.final_potential))
-        assert ends._replace(trace=full.trace) == full
+        assert run.trace[0] == every[0]
+        assert run.trace[-1] == every[-1]
+        assert run.trace == change_points(every)
+
+
+def test_stop_at_potential_ends_the_chain_at_the_first_iteration_reaching_it():
+    inst = _instances_of("detection", 6, 2, 43, 1)[0]
+    params = BlllParams(iterations=2000, seed=0, epsilon=0.3)
+    every = brute_blll_schedule(inst, params).trace
+    # the top potential, first reached well inside the budget
+    target = max(phi for _, phi in every)
+    stop_at = next(i for i, phi in every if phi == target)
+    stopped = dataclasses.replace(params, stop_at_potential=target)
+    run = blll_schedule(inst, stopped)
+    assert (stop_at, len(run.trace)) == (363, 46)
+    assert run.trace == change_points(every[: stop_at + 1])
+    assert run.trace[-1] == (stop_at, target)
+    assert all(phi < target for _, phi in run.trace[:-1])
+    assert run == _reference_schedule(inst, stopped)
 
 
 def test_swap_proposals_for_large_action_spaces(monkeypatch):
@@ -504,10 +533,10 @@ def test_swap_proposals_for_large_action_spaces(monkeypatch):
 # C(3, 3) = 1 leaves no other action.
 BLLL_CASES = [
     (4, 1, {}, "detection", False),
-    (5, 2, {"full_trace": False}, "isolation", False),
+    (5, 2, {}, "isolation", False),
     (7, 3, {"epsilon": 0.05}, "detection", False),
     (8, 4, {"epsilon": 0.3}, "isolation", False),
-    (7, 6, {"full_trace": False}, "detection", False),
+    (7, 6, {}, "detection", False),
     (21, 2, {}, "detection", False),
     (22, 3, {}, "isolation", False),
     (30, 6, {}, "detection", False),
@@ -515,7 +544,7 @@ BLLL_CASES = [
     (3, 3, {}, "detection", False),
     (6, 2, {"stop_at_potential": "reached"}, "detection", False),
     (9, 3, {}, "isolation", True),
-    (6, 2, {"full_trace": False, "stop_at_potential": "reached"}, "isolation", False),
+    (6, 2, {"stop_at_potential": "reached"}, "isolation", False),
 ]
 
 
@@ -543,10 +572,10 @@ def test_blll_matches_reference_chain(monkeypatch, k, sigma, overrides, objectiv
                 inst, BlllParams(iterations=200, seed=kwargs["seed"])
             ).trace[-1][1]
         params = BlllParams(**kwargs)
-        assert blll_schedule(inst, params) == brute_blll_schedule(inst, params)
+        assert blll_schedule(inst, params) == _reference_schedule(inst, params)
         devices = rng.randint(1, inst.coverage.n_x)
         assert blll_place_and_schedule(inst, devices, params) == (
-            brute_blll_place_and_schedule(inst, devices, params)
+            _reference_placement(inst, devices, params)
         )
 
 
@@ -555,7 +584,7 @@ def test_blll_chains_at_other_epsilons_share_no_acceptance_probabilities():
     inst = _instances_of("detection", 5, 2, 42, 1)[0]
     for epsilon in (0.015, 0.5, 0.015):
         params = BlllParams(iterations=300, seed=5, epsilon=epsilon)
-        assert blll_schedule(inst, params) == brute_blll_schedule(inst, params)
+        assert blll_schedule(inst, params) == _reference_schedule(inst, params)
 
 
 # (objective, k, sigma, BlllParams overrides). At epsilon = 0.9 most
@@ -590,10 +619,10 @@ def test_blll_matches_reference_chain_on_dense_instances(objective, k, sigma, ov
     for iterations, inst in zip(budgets, _dense_instances(objective, k, sigma, 41, 2)):
         params = BlllParams(**overrides, iterations=iterations, seed=rng.randrange(99))
         fixed = blll_schedule(inst, params)
-        assert fixed == brute_blll_schedule(inst, params)
+        assert fixed == _reference_schedule(inst, params)
         devices = rng.randint(30, inst.coverage.n_x - 2)
         joint = blll_place_and_schedule(inst, devices, params)
-        assert joint == brute_blll_place_and_schedule(inst, devices, params)
+        assert joint == _reference_placement(inst, devices, params)
         if params.epsilon == 0.9 and iterations > game.AUDIT_INTERVAL:
             # audited mid-chain, and the last new best is long past
             for run in (fixed, joint):
@@ -605,9 +634,9 @@ def test_blll_matches_reference_chain_on_dense_instances(objective, k, sigma, ov
 def test_blll_audits_every_accepted_move_when_asked(monkeypatch):
     inst = _instances_of("isolation", 5, 2, 40, 1)[0]
     params = BlllParams(iterations=600, seed=3, epsilon=0.4)
-    fixed = brute_blll_schedule(inst, params)
+    fixed = _reference_schedule(inst, params)
     devices = max(1, inst.coverage.n_x - 1)
-    joint = brute_blll_place_and_schedule(inst, devices, params)
+    joint = _reference_placement(inst, devices, params)
     audits = []
     recount = GameState.recount
 
