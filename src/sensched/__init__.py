@@ -2,7 +2,6 @@
 
 from .coverage import CoverageGraph, build_detection, build_isolation, restrict_x
 from .domination import (
-    DomaticPartition,
     KSigmaConfig,
     disjoint_config,
     greedy_domatic_partition,

@@ -183,7 +183,8 @@ def schedule_cmd(
         click.echo(f"{letter} = {format_score(report.score)}")
         if trace_path:
             names = inst.coverage.x_names
-            rows = ([p.iteration, names[p.x], p.label + 1, p.objective] for p in g_result.trace)
+            picks = enumerate(g_result.trace, 1)
+            rows = ([i, names[p.x], p.label + 1, p.objective] for i, p in picks)
             _emit(_csv_lines(["iteration", "node", "label", "objective"], rows), trace_path)
     else:
         b_result = game.blll_schedule(inst, params)
@@ -389,9 +390,8 @@ def rand_experiment_cmd(
             ProblemInstance(cov, k, sigma), trials, derive_seed(seed, "row", k), workers
         )
         closed = randnet.closed_form(k, sigma, spec.mean_degree)
-        rows.append(
-            [k, sigma, _fmt(closed), _fmt(stats.mean), _fmt(stats.stderr), trials]
-        )
+        mean = float(stats.mean_fraction)
+        rows.append([k, sigma, _fmt(closed), _fmt(mean), _fmt(stats.stderr), trials])
     _emit(_csv_lines(header, rows), out)
 
 

@@ -38,13 +38,9 @@ EXHAUSTIVE_LIMIT = 64
 EXHAUSTIVE_NODE_CAP = 2_000_000
 
 
-class DomaticPartition(NamedTuple):
-    """Pairwise-disjoint dominating sets; their union is the vertex set."""
-
-    sets: tuple[frozenset[int], ...]
-
-
-def greedy_domatic_partition(g: NetworkGraph, seed: int | None = None) -> DomaticPartition:
+def greedy_domatic_partition(
+    g: NetworkGraph, seed: int | None = None
+) -> tuple[frozenset[int], ...]:
     """Extract disjoint dominating sets greedily until the rest cannot dominate.
 
     Set i is a greedy cover of every node by the closed neighborhoods of
@@ -54,15 +50,15 @@ def greedy_domatic_partition(g: NetworkGraph, seed: int | None = None) -> Domati
     run out. With a seed, set i draws its ties from derive_seed(seed,
     "domatic-set", i). Leftover nodes that are not in any extracted set
     are merged into the last set (which keeps it dominating and makes
-    the partition total). Returns at least one set on a non-empty graph;
-    sizes are a lower bound on the domatic number, not the exact value.
+    the partition total). Returns a tuple of at least one set on a
+    non-empty graph; its length is a lower bound on the domatic number.
     """
     if g.node_count == 0:
-        return DomaticPartition(())
+        return ()
     return _domatic_partition(node_coverage(g), seed)
 
 
-def _domatic_partition(cov: CoverageGraph, seed: int | None) -> DomaticPartition:
+def _domatic_partition(cov: CoverageGraph, seed: int | None) -> tuple[frozenset[int], ...]:
     """greedy_domatic_partition on cov, the `node_coverage` of a non-empty graph.
 
     cov's masks are built once here and shared by every set.
@@ -90,7 +86,7 @@ def _domatic_partition(cov: CoverageGraph, seed: int | None) -> DomaticPartition
     # sets is not empty: on the first pass every node is uncovered and its own candidate
     if remaining:
         sets[-1] = sets[-1] | remaining
-    return DomaticPartition(tuple(sets))
+    return tuple(sets)
 
 
 class KSigmaConfig(NamedTuple):
@@ -152,8 +148,10 @@ def _checked(g: NetworkGraph, cfg: KSigmaConfig, method: str) -> KSigmaConfig:
     return cfg
 
 
-def _config_from_partition(dp: DomaticPartition, n: int, k: int, sigma: int) -> KSigmaConfig:
-    """Block construction: set i holds the sigma labels (start + j) % k, j < sigma.
+def _config_from_partition(
+    sets: tuple[frozenset[int], ...], n: int, k: int, sigma: int
+) -> KSigmaConfig:
+    """Block construction: sets[i] holds the sigma labels (start + j) % k, j < sigma.
 
     start is i * sigma while that is below k, and 0 for every later set.
     So for any k <= sigma * len(sets) every label is held by some set:
@@ -164,11 +162,11 @@ def _config_from_partition(dp: DomaticPartition, n: int, k: int, sigma: int) -> 
     """
     node_labels: dict[int, frozenset[int]] = {}
     starts = chain(range(0, k, sigma), repeat(0))
-    for nodes, start in zip(dp.sets, starts):
+    for nodes, start in zip(sets, starts):
         block = frozenset((start + j) % k for j in range(sigma))
         node_labels.update(dict.fromkeys(nodes, block))
     # the sizes add up to n and the union is 0..n-1: no overlap, no gap
-    if sum(map(len, dp.sets)) != n or node_labels.keys() != set(range(n)):
+    if sum(map(len, sets)) != n or node_labels.keys() != set(range(n)):
         raise VerificationError("a node is in two partition sets or in none")
     return KSigmaConfig(
         k=k, sigma=sigma, labels=tuple(node_labels[v] for v in range(n))
@@ -191,8 +189,8 @@ def disjoint_config(g: NetworkGraph, sigma: int, seed: int | None = None) -> KSi
     """Lifetime sigma * #sets: each set of `greedy_domatic_partition(g, seed)`
     holds one block of sigma labels."""
     check_sigma(sigma)
-    dp = greedy_domatic_partition(g, seed)
-    cfg = _config_from_partition(dp, g.node_count, sigma * len(dp.sets), sigma)
+    sets = greedy_domatic_partition(g, seed)
+    cfg = _config_from_partition(sets, g.node_count, sigma * len(sets), sigma)
     return _checked(g, cfg, "disjoint")
 
 
@@ -248,15 +246,15 @@ def search_config(
         )
 
     cov = node_coverage(g)
-    dp = _domatic_partition(cov, None)
-    if k <= sigma * len(dp.sets):
+    sets = _domatic_partition(cov, None)
+    if k <= sigma * len(sets):
         return ConfigSearchResult(
             status="found",
             config=_checked(
-                g, _config_from_partition(dp, g.node_count, k, sigma), "constructive"
+                g, _config_from_partition(sets, g.node_count, k, sigma), "constructive"
             ),
             method="constructive",
-            detail=f"from a {len(dp.sets)}-set greedy domatic partition",
+            detail=f"from a {len(sets)}-set greedy domatic partition",
         )
 
     inst = ProblemInstance(cov, k=k, sigma=sigma)

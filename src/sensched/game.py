@@ -219,7 +219,7 @@ class GameState:
             raise InputError(f"action must hold exactly {self.sigma} labels")
         for lab in action:
             if not 0 <= lab < self.k:
-                raise InputError(f"label {lab} outside 0..{self.k - 1}")
+                raise InputError(f"slot {lab + 1} outside 1..{self.k}")
 
     @property
     def n_players(self) -> int:

@@ -38,7 +38,9 @@ from .seeds import derive_rng
 
 
 class GreedyPick(NamedTuple):
-    iteration: int
+    """Device x takes slot label, newly covering gain (slot, Y-element)
+    pairs; objective is the running total of the gains."""
+
     x: int
     label: int
     gain: int
@@ -73,7 +75,7 @@ def greedy_picks(inst: ProblemInstance, seed: int | None = None) -> Iterator[Gre
     """The picks of greedy_schedule, in order, each computed when asked for.
 
     A caller that needs only the first few picks stops early and pays
-    for no more of them.
+    for no more of them. A pick's iteration is its 1-based position here.
     """
     cov = inst.coverage
     k, sigma = inst.k, inst.sigma
@@ -98,8 +100,7 @@ def greedy_picks(inst: ProblemInstance, seed: int | None = None) -> Iterator[Gre
     gain = 0
 
     objective = 0
-    total_picks = cov.n_x * sigma
-    for iteration in range(1, total_picks + 1):
+    for _ in range(cov.n_x * sigma):
         # refill: pop to the exact top (its bound is its current gain, so it
         # beats every bound below it), then, seeded, every pair that ties it
         while heap:
@@ -122,7 +123,7 @@ def greedy_picks(inst: ProblemInstance, seed: int | None = None) -> Iterator[Gre
         covered[lab] |= masks[xi]
         version[lab] += 1
         objective += gain
-        yield GreedyPick(iteration, xi, lab, gain, objective)
+        yield GreedyPick(xi, lab, gain, objective)
         if len(labels[xi]) == sigma:
             del ties[bisect_left(ties, (xi,)):bisect_left(ties, (xi + 1,))]
         if gain:  # only slot lab's ties can have lost gain, and a gain of 0 cannot

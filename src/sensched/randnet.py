@@ -213,7 +213,9 @@ def check_run(trials: int, workers: int) -> None:
 
 
 class RandomScheduleStats(NamedTuple):
-    mean: float
+    """mean_fraction is the exact mean score of the trials; a caller that
+    prints it takes its float there, as `rand-experiment` does."""
+
     stderr: float
     trials: int
     mean_fraction: Fraction
@@ -312,9 +314,4 @@ def simulate_random_schedule(
     mean_fraction = Fraction(sum(samples), trials * pairs)
     floats = [p / pairs for p in samples]
     stderr = statistics.stdev(floats) / math.sqrt(trials) if trials > 1 else 0.0
-    return RandomScheduleStats(
-        mean=float(mean_fraction),
-        stderr=stderr,
-        trials=trials,
-        mean_fraction=mean_fraction,
-    )
+    return RandomScheduleStats(stderr=stderr, trials=trials, mean_fraction=mean_fraction)

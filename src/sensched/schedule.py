@@ -52,10 +52,9 @@ class Labeling(NamedTuple):
 
 
 class ScheduleReport(NamedTuple):
-    """Scoring breakdown for one labeling."""
+    """One labeling's covered Y elements per slot, their sum (the potential)
+    and its exact score, potential / (k * |Y|) with the instance's k and Y."""
 
-    k: int
-    n_y: int
     per_slot_covered: tuple[int, ...]
     potential: int
     score: Fraction
@@ -148,13 +147,7 @@ def score(inst: ProblemInstance, labeling: Labeling) -> ScheduleReport:
             f"first in slot {slot + 1}: {per_slot[slot]} and {counted[slot]} covered"
         )
     potential = sum(per_slot)
-    return ScheduleReport(
-        k=k,
-        n_y=cov.n_y,
-        per_slot_covered=tuple(per_slot),
-        potential=potential,
-        score=Fraction(potential, k * cov.n_y),
-    )
+    return ScheduleReport(tuple(per_slot), potential, Fraction(potential, k * cov.n_y))
 
 
 def rescored(

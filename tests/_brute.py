@@ -23,7 +23,6 @@ from random import Random
 from types import SimpleNamespace
 
 from sensched import game
-from sensched.domination import DomaticPartition
 from sensched.game import BlllParams, BlllResult
 from sensched.graph import NetworkGraph
 from sensched.greedy import GreedyPick, GreedyResult
@@ -231,8 +230,7 @@ def brute_greedy(inst, seed=None) -> GreedyResult:
     objective = 0
     trace: list[GreedyPick] = []
 
-    total_picks = cov.n_x * sigma
-    for iteration in range(1, total_picks + 1):
+    for _ in range(cov.n_x * sigma):
         best_gain = -1
         best: tuple[int, int] | None = None
         ties: list[tuple[int, int]] = []
@@ -259,7 +257,7 @@ def brute_greedy(inst, seed=None) -> GreedyResult:
         for y in cov.adj[xi]:
             counts[y][lab] += 1
         objective += best_gain
-        trace.append(GreedyPick(iteration, xi, lab, best_gain, objective))
+        trace.append(GreedyPick(xi, lab, best_gain, objective))
 
     return GreedyResult(
         labeling=Labeling(tuple(frozenset(s) for s in labels)),
@@ -365,7 +363,7 @@ def closed_neighborhood(g, v: int) -> frozenset[int]:
     return frozenset(g.neighbors(v)) | {v}
 
 
-def brute_greedy_domatic_partition(g, seed=None) -> DomaticPartition:
+def brute_greedy_domatic_partition(g, seed=None) -> tuple[frozenset[int], ...]:
     """The greedy domatic partition, each set from the eager brute_greedy.
 
     Set i runs brute_greedy at k = sigma = 1 on the closed neighborhoods
@@ -377,7 +375,7 @@ def brute_greedy_domatic_partition(g, seed=None) -> DomaticPartition:
     """
     n = g.node_count
     if n == 0:
-        return DomaticPartition(())
+        return ()
     remaining = set(range(n))
     sets: list[frozenset[int]] = []
     while remaining:
@@ -400,7 +398,7 @@ def brute_greedy_domatic_partition(g, seed=None) -> DomaticPartition:
         remaining = set()
     if remaining:
         sets[-1] = sets[-1] | remaining
-    return DomaticPartition(tuple(sets))
+    return tuple(sets)
 
 
 def brute_first_config(g, k: int, sigma: int):
@@ -621,7 +619,6 @@ def brute_simulate_random_schedule(inst, trials: int, seed: int) -> RandomSchedu
     floats = [float(s) for s in samples]
     stderr = statistics.stdev(floats) / math.sqrt(trials) if trials > 1 else 0.0
     return RandomScheduleStats(
-        mean=float(mean_fraction),
         stderr=stderr,
         trials=trials,
         mean_fraction=mean_fraction,

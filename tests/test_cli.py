@@ -690,7 +690,7 @@ def test_lifetime_failed_config_check_exits_2(runner, monkeypatch, args, method)
 
 
 def test_lifetime_disjoint_non_partition_exits_2(runner, monkeypatch, tmp_path):
-    overlapping = domination.DomaticPartition((frozenset({0, 1}), frozenset({1, 2, 3})))
+    overlapping = (frozenset({0, 1}), frozenset({1, 2, 3}))
     monkeypatch.setattr(domination, "greedy_domatic_partition", lambda g, seed: overlapping)
     out = tmp_path / "config.labeling"
     result = runner.invoke(
@@ -779,7 +779,7 @@ def test_rand_experiment_builds_coverage_once(runner, monkeypatch):
         k = int(row[0])
         inst = schedule.ProblemInstance(randnet.node_coverage(g), k, 2)
         stats = randnet.simulate_random_schedule(inst, 6, derive_seed(9, "row", k))
-        assert row[3:5] == [cli._fmt(stats.mean), cli._fmt(stats.stderr)]
+        assert row[3:5] == [cli._fmt(float(stats.mean_fraction)), cli._fmt(stats.stderr)]
     assert len(builds) == 4
 
 
@@ -817,6 +817,9 @@ RUN_REFUSALS = [
      "workers must be >= 1"),
     ("workers-negative", ["--k-range", "2..4", "--sigma", "1", "--workers", "-4"],
      "workers must be >= 1"),
+    ("k-range-not-a-number", ["--k-range", "4..x", "--sigma", "1"],
+     "bad --k-range '4..x', expected a..b"),
+    ("n-negative", ["--n", "-1", "--k-range", "2..2", "--sigma", "1"], "n must be >= 0"),
 ]
 # geometric specs whose squared side or radius leaves the finite positive floats
 GEOMETRY_REFUSALS = [
@@ -909,6 +912,20 @@ def test_lifetime_disjoint_refuses_sigma_before_partitioning(runner, monkeypatch
     assert "error: sigma must be >= 1" in result.output
 
 
+@pytest.mark.parametrize("key", ["sensors", "targets", "lambda", "objective"])
+def test_schedule_refuses_an_instance_without_a_coverage_key(runner, tmp_path, key):
+    # parse_instance accepts a graph-only file; building the coverage refuses it
+    text = "".join(
+        line for line in Path(PATH4).read_text().splitlines(keepends=True)
+        if not line.startswith(f"{key}:")
+    )
+    inst = tmp_path / "partial.instance"
+    inst.write_text(text)
+    result = runner.invoke(main, ["schedule", str(inst), "--solver", "greedy"])
+    assert (result.exit_code, type(result.exception)) == (1, SystemExit)
+    assert result.output == f"error: instance file has no `{key}` entry\n"
+
+
 def test_convert_edgelist_round_trip(runner, tmp_path):
     raw = tmp_path / "net.edges"
     raw.write_text("# comment\na b\nb c\nc d\n")
@@ -926,6 +943,8 @@ def test_convert_edgelist_round_trip(runner, tmp_path):
 
 @pytest.mark.parametrize("text, options, message", [
     pytest.param("a b c\n", [], "line 1: expected two node names", id="three-names"),
+    pytest.param("a b\nc d:e\n", [], "line 2: bad node name 'd:e'", id="bad-name"),
+    pytest.param("# no edges\n\n", [], "edge list is empty", id="empty"),
     pytest.param("a b\nc c\n", [], "self-loop on node 'c'", id="self-loop"),
     pytest.param("a b\na b\n", [], "duplicate edge 'a'-'b'", id="repeated-edge"),
     pytest.param("a b\nb a\n", [], "duplicate edge 'b'-'a'", id="reversed-edge"),
@@ -980,6 +999,29 @@ def test_verify_single_suite(runner):
     assert result.exit_code == 0
     assert "potential-game identity" in result.output
     assert "dual-form" not in result.output
+
+
+def test_verify_failures_exit_2_and_go_to_stderr(monkeypatch, capsys):
+    # every dual-form check fails once score() reports one pair too many;
+    # run outside CliRunner so stdout and stderr are read apart
+    from sensched import verify
+
+    real = verify.score
+
+    def one_pair_too_many(inst, labeling):
+        report = real(inst, labeling)
+        return report._replace(potential=report.potential + 1)
+
+    monkeypatch.setattr(verify, "score", one_pair_too_many)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--dual-form"], prog_name="sensched", standalone_mode=False)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "FAIL dual-form score equality: 120 checks, 120 failures\n"
+    # the first ten failures, one line each
+    lines = err.splitlines()
+    assert len(lines) == 10
+    assert lines[0] == "  instance 0: label-form 1, slot-form 1, score() potential 2"
 
 
 @pytest.mark.parametrize("option", ["--all", "--proposition1"])

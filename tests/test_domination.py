@@ -7,7 +7,6 @@ from sensched import domination, randnet
 from sensched.coverage import CoverageGraph
 from sensched.domination import (
     EXHAUSTIVE_LIMIT,
-    DomaticPartition,
     KSigmaConfig,
     _config_from_partition,
     disjoint_config,
@@ -33,22 +32,22 @@ from ._brute import (
 
 def test_greedy_partition_path(path4):
     dp = greedy_domatic_partition(path4)
-    assert len(dp.sets) == 2
+    assert len(dp) == 2
     assert brute_max_disjoint_dominating(path4, upper=path4.min_degree() + 1) == 2
     assert brute_max_disjoint_dominating(path4, upper=3) == 2
 
 
 def test_greedy_partition_complete_graph(k4):
     dp = greedy_domatic_partition(k4)
-    assert [len(s) for s in dp.sets] == [1, 1, 1, 1]
+    assert [len(s) for s in dp] == [1, 1, 1, 1]
 
 
 def test_greedy_partition_star(star5):
     # the center alone dominates, and so does the set of all leaves
     dp = greedy_domatic_partition(star5)
-    assert len(dp.sets) >= 1
-    assert all(brute_is_dominating(star5, s) for s in dp.sets)
-    assert sorted(v for s in dp.sets for v in s) == list(range(5))
+    assert len(dp) >= 1
+    assert all(brute_is_dominating(star5, s) for s in dp)
+    assert sorted(v for s in dp for v in s) == list(range(5))
     assert brute_max_disjoint_dominating(star5, upper=star5.min_degree() + 1) == 2
 
 
@@ -63,9 +62,9 @@ def test_greedy_never_beats_exact_on_tiny_graphs():
     for _ in range(10):
         g = random_graph(rng, rng.randint(3, 7), 0.5)
         dp = greedy_domatic_partition(g)
-        assert all(brute_is_dominating(g, s) for s in dp.sets)
-        assert sorted(v for s in dp.sets for v in s) == list(range(g.node_count))
-        assert len(dp.sets) <= brute_max_disjoint_dominating(g, upper=g.min_degree() + 1)
+        assert all(brute_is_dominating(g, s) for s in dp)
+        assert sorted(v for s in dp for v in s) == list(range(g.node_count))
+        assert len(dp) <= brute_max_disjoint_dominating(g, upper=g.min_degree() + 1)
 
 
 def test_domatic_partition_matches_eager_reference(path4, star5, k4, c4, petersen):
@@ -81,15 +80,15 @@ def test_domatic_partition_matches_eager_reference(path4, star5, k4, c4, peterse
     for g in graphs:
         for seed in (None, 1, 2, 3):
             assert (
-                greedy_domatic_partition(g, seed=seed).sets
-                == brute_greedy_domatic_partition(g, seed=seed).sets
+                greedy_domatic_partition(g, seed=seed)
+                == brute_greedy_domatic_partition(g, seed=seed)
             ), (g, seed)
     spec = GeometricGraphSpec(n=300, area_side=math.sqrt(150), radius=1.5958, seed=1, torus=True)
     geo, _ = gen_geometric(spec)
     for seed in (None, 7):
         assert (
-            greedy_domatic_partition(geo, seed=seed).sets
-            == brute_greedy_domatic_partition(geo, seed=seed).sets
+            greedy_domatic_partition(geo, seed=seed)
+            == brute_greedy_domatic_partition(geo, seed=seed)
         )
 
 
@@ -118,6 +117,8 @@ def test_verify_config_rejects_malformed(path4):
             path4,
             KSigmaConfig(k=2, sigma=1, labels=tuple(frozenset({5}) for _ in range(4))),
         )
+    with pytest.raises(InputError, match=r"^config has 3 nodes, graph has 4$"):
+        verify_config(path4, KSigmaConfig(k=2, sigma=1, labels=(frozenset({0}),) * 3))
 
 
 def test_config_from_domatic_path(path4):
@@ -130,7 +131,7 @@ def test_config_from_domatic_path(path4):
 def test_config_from_domatic_sigma_one_is_partition_index(path4):
     dp = greedy_domatic_partition(path4)
     cfg = disjoint_config(path4, 1)
-    for i, nodes in enumerate(dp.sets):
+    for i, nodes in enumerate(dp):
         for v in nodes:
             assert cfg.labels[v] == frozenset({i})
 
@@ -145,7 +146,7 @@ def test_disjoint_config_seed_draws_the_partition_ties(petersen):
     for seed in (None, 3):
         dp = greedy_domatic_partition(petersen, seed)
         cfg = disjoint_config(petersen, 2, seed)
-        assert cfg == _config_from_partition(dp, petersen.node_count, 2 * len(dp.sets), 2)
+        assert cfg == _config_from_partition(dp, petersen.node_count, 2 * len(dp), 2)
 
 
 @pytest.mark.parametrize("sets", [
@@ -154,14 +155,14 @@ def test_disjoint_config_seed_draws_the_partition_ties(petersen):
     pytest.param(({0, 1}, {2, 3, 4}), id="outside"),
 ])
 def test_config_from_partition_refuses_a_non_partition(sets):
-    dp = DomaticPartition(tuple(map(frozenset, sets)))
+    dp = tuple(map(frozenset, sets))
     with pytest.raises(VerificationError, match="a node is in two partition sets or in none"):
         _config_from_partition(dp, 4, 2, 1)
 
 
 def test_search_constructive_fast_path(petersen):
     dp = greedy_domatic_partition(petersen)
-    k = 2 * len(dp.sets)
+    k = 2 * len(dp)
     result = search_config(petersen, k, 2, seed=0)
     assert result.status == "found" and result.method == "constructive"
     assert verify_config(petersen, result.config).ok
@@ -173,11 +174,11 @@ def test_search_constructive_fast_path(petersen):
 ])
 def test_search_constructive_below_the_partition_lifetime(petersen, k, blocks):
     dp = greedy_domatic_partition(petersen)
-    assert len(dp.sets) == 2
+    assert len(dp) == 2
     result = search_config(petersen, k, 2, seed=0)
     assert result.status == "found" and result.method == "constructive"
     assert verify_config(petersen, result.config).ok
-    for nodes, block in zip(dp.sets, blocks):
+    for nodes, block in zip(dp, blocks):
         assert all(result.config.labels[v] == block for v in nodes)
 
 
@@ -187,13 +188,13 @@ def test_constructive_labels_every_k_up_to_the_partition_lifetime():
         g = random_graph(rng, rng.randint(4, 10), rng.uniform(0.4, 0.9))
         sigma = rng.randint(1, 3)
         dp = greedy_domatic_partition(g)
-        for k in range(sigma, sigma * len(dp.sets) + 1):
+        for k in range(sigma, sigma * len(dp) + 1):
             result = search_config(g, k, sigma, seed=0)
             assert result.method == "constructive"
             assert verify_config(g, result.config).ok
             assert all(len(labels) == sigma for labels in result.config.labels)
-            blocks = brute_block_labels(len(dp.sets), k, sigma)
-            for nodes, block in zip(dp.sets, blocks):
+            blocks = brute_block_labels(len(dp), k, sigma)
+            for nodes, block in zip(dp, blocks):
                 assert all(result.config.labels[v] == block for v in nodes)
 
 
@@ -227,7 +228,7 @@ def test_exhaustive_config_matches_brute_force():
         dp = greedy_domatic_partition(g)
         window = [
             k
-            for k in range(sigma * len(dp.sets) + 1, sigma * (g.min_degree() + 1) + 1)
+            for k in range(sigma * len(dp) + 1, sigma * (g.min_degree() + 1) + 1)
             if g.node_count * math.comb(k, sigma) <= EXHAUSTIVE_LIMIT
             and math.comb(k, sigma) ** g.node_count <= 10_000
         ]
@@ -291,6 +292,8 @@ def test_search_config_builds_the_coverage_once(monkeypatch, petersen, k, sigma,
 def test_search_validates_args(path4):
     with pytest.raises(InputError):
         search_config(path4, 2, 3)
+    with pytest.raises(InputError, match=r"^empty graph$"):
+        search_config(NetworkGraph([], []), 1, 1)
 
 
 @pytest.mark.parametrize("k, sigma, message", [
@@ -332,6 +335,6 @@ def test_lifetime_lower_bound_always_constructible():
         g = random_graph(rng, rng.randint(4, 9), 0.5)
         sigma = rng.randint(1, 3)
         dp = greedy_domatic_partition(g)
-        result = search_config(g, sigma * len(dp.sets), sigma, seed=0)
+        result = search_config(g, sigma * len(dp), sigma, seed=0)
         assert result.status == "found"
         assert verify_config(g, result.config).ok

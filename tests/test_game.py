@@ -124,6 +124,45 @@ def test_identity_path_fixture_deviation(path4_instance):
     assert state.recount() == 4
 
 
+def test_identity_check_catches_a_wrong_predicted_deviation(path4_instance, monkeypatch):
+    # the first deviation() call is utility()'s, the second the predicted one
+    state = fixture_state(path4_instance)
+    real = GameState.deviation
+    calls = []
+
+    def bent(self, *args):
+        calls.append(args)
+        return real(self, *args) + (len(calls) == 2)
+
+    monkeypatch.setattr(GameState, "deviation", bent)
+    with pytest.raises(
+        VerificationError, match=r"^deviation read 0 off the counts, recounts gave dPhi=-1$"
+    ):
+        check_potential_identity(state, 0, frozenset({1}))
+    assert calls[1] == (0, frozenset({1}), 0)
+
+
+def test_identity_check_catches_a_revert_that_moves_the_potential(
+    path4_instance, monkeypatch
+):
+    # the first _apply() writes the deviation, the second reverts it
+    state = fixture_state(path4_instance)
+    real = GameState._apply
+    calls = []
+
+    def bent(self, *args):
+        calls.append(args)
+        real(self, *args)
+        self.phi += len(calls) == 2
+
+    monkeypatch.setattr(GameState, "_apply", bent)
+    with pytest.raises(
+        VerificationError, match=r"^reverting a deviation left potential 5, was 4$"
+    ):
+        check_potential_identity(state, 0, frozenset({1}))
+    assert [args[:2] for args in calls] == [(0, frozenset({1})), (0, frozenset({0}))]
+
+
 def test_identity_random_deviations():
     rng = derive_rng(31, "identity")
     for _ in range(30):
@@ -288,6 +327,16 @@ def test_state_validation(path4_instance):
         GameState(
             ProblemInstance(cov, 2, 1), [frozenset({0}), frozenset({1})], sites=[0, 0]
         )
+    with pytest.raises(InputError, match=r"^unknown site index: 2$"):
+        GameState(
+            ProblemInstance(cov, 2, 1), [frozenset({0}), frozenset({1})], sites=[0, 2]
+        )
+    # slots are 1-based in every message, as in validate_labeling's
+    with pytest.raises(InputError, match=r"^slot 3 outside 1\.\.2$"):
+        GameState(ProblemInstance(cov, 2, 1), [frozenset({0}), frozenset({2})])
+    state = fixture_state(path4_instance)
+    with pytest.raises(InputError, match=r"^slot 3 outside 1\.\.2$"):
+        state.move(0, frozenset({2}))
 
 
 def test_move_rejects_occupied_site(path4):
@@ -296,6 +345,9 @@ def test_move_rejects_occupied_site(path4):
     state = GameState(inst, [frozenset({0}), frozenset({1})], sites=[0, 1])
     with pytest.raises(InputError):
         state.move(0, frozenset({0}), site=1)
+    for site in (-1, 4):
+        with pytest.raises(InputError, match=f"^unknown site index: {site}$"):
+            state.move(0, frozenset({0}), site=site)
     # a player index outside 0..n-1 is refused before anything is written
     for player in (-1, state.n_players):
         with pytest.raises(InputError, match=f"unknown player: {player}"):

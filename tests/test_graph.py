@@ -65,6 +65,11 @@ def test_node_edge_distance_unknown_edge(path4):
         _covered(path4, 0, 1, [Target("edge", 42)])
 
 
+def test_check_targets_rejects_an_unknown_kind(path4):
+    with pytest.raises(InputError, match=r"^unknown target kind: 'face'$"):
+        path4.check_targets([Target("node", 0), Target("face", 0)])
+
+
 def test_covered_targets_path_fixture(path4):
     got = _covered(path4, 1, 1, all_edge_targets(path4))
     assert got == {Target("edge", 0), Target("edge", 1)}

@@ -102,7 +102,7 @@ def test_lazy_matches_brute_greedy():
             for seed in (None, 3, 17):
                 got = greedy_schedule(inst, seed=seed)
                 assert got == brute_greedy(inst, seed=seed)
-            last_gain = max((p.iteration for p in got.trace if p.gain), default=0)
+            last_gain = max((i for i, p in enumerate(got.trace, 1) if p.gain), default=0)
             long_tails += len(got.trace) - last_gain >= 5
     assert objectives == {"detection", "isolation"}
     assert long_tails >= 80

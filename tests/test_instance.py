@@ -101,6 +101,23 @@ def test_parse_rejects_nonpositive_values():
         parse_instance(GOOD.replace("k: 2", "k: nope"))
 
 
+@pytest.mark.parametrize("text, line_no, message", [
+    pytest.param("  1, 2\n" + GOOD, 1, "continuation line before any key",
+                 id="continuation-first"),
+    pytest.param(GOOD + "oops\n", 10, "expected `key: value`, got 'oops'", id="no-colon"),
+    pytest.param(GOOD.replace("nodes: 1, 2, 3, 4", "nodes:"), 2, "node list is empty",
+                 id="no-nodes"),
+    pytest.param(GOOD.replace("objective: detection", "objective: coverage"), 9,
+                 "objective must be detection or isolation, got 'coverage'",
+                 id="bad-objective"),
+])
+def test_parse_rejects_malformed_lines(text, line_no, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == f"line {line_no}: {message}"
+    assert err.value.line_no == line_no
+
+
 def test_missing_required_key():
     # no line is at fault, so the message carries no line number
     with pytest.raises(ParseError) as err:

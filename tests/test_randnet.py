@@ -217,6 +217,8 @@ def test_gen_connected_gnm_shape():
         gen_connected_gnm(5, 3, seed=1)
     with pytest.raises(InputError):
         gen_connected_gnm(4, 7, seed=1)
+    with pytest.raises(InputError, match=r"^n must be >= 1$"):
+        gen_connected_gnm(0, 0)
 
 
 @pytest.mark.parametrize(
@@ -246,7 +248,7 @@ def test_simulation_matches_closed_form_er():
     g = gen_erdos_renyi(ErdosRenyiSpec(n=300, p=0.03, seed=5))
     stats = simulate_random_schedule(ProblemInstance(node_coverage(g), 10, 2), 40, seed=5)
     predicted = closed_form(10, 2, _er(300, 0.03))
-    assert abs(stats.mean - predicted) / predicted < 0.02
+    assert abs(float(stats.mean_fraction) - predicted) / predicted < 0.02
 
 
 def test_simulation_deterministic_and_worker_independent():
@@ -299,7 +301,7 @@ def test_simulation_mean_is_near_the_exact_expectation():
     stats = simulate_random_schedule(inst, 200, seed=9)
     exact = expected_random_score(inst)
     assert stats.stderr > 0
-    assert abs(stats.mean - float(exact)) <= 4 * stats.stderr
+    assert abs(float(stats.mean_fraction) - float(exact)) <= 4 * stats.stderr
 
 
 @pytest.mark.parametrize("trials, workers, message", [

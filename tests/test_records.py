@@ -10,8 +10,8 @@ from sensched import domination, game, greedy, oracle, randnet, schedule
 
 RECORDS = {
     "Labeling", "ScheduleReport", "GreedyPick", "GreedyResult", "BlllResult",
-    "OracleResult", "_SearchResult", "RandomScheduleStats", "DomaticPartition",
-    "KSigmaConfig", "ConfigCheck", "ConfigSearchResult",
+    "OracleResult", "_SearchResult", "RandomScheduleStats", "KSigmaConfig",
+    "ConfigCheck", "ConfigSearchResult",
 }
 
 
@@ -19,7 +19,6 @@ RECORDS = {
 def records(path4_instance, petersen):
     inst = path4_instance
     g_result = greedy.greedy_schedule(inst)
-    dp = domination.greedy_domatic_partition(petersen)
     cfg = domination.disjoint_config(petersen, 1)
     return [
         g_result,
@@ -30,7 +29,6 @@ def records(path4_instance, petersen):
         oracle.exact_optimal_schedule(inst),
         oracle._branch_and_bound(inst, 0, 1),
         randnet.simulate_random_schedule(inst, trials=5, seed=1),
-        dp,
         cfg,
         domination.verify_config(petersen, cfg),
         domination.search_config(petersen, 3, 1),

@@ -361,6 +361,8 @@ def test_label_table_parse_errors():
         parse_label_table("a: 0")
     with pytest.raises(ParseError):
         parse_label_table("a: 1\na: 2")
+    with pytest.raises(ParseError, match=r"^line 2: empty name before ':'$"):
+        parse_label_table("a: 1\n : 2")
 
 
 def test_parse_labeling_unknown_name(path4_instance):
